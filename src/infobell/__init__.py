@@ -35,7 +35,6 @@ from .infogeo import (
     info_area,
     info_distance,
     info_volume,
-    joint_entropy,
     max_violation,
     metric_axioms_check,
     quadrilateral,
@@ -65,13 +64,11 @@ from .tomography import (
     TomoDataset,
     TomographyError,
     TomographyResult,
-    TomoMode,
     chsh,
     correlation,
     expected_counts,
     linear_inversion,
     mle_reconstruct,
-    tomo_modes,
 )
 from .fitting import WernerFit, fit_werner, model_curve
 
@@ -104,7 +101,6 @@ __all__ = [
     "info_area",
     "info_distance",
     "info_volume",
-    "joint_entropy",
     "max_violation",
     "metric_axioms_check",
     "quadrilateral",
@@ -132,13 +128,11 @@ __all__ = [
     "TomoDataset",
     "TomographyError",
     "TomographyResult",
-    "TomoMode",
     "chsh",
     "correlation",
     "expected_counts",
     "linear_inversion",
     "mle_reconstruct",
-    "tomo_modes",
     # fitting
     "WernerFit",
     "fit_werner",

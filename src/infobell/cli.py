@@ -80,6 +80,11 @@ def _emit(text: str, path: str | None) -> None:
         _atomic_write(path, text)
 
 
+def _emit_json(payload: dict, path: str | None) -> None:
+    """Emit ``payload`` as indented JSON under the versioned envelope."""
+    _emit(json.dumps({"format_version": 1, **payload}, indent=2) + "\n", path)
+
+
 def parse_state_spec(spec: str) -> DensityMatrix:
     """Parse "bell", "bell:<kind>", or "werner:<lambda>,<phase>"."""
     s = spec.strip().lower()
@@ -152,22 +157,12 @@ def curve_from_csv(path: str) -> ViolationCurve:
     return ViolationCurve(thetas, v, dv)
 
 
-def _curve_json(curve: ViolationCurve) -> str:
-    points = [{"theta": t, "v": v, "dv": dv} for t, v, dv in curve]
-    return json.dumps({"format_version": 1, "points": points}, indent=2) + "\n"
-
-
 def cmd_violation(args) -> int:
     rho = parse_state_spec(args.state)
     quad = quadrilateral(rho, args.theta)
     if args.json:
-        payload = {
-            "format_version": 1,
-            "theta": args.theta,
-            "edges": dict(zip(_EDGE_COLUMNS, quad.edges)),
-            "v": quad.violation,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        edges = dict(zip(_EDGE_COLUMNS, quad.edges))
+        _emit_json({"theta": args.theta, "edges": edges, "v": quad.violation}, args.output)
     else:
         lines = [f"{name} = {_fmt(value)}" for name, value in zip(_EDGE_COLUMNS, quad.edges)]
         lines.append(f"v = {_fmt(quad.violation)}")
@@ -186,7 +181,10 @@ def _sweep_thetas(args) -> np.ndarray:
 def cmd_sweep(args) -> int:
     rho = parse_state_spec(args.state)
     curve = sweep(rho, _sweep_thetas(args))
-    _emit(_curve_json(curve) if args.json else curve_to_csv(curve), args.output)
+    if args.json:
+        _emit_json({"points": [{"theta": t, "v": v, "dv": dv} for t, v, dv in curve]}, args.output)
+    else:
+        _emit(curve_to_csv(curve), args.output)
     return 0
 
 
@@ -207,7 +205,6 @@ def cmd_simulate(args) -> int:
     rows = simulate_sweep(config.state(), config.thetas, config.counts_per_mode, config.noise())
     if args.json:
         payload = {
-            "format_version": 1,
             "runs": [
                 {
                     "theta": theta,
@@ -221,7 +218,7 @@ def cmd_simulate(args) -> int:
                 for theta, quad in rows
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit_json(payload, args.output)
     else:
         _emit(run_rows_to_csv(rows), args.output)
     return 0
@@ -230,7 +227,7 @@ def cmd_simulate(args) -> int:
 def cmd_tomo(args) -> int:
     data = TomoDataset.from_csv(args.counts)
     result = mle_reconstruct(data)
-    _emit(json.dumps({"format_version": 1, **result.to_json_dict()}, indent=2) + "\n", args.output)
+    _emit_json(result.to_json_dict(), args.output)
     if not result.converged:
         print("warning: likelihood maximization did not converge", file=sys.stderr)
         return 3
@@ -252,7 +249,7 @@ def cmd_chsh(args) -> int:
         rho = parse_state_spec(args.state)
     value = chsh(rho, *_chsh_settings(args))
     if args.json:
-        _emit(json.dumps({"format_version": 1, "s": value}, indent=2) + "\n", args.output)
+        _emit_json({"s": value}, args.output)
     else:
         _emit(f"s = {_fmt(value)}\n", args.output)
     return 0
@@ -261,7 +258,7 @@ def cmd_chsh(args) -> int:
 def cmd_fit(args) -> int:
     curve = curve_from_csv(args.curve)
     fit = fit_werner(curve, weighted=args.weighted)
-    _emit(json.dumps({"format_version": 1, **fit.to_json_dict()}, indent=2) + "\n", args.output)
+    _emit_json(fit.to_json_dict(), args.output)
     return 0
 
 
@@ -281,11 +278,8 @@ def cmd_reactivity(args) -> int:
         state = modified_werner(lam, args.phase, n_qubits=4)
         rows.append((lam, reactivity(state, args.samples, args.seed)))
     if args.json:
-        payload = {
-            "format_version": 1,
-            "rows": [{"lambda": lam, **result.to_json_dict()} for lam, result in rows],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        payload = [{"lambda": lam, **result.to_json_dict()} for lam, result in rows]
+        _emit_json({"rows": payload}, args.output)
     else:
         _emit(reactivity_rows_to_csv(rows), args.output)
     return 0
@@ -321,10 +315,7 @@ def cmd_reproduce(args) -> int:
         np.array([quad.violation_uncertainty for _, quad in rows]),
     )
     fit = fit_werner(observed)
-    _atomic_write(
-        os.path.join(outdir, "fit.json"),
-        json.dumps({"format_version": 1, **fit.to_json_dict()}, indent=2) + "\n",
-    )
+    _emit_json(fit.to_json_dict(), os.path.join(outdir, "fit.json"))
     summary.append(
         f"Simulated run ({args.counts} counts/mode, seed {args.seed}) refit: "
         f"lambda = {_fmt(fit.lam)}, phase = {_fmt(fit.phase)}"

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infogeo import QuadrilateralGeometry, info_distance, schumacher_settings, stream_rng
-from .states import DensityMatrix, JointDistribution, MeasurementSetting, joint_probabilities, modified_werner
+from .infogeo import (QuadrilateralGeometry, _edge_angles, _info_distances, info_distance,
+                      schumacher_settings, stream_rng)
+from .states import (DensityMatrix, JointDistribution, _born_tables, _checked_tables,
+                     joint_probabilities, modified_werner)
 
 __all__ = [
     "DEFAULT_ACCIDENTAL_MEAN",
@@ -45,6 +47,10 @@ DEFAULT_ANGLE_SIGMA = 0.0030
 
 _ANGLE_STEP = 1e-5
 _COUNT_STEP_FRACTION = 1e-3
+
+# Angle offsets of the model evaluations behind one edge: the edge itself,
+# then the central-difference stencil in alpha and in beta.
+_ANGLE_STENCIL = _ANGLE_STEP * np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
 
 # Stream tags keeping multinomial and accidental draws on distinct substreams.
 _STREAM_SAMPLE = 0
@@ -156,47 +162,30 @@ def estimate_distribution(record: CoincidenceRecord) -> JointDistribution:
     return JointDistribution(est / total)
 
 
-def _model_distance(rho: DensityMatrix, alpha: float, beta: float) -> float:
-    dist = joint_probabilities(rho, [MeasurementSetting(alpha), MeasurementSetting(beta)])
-    return info_distance(dist)
-
-
-def _estimator_distance(counts: np.ndarray, accidental_mean: float) -> float:
-    """Distance through the estimate chain, for continuous perturbed counts."""
-    est = np.clip(counts - accidental_mean, 0.0, None)
-    total = est.sum()
-    if total <= 0.0:
-        raise EstimationError("perturbed counts vanished under accidental subtraction")
-    return info_distance(JointDistribution(est.reshape(2, 2) / total))
-
-
-def _edge_uncertainty(rho: DensityMatrix, alpha: float, beta: float,
-                      n_trials: int, noise: NoiseConfig) -> float:
+def _edge_uncertainty(d: np.ndarray, p: np.ndarray, n_trials: int, noise: NoiseConfig) -> float:
     """Quadrature uncertainty of one edge distance.
 
-    Two angle terms (dD/dalpha, dD/dbeta by central differences on the
-    exact model, each times angle_sigma) plus four count terms (dD/dN_j
+    ``d`` holds the exact model distances on _ANGLE_STENCIL and ``p`` the
+    edge's outcome table. Two angle terms (dD/dalpha, dD/dbeta by central
+    differences, each times angle_sigma) plus four count terms (dD/dN_j
     by central differences through the estimator at the expected
     counts, each times sqrt of the expected observed count).
     """
-    h = _ANGLE_STEP
-    d_dalpha = (_model_distance(rho, alpha + h, beta) - _model_distance(rho, alpha - h, beta)) / (2 * h)
-    d_dbeta = (_model_distance(rho, alpha, beta + h) - _model_distance(rho, alpha, beta - h)) / (2 * h)
+    d_dalpha = (d[1] - d[2]) / (2 * _ANGLE_STEP)
+    d_dbeta = (d[3] - d[4]) / (2 * _ANGLE_STEP)
     variance = (d_dalpha * noise.angle_sigma) ** 2 + (d_dbeta * noise.angle_sigma) ** 2
 
-    p = joint_probabilities(rho, [MeasurementSetting(alpha), MeasurementSetting(beta)]).probs.ravel()
-    expected = n_trials * p + noise.accidental_mean
-    step = max(1.0, _COUNT_STEP_FRACTION * n_trials)
+    expected = n_trials * p.ravel() + noise.accidental_mean
+    step = max(1.0, _COUNT_STEP_FRACTION * n_trials) * np.eye(4)
+    up, down = expected + step, np.maximum(0.0, expected - step)
+    # Row j of up/down perturbs mode j; both go through the estimate chain at once.
+    est = np.clip(np.stack([up, down]) - noise.accidental_mean, 0.0, None)
+    total = est.sum(axis=-1, keepdims=True)
+    if not np.all(total > 0.0):
+        raise EstimationError("perturbed counts vanished under accidental subtraction")
+    d_up, d_down = _info_distances(_checked_tables((est / total).reshape(2, 4, 2, 2), 2))
     for j in range(4):
-        up = expected.copy()
-        up[j] += step
-        down = expected.copy()
-        down[j] = max(0.0, down[j] - step)
-        slope = (
-            _estimator_distance(up, noise.accidental_mean)
-            - _estimator_distance(down, noise.accidental_mean)
-        ) / (up[j] - down[j])
-        variance += slope**2 * expected[j]
+        variance += ((d_up[j] - d_down[j]) / (up[j, j] - down[j, j])) ** 2 * expected[j]
     return float(np.sqrt(variance))
 
 
@@ -211,14 +200,11 @@ def propagate_error(rho_model: DensityMatrix, theta: float, counts_per_mode: int
     """
     if counts_per_mode < 1:
         raise ValueError("counts_per_mode must be at least 1")
-    a1, a2, b1, b2 = schumacher_settings(theta)
-    pairs = [(a1, b1), (a2, b1), (a2, b2), (a1, b2)]
-    distances = [_model_distance(rho_model, a.stokes_angle, b.stokes_angle) for a, b in pairs]
-    deltas = [
-        _edge_uncertainty(rho_model, a.stokes_angle, b.stokes_angle, counts_per_mode, noise)
-        for a, b in pairs
-    ]
-    return QuadrilateralGeometry(*distances, *deltas)
+    angles = _edge_angles(theta)[:, None, :] + _ANGLE_STENCIL
+    tables = _born_tables(rho_model, angles)
+    d = _info_distances(tables)
+    deltas = [_edge_uncertainty(d[k], tables[k, 0], counts_per_mode, noise) for k in range(4)]
+    return QuadrilateralGeometry(*map(float, d[:, 0]), *deltas)
 
 
 def simulate_schumacher_run(rho: DensityMatrix, theta: float, counts_per_mode: int,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import xlogy
 
 from .infogeo import ViolationCurve, golden_section_min
 
@@ -60,6 +59,8 @@ class WernerFit:
 
 def _binary_entropy(p):
     """H2(p) in bits, elementwise, exact at the endpoints."""
+    from scipy.special import xlogy
+
     p = np.clip(p, 0.0, 1.0)
     return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / _LN2
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, JointDistribution, MeasurementSetting, joint_probabilities
+from .states import (DensityMatrix, JointDistribution, MeasurementSetting, _born, _born_tables,
+                     _checked_tables, _product_kets)
 
 __all__ = [
     "REFERENCE_THETAS",
@@ -29,7 +30,6 @@ __all__ = [
     "MetricAxiomsReport",
     "ReactivityResult",
     "shannon_entropy",
-    "joint_entropy",
     "conditional_entropy",
     "info_distance",
     "schumacher_settings",
@@ -51,17 +51,46 @@ REFERENCE_THETAS = (0.175, 0.227, 0.279, 0.328, 0.393, 0.436, 0.471, 0.503)
 _ZERO_CUTOFF = 1e-15
 
 
+# Stokes angles (a, b) of the four measured edges as multiples of theta, in
+# schumacher_settings' layout: sides (a1,b1), (a2,b1), (a2,b2), then the direct edge (a1,b2).
+_EDGE_MULTIPLES = np.array([(0.0, 1.0), (2.0, 1.0), (2.0, 3.0), (0.0, 3.0)])
+
+
+def _entropies(p: np.ndarray, n_axes: int) -> np.ndarray:
+    """Shannon entropies in bits of the tables held in the trailing ``n_axes`` axes."""
+    flat = p.reshape(p.shape[: p.ndim - n_axes] + (-1,))
+    return -(flat * np.log2(np.where(flat > _ZERO_CUTOFF, flat, 1.0))).sum(axis=-1)
+
+
+def _info_distances(p: np.ndarray) -> np.ndarray:
+    """D = 2 H(A,B) - H(A) - H(B), clamped at zero, for tables of shape (..., 2, 2)."""
+    d = 2.0 * _entropies(p, 2) - _entropies(p.sum(axis=-1), 1) - _entropies(p.sum(axis=-2), 1)
+    return np.maximum(0.0, d)
+
+
+def _leave_one_out_conditionals(p: np.ndarray, n: int) -> np.ndarray:
+    """H(X_i | all others) for each of the n parties in the trailing axes, clamped at zero."""
+    h_all = _entropies(p, n)
+    h = [h_all - _entropies(p.sum(axis=i - n), n - 1) for i in range(n)]
+    return np.clip(np.stack(h, axis=-1), 0.0, None)
+
+
+def _areas(p: np.ndarray) -> np.ndarray:
+    """Information areas of three-party tables in the trailing axes."""
+    h = _leave_one_out_conditionals(p, 3)
+    return h[..., 0] * h[..., 1] + h[..., 1] * h[..., 2] + h[..., 2] * h[..., 0]
+
+
+def _volumes(p: np.ndarray) -> np.ndarray:
+    """Information volumes of four-party tables in the trailing axes."""
+    h = _leave_one_out_conditionals(p, 4)
+    return sum(np.prod(np.delete(h, k, axis=-1), axis=-1) for k in range(4))
+
+
 def shannon_entropy(dist) -> float:
     """Shannon entropy in bits of a distribution or bare probability table."""
     p = dist.probs if isinstance(dist, JointDistribution) else np.asarray(dist, dtype=float)
-    p = p.ravel()
-    p = p[p > _ZERO_CUTOFF]
-    return float(-(p * np.log2(p)).sum()) if p.size else 0.0
-
-
-def joint_entropy(dist: JointDistribution) -> float:
-    """Entropy of the full outcome tuple, H(A, B, ...)."""
-    return shannon_entropy(dist)
+    return float(_entropies(p, p.ndim))
 
 
 def conditional_entropy(dist: JointDistribution, given) -> float:
@@ -79,12 +108,7 @@ def info_distance(dist: JointDistribution) -> float:
     """
     if dist.n_parties != 2:
         raise ValueError("info_distance needs a two-party distribution")
-    d = (
-        2.0 * shannon_entropy(dist)
-        - shannon_entropy(dist.marginal(0))
-        - shannon_entropy(dist.marginal(1))
-    )
-    return max(0.0, float(d))
+    return float(_info_distances(dist.probs))
 
 
 def schumacher_settings(theta: float, offset: float = 0.0):
@@ -100,6 +124,22 @@ def schumacher_settings(theta: float, offset: float = 0.0):
         MeasurementSetting(offset + theta),
         MeasurementSetting(offset + 3.0 * theta),
     )
+
+
+def _edge_angles(theta, offset: float = 0.0) -> np.ndarray:
+    """Stokes-angle pairs of the four measured edges for an array of angles, shape (..., 4, 2)."""
+    return offset + np.asarray(theta, dtype=float)[..., None, None] * _EDGE_MULTIPLES
+
+
+def _edge_distances(rho: DensityMatrix, theta, offset: float = 0.0) -> np.ndarray:
+    """Exact (d_a1b1, d_a2b1, d_a2b2, d_a1b2) on the last axis, for an array of angles."""
+    return _info_distances(_born_tables(rho, _edge_angles(theta, offset)))
+
+
+def _violations(rho: DensityMatrix, theta, offset: float = 0.0) -> np.ndarray:
+    """V = D(a1,b2) - sum of the three sides, for an array of angles."""
+    d = _edge_distances(rho, theta, offset)
+    return d[..., 3] - (d[..., 0] + d[..., 1] + d[..., 2])
 
 
 @dataclass(frozen=True)
@@ -162,12 +202,7 @@ class QuadrilateralGeometry:
 
 def quadrilateral(rho: DensityMatrix, theta: float, offset: float = 0.0) -> QuadrilateralGeometry:
     """Exact Born-rule edge distances of the single-angle scheme at theta."""
-    a1, a2, b1, b2 = schumacher_settings(theta, offset)
-
-    def edge(a: MeasurementSetting, b: MeasurementSetting) -> float:
-        return info_distance(joint_probabilities(rho, [a, b]))
-
-    return QuadrilateralGeometry(edge(a1, b1), edge(a2, b1), edge(a2, b2), edge(a1, b2))
+    return QuadrilateralGeometry(*map(float, _edge_distances(rho, theta, offset)))
 
 
 def violation(rho: DensityMatrix, theta: float, offset: float = 0.0) -> float:
@@ -178,7 +213,7 @@ def violation(rho: DensityMatrix, theta: float, offset: float = 0.0) -> float:
     quadrilateral evades the constraint because its diagonal pairs are
     never measured together.
     """
-    return quadrilateral(rho, theta, offset).violation
+    return float(_violations(rho, theta, offset))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,6 +231,8 @@ class ViolationCurve:
         object.__setattr__(self, "v", v)
         if thetas.ndim != 1 or thetas.shape != v.shape:
             raise ValueError("thetas and v must be 1-d arrays of equal length")
+        if not (np.isfinite(thetas).all() and np.isfinite(v).all()):
+            raise ValueError("thetas and v must be finite")
         if thetas.size >= 2 and not np.all(np.diff(thetas) > 0):
             raise ValueError("thetas must be strictly increasing")
         if self.dv is not None:
@@ -203,8 +240,8 @@ class ViolationCurve:
             object.__setattr__(self, "dv", dv)
             if dv.shape != thetas.shape:
                 raise ValueError("dv must match thetas in length")
-            if dv.size and dv.min() < 0:
-                raise ValueError("dv entries must be nonnegative")
+            if not np.all(np.isfinite(dv) & (dv >= 0.0)):
+                raise ValueError("dv entries must be finite and nonnegative")
 
     def __len__(self) -> int:
         return self.thetas.size
@@ -221,8 +258,7 @@ class ViolationCurve:
 def sweep(rho: DensityMatrix, thetas) -> ViolationCurve:
     """Exact violation curve over a strictly increasing list of angles."""
     thetas = np.asarray(list(thetas), dtype=float)
-    values = np.array([violation(rho, float(t)) for t in thetas])
-    return ViolationCurve(thetas, values)
+    return ViolationCurve(thetas, _violations(rho, thetas))
 
 
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
@@ -252,15 +288,20 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
                   step: float = 1e-4, tol: float = 1e-6):
     """Locate the angle maximizing V by dense scan plus golden-section refinement.
 
-    Returns (theta_star, v_star).
+    Returns (theta_star, v_star): the refined point, or the best grid
+    point when that is higher (a peak at the edge of the scan, where the
+    refinement can only approach the bound from inside).
     """
-    grid = np.arange(lo, hi + step / 2.0, step)
-    values = np.array([violation(rho, float(t)) for t in grid])
+    grid = np.minimum(np.arange(lo, hi + step / 2.0, step), hi)
+    values = _violations(rho, grid)
     i = int(np.argmax(values))
     bracket_lo = grid[max(0, i - 1)]
     bracket_hi = grid[min(grid.size - 1, i + 1)]
-    theta_star = golden_section_min(lambda t: -violation(rho, t), bracket_lo, bracket_hi, tol)
-    return float(theta_star), float(violation(rho, theta_star))
+    theta_star = golden_section_min(lambda t: -_violations(rho, t), bracket_lo, bracket_hi, tol)
+    v_star = float(_violations(rho, theta_star))
+    if values[i] > v_star:
+        return float(grid[i]), float(values[i])
+    return float(theta_star), v_star
 
 
 @dataclass(frozen=True)
@@ -305,16 +346,6 @@ def metric_axioms_check(dist: JointDistribution) -> MetricAxiomsReport:
     return MetricAxiomsReport(symmetry, min(d.values()), triangle)
 
 
-def _leave_one_out_conditionals(dist: JointDistribution) -> np.ndarray:
-    """H(X_i | all others) for each party, clamped at zero."""
-    n = dist.n_parties
-    h_all = shannon_entropy(dist)
-    h = np.array(
-        [h_all - shannon_entropy(dist.marginal(tuple(j for j in range(n) if j != i))) for i in range(n)]
-    )
-    return np.clip(h, 0.0, None)
-
-
 def info_area(dist: JointDistribution) -> float:
     """Sum of pairwise products of the three conditional entropies H(X|rest), bits^2.
 
@@ -323,16 +354,14 @@ def info_area(dist: JointDistribution) -> float:
     """
     if dist.n_parties != 3:
         raise ValueError("info_area needs a three-party distribution")
-    h = _leave_one_out_conditionals(dist)
-    return float(h[0] * h[1] + h[1] * h[2] + h[2] * h[0])
+    return float(_areas(dist.probs))
 
 
 def info_volume(dist: JointDistribution) -> float:
     """Sum of the four triple products of conditional entropies H(X|rest), bits^3."""
     if dist.n_parties != 4:
         raise ValueError("info_volume needs a four-party distribution")
-    h = _leave_one_out_conditionals(dist)
-    return float(sum(np.prod([h[j] for j in range(4) if j != k]) for k in range(4)))
+    return float(_volumes(dist.probs))
 
 
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -364,9 +393,6 @@ def _random_local_bases(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     bases[:, 1, 0] = -b.conj()
     bases[:, 1, 1] = a.conj()
     return bases
-
-
-_FACES = tuple(tuple(j for j in range(4) if j != k) for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -423,19 +449,11 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
         raise ValueError("reactivity is implemented for 4-qubit states")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    areas = np.empty(n_samples)
-    volumes = np.empty(n_samples)
-    for i in range(n_samples):
-        bases = _random_local_bases(stream_rng(seed, i), 4)
-        u = bases[0]
-        for k in (1, 2, 3):
-            u = np.kron(u, bases[k])
-        p = np.einsum("oi,ij,oj->o", u.conj(), rho.matrix, u).real
-        p = np.clip(p, 0.0, None)
-        dist = JointDistribution((p / p.sum()).reshape(2, 2, 2, 2))
-        volumes[i] = info_volume(dist)
-        areas[i] = np.mean([info_area(dist.marginal(face)) for face in _FACES])
-    mean_area = float(areas.mean())
-    mean_volume = float(volumes.mean())
+    bases = np.stack([_random_local_bases(stream_rng(seed, i), 4) for i in range(n_samples)])
+    p = np.clip(_born(_product_kets(bases), rho.matrix), 0.0, None)
+    p = _checked_tables((p / p.sum(axis=-1, keepdims=True)).reshape(-1, 2, 2, 2, 2), 4)
+    faces = np.stack([p.sum(axis=k) for k in range(1, 5)], axis=1)
+    mean_area = float(_areas(faces).mean(axis=-1).mean())
+    mean_volume = float(_volumes(p).mean())
     ratio = mean_area / mean_volume if mean_volume > 0.0 else float("inf")
     return ReactivityResult(mean_area, mean_volume, ratio, n_samples, seed)

@@ -148,6 +148,22 @@ class DensityMatrix:
         return cls(int(payload["n_qubits"]), mat)
 
 
+def _checked_tables(p: np.ndarray, n_parties: int) -> np.ndarray:
+    """Validate a batch of probability tables held in the trailing ``n_parties`` axes.
+
+    Raises on any entry below -1e-12 or non-finite and on any table sum off
+    1 by more than 1e-10; returns the tables with tiny negatives clipped to 0.
+    """
+    if not p.min() >= -1e-12:
+        raise ValueError(f"negative or non-finite probability {p.min()!r}")
+    p = np.clip(p, 0.0, None)
+    sums = p.reshape(p.shape[: p.ndim - n_parties] + (-1,)).sum(axis=-1)
+    bad = ~(np.abs(sums - 1.0) <= 1e-10)
+    if bad.any():
+        raise ValueError(f"probabilities sum to {sums[bad].flat[0]!r}, not 1")
+    return p
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Probability table over binary outcome tuples, one axis per party.
@@ -164,12 +180,7 @@ class JointDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim < 1 or p.shape != (2,) * p.ndim:
             raise ValueError("probability table must have one binary axis per party")
-        if p.min() < -1e-12:
-            raise ValueError(f"negative probability {p.min()!r}")
-        p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _checked_tables(p, p.ndim))
 
     @property
     def n_parties(self) -> int:
@@ -268,9 +279,49 @@ def polarizer_projector(setting) -> np.ndarray:
     with |0> vertical; the returned 2x2 matrix is idempotent and has
     unit trace by construction.
     """
-    half = _stokes(setting) / 2.0
-    v = np.array([np.cos(half), np.sin(half)], dtype=complex)
+    v = _polarizer_bases(_stokes(setting))[0]
     return np.outer(v, v.conj())
+
+
+def _polarizer_bases(stokes) -> np.ndarray:
+    """Pass and block kets (rows) of polarizers at an array of Stokes angles.
+
+    Shape (...) in, (..., 2, 2) out: row 0 is cos(a/2)|0> + sin(a/2)|1>,
+    row 1 its orthogonal partner -sin(a/2)|0> + cos(a/2)|1>.
+    """
+    half = np.asarray(stokes, dtype=float) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    rows = [np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)]
+    return np.stack(rows, axis=-2).astype(complex)
+
+
+def _product_kets(bases: np.ndarray) -> np.ndarray:
+    """Product kets of one local basis per qubit, rows in outcome order.
+
+    Bases (..., n, 2, 2) with kets as rows give (..., 2**n, 2**n), where
+    row (o1...on) is kron(bases[0, o1], ..., bases[n-1, on]).
+    """
+    kets = bases[..., 0, :, :]
+    for k in range(1, bases.shape[-3]):
+        outer = kets[..., :, None, :, None] * bases[..., k, None, :, None, :]
+        kets = outer.reshape(kets.shape[:-2] + (2 * kets.shape[-1],) * 2)
+    return kets
+
+
+def _born(kets: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Born-rule probabilities <u|rho|u> for kets stacked on the last axis."""
+    return np.einsum("...i,ij,...j->...", kets.conj(), matrix, kets).real
+
+
+def _born_tables(rho: DensityMatrix, stokes) -> np.ndarray:
+    """Checked outcome tables for Stokes angles of shape (..., n), one analyzer per qubit.
+
+    Returns shape (..., 2, ..., 2) with one binary axis per qubit.
+    """
+    stokes = np.asarray(stokes, dtype=float)
+    p = _born(_product_kets(_polarizer_bases(stokes)), rho.matrix)
+    n = stokes.shape[-1]
+    return _checked_tables(p.reshape(stokes.shape[:-1] + (2,) * n), n)
 
 
 def joint_probabilities(rho: DensityMatrix, settings) -> JointDistribution:
@@ -284,18 +335,7 @@ def joint_probabilities(rho: DensityMatrix, settings) -> JointDistribution:
         raise ValueError(
             f"got {len(settings)} settings for {rho.n_qubits} qubit(s); need one per qubit"
         )
-    eye = np.eye(2, dtype=complex)
-    effects = []
-    for s in settings:
-        proj = polarizer_projector(s)
-        effects.append((proj, eye - proj))
-    table = np.empty((2,) * rho.n_qubits)
-    for outcome in np.ndindex(*table.shape):
-        op = effects[0][outcome[0]]
-        for k in range(1, len(outcome)):
-            op = np.kron(op, effects[k][outcome[k]])
-        table[outcome] = np.trace(rho.matrix @ op).real
-    return JointDistribution(table)
+    return JointDistribution(_born_tables(rho, [_stokes(s) for s in settings]))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -391,11 +431,8 @@ def visibility(rho: DensityMatrix, basis: str) -> float:
     except KeyError:
         raise ValueError(f"basis must be 'HV' or 'DA', got {basis!r}") from None
 
-    def pass_pass(beta: float) -> float:
-        dist = joint_probabilities(rho, [MeasurementSetting(alpha), MeasurementSetting(beta)])
-        return float(dist.probs[0, 0])
-
-    p0, p90, p180, p270 = (pass_pass(b) for b in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2))
+    probes = [(alpha, beta) for beta in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)]
+    p0, p90, p180, p270 = _born_tables(rho, probes)[:, 0, 0]
     offset = 0.5 * (p0 + p180)
     amp = np.hypot(0.5 * (p0 - p180), 0.5 * (p90 - p270))
     if offset + amp <= 0.0:

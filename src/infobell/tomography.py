@@ -18,26 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .states import (
     DensityMatrix,
     EntanglementReport,
     MeasurementSetting,
     PureState,
+    _born,
+    _born_tables,
+    _stokes,
     bell_state,
     entanglement_report,
-    joint_probabilities,
 )
 
 __all__ = [
     "MODE_LABELS",
     "OPTIMAL_BELL_SETTINGS",
-    "TomoMode",
     "TomoDataset",
     "TomographyResult",
     "TomographyError",
-    "tomo_modes",
     "mode_probabilities",
     "expected_counts",
     "linear_inversion",
@@ -72,36 +71,6 @@ OPTIMAL_BELL_SETTINGS = (
 
 class TomographyError(RuntimeError):
     """Tomography data cannot be processed."""
-
-
-@dataclass(frozen=True, eq=False)
-class TomoMode:
-    """One coincidence mode: a projection state per party."""
-
-    label: str
-    state_a: np.ndarray
-    state_b: np.ndarray
-
-    @property
-    def joint_state(self) -> np.ndarray:
-        return np.kron(self.state_a, self.state_b)
-
-    @property
-    def projector_a(self) -> np.ndarray:
-        return np.outer(self.state_a, self.state_a.conj())
-
-    @property
-    def projector_b(self) -> np.ndarray:
-        return np.outer(self.state_b, self.state_b.conj())
-
-    def probability(self, rho: DensityMatrix) -> float:
-        s = self.joint_state
-        return float(np.real(s.conj() @ rho.matrix @ s))
-
-
-def tomo_modes() -> tuple:
-    """The 16 tomography modes, in canonical order."""
-    return tuple(TomoMode(lbl, _KETS[lbl[0]], _KETS[lbl[1]]) for lbl in MODE_LABELS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +133,7 @@ def expected_counts(rho: DensityMatrix, per_basis: int) -> TomoDataset:
 
 def mode_probabilities(rho_matrix: np.ndarray) -> np.ndarray:
     """p_i = <s_i| rho |s_i> for the 16 mode projection states."""
-    return np.real(np.einsum("oi,ij,oj->o", _MODE_STATES.conj(), rho_matrix, _MODE_STATES))
+    return _born(_MODE_STATES, rho_matrix)
 
 
 def linear_inversion(data: TomoDataset) -> np.ndarray:
@@ -283,6 +252,8 @@ def mle_reconstruct(data: TomoDataset, target: PureState | None = None,
     ``target`` sets the state used for the fidelity entry of the quality
     report; default is the phi+ Bell state.
     """
+    from scipy.optimize import minimize
+
     counts = data.counts.astype(float)
     if counts.sum() <= 0:
         raise TomographyError("dataset has no counts")
@@ -319,8 +290,13 @@ def mle_reconstruct(data: TomoDataset, target: PureState | None = None,
 
 def correlation(rho: DensityMatrix, a: MeasurementSetting, b: MeasurementSetting) -> float:
     """E(a, b) = p(agree) - p(disagree) for the pass/block outcomes."""
-    p = joint_probabilities(rho, [a, b]).probs
-    return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
+    return float(_correlations(rho, (_stokes(a), _stokes(b))))
+
+
+def _correlations(rho: DensityMatrix, pairs) -> np.ndarray:
+    """E(a, b) for Stokes-angle pairs of shape (..., 2)."""
+    p = _born_tables(rho, pairs)
+    return p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
 
 
 def chsh(rho: DensityMatrix, a1, a2, b1, b2) -> float:
@@ -331,12 +307,8 @@ def chsh(rho: DensityMatrix, a1, a2, b1, b2) -> float:
     returned. |S| <= 2 classically and <= 2 sqrt(2) for any quantum
     state (Tsirelson).
     """
-    e = np.array(
-        [
-            [correlation(rho, a1, b1), correlation(rho, a1, b2)],
-            [correlation(rho, a2, b1), correlation(rho, a2, b2)],
-        ]
-    )
+    pairs = [[(_stokes(a), _stokes(b)) for b in (b1, b2)] for a in (a1, a2)]
+    e = _correlations(rho, pairs)
     total = e.sum()
     candidates = [total - 2.0 * e[i, j] for i in (0, 1) for j in (0, 1)]
     return float(max(candidates, key=abs))

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +203,22 @@ def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
     )
     assert main(["simulate", "--config", bad_config]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_2_on_non_finite_inputs(tmp_path, capsys):
+    assert main(["violation", "--state", "bell", "--theta", "nan"]) == 2
+    assert main(["chsh", "--state", "bell", "--angles", "nan,0,0,0"]) == 2
+    curve_path = tmp_path / "curve.csv"
+    curve_path.write_text("theta,v,dv\n0.2,0.4,0.01\n0.3,nan,0.01\n0.4,0.3,0.01\n")
+    assert main(["fit", "--curve", str(curve_path)]) == 2
+    capsys.readouterr()
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, infobell; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_exit_code_2_on_unknown_subcommand():

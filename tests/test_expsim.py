@@ -233,3 +233,36 @@ def test_simulation_config_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         SimulationConfig.load(str(path))
+
+
+# Edges and propagated uncertainties of one seeded simulated sweep, frozen
+# at the per-edge scalar implementation; they pin the counter-keyed draws.
+SIM_SWEEP_SEED7_EDGES = np.array([
+    [0.12331316763897537, 0.1586390653069133, 0.14088994124702658, 0.6371366829588272],
+    [0.12584369952271346, 0.15899243519797435, 0.28681157449474437, 1.0687777825159819],
+    [0.28663093557825137, 0.30651526928119266, 0.21522801404286485, 1.4657090508736696],
+    [0.18553544002825983, 0.18945230020041515, 0.4463625125099857, 1.531763530113256],
+    [0.4500305060609189, 0.5348366651260432, 0.5615570007345352, 1.7489939368088963],
+    [0.4120297262705681, 0.608449987939752, 0.5332605744494845, 1.9201202561867232],
+    [0.5617825800908665, 0.7664575473275471, 0.7253021627395846, 1.9579115885101466],
+    [0.7549179696512209, 0.7938030104600513, 0.857048708995833, 1.9697615312351222],
+])
+SIM_SWEEP_SEED7_UNCERTAINTIES = np.array([
+    [0.15326194886065175, 0.15131681328934465, 0.14834498208994593, 0.12360832930629581],
+    [0.14384371230940074, 0.1424205531750556, 0.14028569358628365, 0.11399427521911912],
+    [0.13805263765760928, 0.13690507949507347, 0.1352499632434119, 0.1009096866214629],
+    [0.1342252588307316, 0.13322665587446836, 0.1318399875697578, 0.0852024668349543],
+    [0.13035993571294624, 0.12942429323865925, 0.12820097453106435, 0.05996969228973339],
+    [0.12813974731460287, 0.1271728507370011, 0.12598228833321876, 0.041161229600981133],
+    [0.12638400805856304, 0.12535537864942237, 0.1241717856322252, 0.02501242240923234],
+    [0.12475820941311735, 0.12364893388409252, 0.12247031116408139, 0.009851199577999752],
+])
+
+
+def test_simulated_sweep_seeded_golden():
+    rows = simulate_sweep(WERNER, REFERENCE_THETAS, 350, NoiseConfig(6.0, 0.003, 7))
+    assert [theta for theta, _ in rows] == list(REFERENCE_THETAS)
+    assert_allclose([quad.edges for _, quad in rows], SIM_SWEEP_SEED7_EDGES, rtol=0, atol=1e-12)
+    assert_allclose(
+        [quad.uncertainties for _, quad in rows], SIM_SWEEP_SEED7_UNCERTAINTIES, rtol=0, atol=1e-12
+    )

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from infobell import (
     DensityMatrix,
+    JointDistribution,
     MeasurementSetting,
     PureState,
     bell_state,
@@ -131,6 +132,31 @@ def test_joint_probabilities_normalized_random(rng):
         assert dist.probs.shape == (2, 2)
         assert dist.probs.min() >= 0.0
         assert abs(dist.probs.sum() - 1.0) < 1e-10
+
+
+def test_joint_probabilities_match_kron_trace_reference(rng):
+    """Tr(rho M1 x ... x Mn), built operator by operator, for one to four qubits."""
+    eye = np.eye(2)
+    for n in (1, 2, 3, 4):
+        rho = random_density(rng, n)
+        stokes = rng.uniform(-6, 6, size=n)
+        effects = [(polarizer_projector(a), eye - polarizer_projector(a)) for a in stokes]
+        expected = np.empty((2,) * n)
+        for outcome in np.ndindex(*expected.shape):
+            op = np.ones((1, 1))
+            for k, o in enumerate(outcome):
+                op = np.kron(op, effects[k][o])
+            expected[outcome] = np.trace(rho.matrix @ op).real
+        assert_allclose(joint_probabilities(rho, stokes).probs, expected, rtol=0, atol=1e-14)
+
+
+def test_joint_distribution_validates_tables():
+    dist = JointDistribution(np.array([[0.5, -1e-13], [0.25, 0.25 + 1e-13]]))
+    assert dist.probs.min() == 0.0
+    for bad in ([[0.6, -0.1], [0.25, 0.25]], [[0.5, 0.5], [0.5, 0.5]],
+                [[np.nan, 0.5], [0.25, 0.25]], [[np.inf, 0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            JointDistribution(np.array(bad))
 
 
 @given(alpha=ANGLES, beta=ANGLES)

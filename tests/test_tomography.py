@@ -19,9 +19,10 @@ from infobell import (
     linear_inversion,
     mle_reconstruct,
     modified_werner,
-    tomo_modes,
 )
 from infobell.tomography import (
+    _KETS,
+    _MODE_STATES,
     _negative_log_likelihood,
     _project_physical,
     _rho_to_t,
@@ -53,9 +54,11 @@ def test_mode_labels_canonical_order():
 
 
 def test_tomo_modes_are_normalized_product_states():
-    for mode in tomo_modes():
-        assert np.linalg.norm(mode.joint_state) == pytest.approx(1.0, abs=1e-12)
-        p = mode.projector_a
+    for label, state in zip(MODE_LABELS, _MODE_STATES):
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+        assert_allclose(state, np.kron(_KETS[label[0]], _KETS[label[1]]), atol=0)
+        ket_a = _KETS[label[0]]
+        p = np.outer(ket_a, ket_a.conj())
         assert_allclose(p @ p, p, atol=1e-12)
 
 
