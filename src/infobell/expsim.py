@@ -75,10 +75,12 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.accidental_mean < 0.0:
-            raise ValueError("accidental_mean must be nonnegative")
-        if self.angle_sigma < 0.0:
-            raise ValueError("angle_sigma must be nonnegative")
+        if not 0.0 <= self.accidental_mean < np.inf:
+            raise ValueError(f"accidental_mean = {self.accidental_mean!r} must be finite and nonnegative")
+        if not 0.0 <= self.angle_sigma < np.inf:
+            raise ValueError(f"angle_sigma = {self.angle_sigma!r} must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed!r} must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,6 +264,21 @@ class SimulationConfig:
     angle_sigma: float = DEFAULT_ANGLE_SIGMA
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.thetas:
+            raise ConfigError("thetas must be a nonempty list")
+        if not np.isfinite(self.thetas).all():
+            raise ConfigError("thetas must be finite")
+        if any(b <= a for a, b in zip(self.thetas, self.thetas[1:])):
+            raise ConfigError("thetas must be strictly increasing")
+        if self.counts_per_mode < 1:
+            raise ConfigError("counts_per_mode must be at least 1")
+        try:
+            self.state()
+            self.noise()
+        except ValueError as exc:
+            raise ConfigError(f"bad config: {exc}") from None
+
     @classmethod
     def from_dict(cls, payload: dict) -> "SimulationConfig":
         """Build from a config mapping.
@@ -279,21 +296,11 @@ class SimulationConfig:
             seed = int(payload["seed"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"missing or malformed config field: {exc}") from exc
-        if not thetas:
-            raise ConfigError("thetas must be a nonempty list")
-        if any(b <= a for a, b in zip(thetas, thetas[1:])):
-            raise ConfigError("thetas must be strictly increasing")
-        if counts < 1:
-            raise ConfigError("counts_per_mode must be at least 1")
-        if not 0.0 <= lam <= 1.0:
-            raise ConfigError(f"state.lambda = {lam!r} outside [0, 1]")
         try:
             accidental = float(payload.get("accidental_mean", DEFAULT_ACCIDENTAL_MEAN))
             sigma = float(payload.get("angle_sigma", DEFAULT_ANGLE_SIGMA))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed noise field: {exc}") from exc
-        if accidental < 0.0 or sigma < 0.0:
-            raise ConfigError("accidental_mean and angle_sigma must be nonnegative")
         return cls(
             lam=lam,
             phase=phase,

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .infogeo import ViolationCurve, golden_section_min
+from .infogeo import ViolationCurve
 
 __all__ = [
     "LAMBDA_STEP",
@@ -27,6 +27,14 @@ LAMBDA_STEP = 0.002
 PHASE_STEP = 0.01
 
 _LN2 = np.log(2.0)
+# Bounds of (lam, c = cos phase) for the refinement, its step cap and
+# the damping at which it gives up looking for a better point.
+_LOWER = np.array([0.0, -1.0])
+_UPPER = np.array([1.0, 1.0])
+_MAX_STEPS = 200
+_MAX_DAMPING = 1e16
+# Distance from 0 and 1 at which an edge's slope log2((1 - q)/q) is taken.
+_Q_FLOOR = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,10 +67,26 @@ class WernerFit:
 
 def _binary_entropy(p):
     """H2(p) in bits, elementwise, exact at the endpoints."""
-    from scipy.special import xlogy
-
     p = np.clip(p, 0.0, 1.0)
-    return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / _LN2
+    return -(_xlogx(p) + _xlogx(1.0 - p)) / _LN2
+
+
+def _xlogx(x):
+    """x ln x for x >= 0, with the limit 0 at x = 0."""
+    return x * np.log(np.where(x > 0.0, x, 1.0))
+
+
+def _edges(lam, c, th):
+    """(sign, K, sin a sin b, q) of each edge (a, b) of the quadrilateral.
+
+    V = edge(0, 3t) - edge(0, t) - edge(2t, t) - edge(2t, 3t), where an
+    edge is 2 H2(q) with q = (1 + lam K)/2 and K = cos a cos b + c sin a sin b.
+    """
+    for sign, a, b in ((1.0, 0.0, 3 * th), (-1.0, 0.0, th),
+                       (-1.0, 2 * th, th), (-1.0, 2 * th, 3 * th)):
+        s = np.sin(a) * np.sin(b)
+        k = np.cos(a) * np.cos(b) + c * s
+        yield sign, k, s, (1.0 + lam * k) / 2.0
 
 
 def model_curve(lam, phase, thetas):
@@ -85,19 +109,46 @@ def model_curve(lam, phase, thetas):
         lam = lam[..., None]
     if cph.ndim:
         cph = cph[..., None]
+    return sum(sign * 2.0 * _binary_entropy(q) for sign, _, _, q in _edges(lam, cph, th))
 
-    def edge(a, b):
-        k = np.cos(a) * np.cos(b) + cph * np.sin(a) * np.sin(b)
-        return 2.0 * _binary_entropy((1.0 + lam * k) / 2.0)
 
-    return edge(0.0, 3 * th) - (edge(0.0, th) + edge(2 * th, th) + edge(2 * th, 3 * th))
+def _curve_derivatives(lam: float, c: float, th: np.ndarray):
+    """model_curve at (lam, phase = arccos c) with its first and second
+    derivatives by (lam, c).
+
+    An edge is 2 H2(q) with q = (1 + lam K)/2, K linear in c. With
+    L = log2((1 - q)/q) = H2'(q) and L' = -1/(ln 2 q (1 - q)), its
+    gradient is (K L, lam s L) and its Hessian is
+    [[K^2 L'/2, s L + lam s K L'/2], [., lam^2 s^2 L'/2]], s = sin a sin b.
+    q is kept a hair inside (0, 1) for L and L' only, so both stay finite
+    on a pure state. Returns arrays of shapes (n,), (n, 2) and (n, 2, 2).
+    """
+    curve = np.zeros_like(th)
+    jacobian = np.zeros((th.size, 2))
+    hessian = np.zeros((th.size, 2, 2))
+    for sign, k, s, q in _edges(lam, c, th):
+        curve += sign * 2.0 * _binary_entropy(q)
+        q = np.clip(q, _Q_FLOOR, 1.0 - _Q_FLOOR)
+        slope = sign * np.log((1.0 - q) / q) / _LN2
+        bend = -sign / (2.0 * _LN2 * q * (1.0 - q))
+        jacobian[:, 0] += k * slope
+        jacobian[:, 1] += lam * s * slope
+        hessian[:, 0, 0] += k * k * bend
+        hessian[:, 0, 1] += s * slope + lam * s * k * bend
+        hessian[:, 1, 1] += lam * lam * s * s * bend
+    hessian[:, 1, 0] = hessian[:, 0, 1]
+    return curve, jacobian, hessian
 
 
 @lru_cache(maxsize=4)
 def _coarse_grid(thetas: tuple):
-    """Model curves over the full coarse (lam, phase) grid, cached per theta grid."""
+    """Model curves over the coarse (lam, phase) grid, cached per theta grid.
+
+    The model depends on the phase only through cos(phase), so phases
+    on [0, pi) cover every curve the full circle gives.
+    """
     lam_grid = np.arange(0.0, 1.0 + LAMBDA_STEP / 2.0, LAMBDA_STEP)
-    phase_grid = np.arange(0.0, 2.0 * np.pi, PHASE_STEP)
+    phase_grid = np.arange(0.0, np.pi, PHASE_STEP)
     curves = model_curve(lam_grid[:, None], phase_grid[None, :], np.array(thetas))
     return lam_grid, phase_grid, curves
 
@@ -106,12 +157,19 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False,
                refine_tol: float = 1e-8) -> WernerFit:
     """Least-squares (lam, phase) fit of the mixed-state model.
 
-    Coarse grid search (lam step 0.002 on [0, 1], phase step 0.01 on
-    [0, 2 pi)) followed by coordinate descent with golden-section line
-    searches over a two-grid-cell bracket. Deterministic; grid ties
-    resolve to the smallest (lam, phase) pair. Unweighted by default;
-    ``weighted=True`` applies 1/dv^2 weights (requires uncertainties on
-    the curve). residual_sum is always the unweighted sum of squares.
+    A coarse grid search (lam step 0.002 on [0, 1], phase step 0.01 on
+    [0, pi)) picks the start; grid ties resolve to the smallest
+    (lam, phase) pair. A bounded, damped Newton iteration then refines
+    (lam, c = cos phase) on [0, 1] x [-1, 1] with the analytic
+    derivatives of model_curve (see _damped_newton). It accepts only
+    steps that do not raise the objective, so the fit is never worse
+    than its grid start, and it stops once a step moves both parameters
+    by less than ``refine_tol``. A fit on a bound reports the bound
+    exactly. The curve depends on the phase only through c, so the
+    reported phase is arccos c, in [0, pi]. Deterministic. Unweighted by
+    default; ``weighted=True`` applies 1/dv^2 weights (requires
+    uncertainties on the curve). residual_sum is always the unweighted
+    sum of squares.
     """
     if len(observed) < 2:
         raise ValueError("need at least two curve points to fit")
@@ -127,39 +185,14 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False,
         weights = np.ones_like(v_obs)
 
     lam_grid, phase_grid, curves = _coarse_grid(tuple(float(t) for t in thetas))
-    objective_grid = (weights * (curves - v_obs) ** 2).sum(axis=-1)
+    objective_grid = curves - v_obs
+    np.square(objective_grid, out=objective_grid)
+    objective_grid = objective_grid @ weights
     i, j = np.unravel_index(int(np.argmin(objective_grid)), objective_grid.shape)
-    lam, phase = float(lam_grid[i]), float(phase_grid[j])
-
-    def objective(lam_value: float, phase_value: float) -> float:
-        r = model_curve(lam_value, phase_value, thetas) - v_obs
-        return float((weights * r * r).sum())
-
-    lam_span = 2.0 * LAMBDA_STEP
-    phase_span = 2.0 * PHASE_STEP
-    for _ in range(200):
-        lam_new = golden_section_min(
-            lambda x: objective(x, phase),
-            max(0.0, lam - lam_span),
-            min(1.0, lam + lam_span),
-            refine_tol,
-        )
-        phase_new = golden_section_min(
-            lambda x: objective(lam_new, x),
-            phase - phase_span,
-            phase + phase_span,
-            refine_tol,
-        )
-        moved = max(abs(lam_new - lam), abs(phase_new - phase))
-        lam, phase = lam_new, phase_new
-        if moved < refine_tol:
-            break
-
-    # The model depends on the phase only through cos(phase), so phi and
-    # 2pi - phi are exactly degenerate; report the lexicographically
-    # smaller representative, i.e. fold into [0, pi].
-    phase %= 2.0 * np.pi
-    phase = min(phase, 2.0 * np.pi - phase)
+    lam, c = _damped_newton(
+        np.array([lam_grid[i], np.cos(phase_grid[j])]), thetas, v_obs, weights, refine_tol
+    )
+    phase = float(np.arccos(c))
     residuals = model_curve(lam, phase, thetas) - v_obs
     return WernerFit(
         lam=lam,
@@ -167,3 +200,57 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False,
         residual_sum=float((residuals**2).sum()),
         per_point_residuals=residuals,
     )
+
+
+def _damped_newton(x, thetas, v_obs, weights, tol):
+    """Minimize f = sum(w r^2) over (lam, c) in [0, 1] x [-1, 1], starting from x.
+
+    A parameter on a bound whose gradient points out of the box is held
+    there for the step; the others take a Levenberg-Marquardt step,
+    clipped to the box. Its Hessian is the Gauss-Newton term J'WJ plus
+    the residual curvature sum(w r r''), which Gauss-Newton drops and
+    without which the iteration zigzags across the narrow valley of a
+    small-lam fit; its damping adds a multiple of diag(J'WJ). A step
+    that raises f is refused and the damping grows until a step is
+    accepted, or until the refused step moves less than ``tol`` (x is
+    then the minimum to within tol). Returns (lam, c) as floats.
+    """
+    def evaluate(point):
+        curve, jacobian, second = _curve_derivatives(point[0], point[1], thetas)
+        r = curve - v_obs
+        wr = weights * r
+        gauss_newton = (jacobian.T * weights) @ jacobian
+        hessian = gauss_newton + np.einsum("i,ijk->jk", wr, second)
+        return float(r @ wr), jacobian.T @ wr, hessian, np.diag(gauss_newton)
+
+    value, gradient, hessian, scale = evaluate(x)
+    damping = 1e-3
+    for _ in range(_MAX_STEPS):
+        held = ((x <= _LOWER) & (gradient > 0.0)) | ((x >= _UPPER) & (gradient < 0.0))
+        # A nonzero gradient entry needs a nonzero Jacobian column, so the
+        # damping scale of every free parameter is positive.
+        free = ~held & (gradient != 0.0)
+        if not free.any():
+            break
+        h = hessian[np.ix_(free, free)]
+        d = np.diag(scale[free])
+        while True:
+            trial = x.copy()
+            trial[free] -= np.linalg.solve(h + damping * d, gradient[free])
+            np.clip(trial, _LOWER, _UPPER, out=trial)
+            moved = float(np.abs(trial - x).max())
+            if moved > 0.0:
+                evaluated = evaluate(trial)
+                if evaluated[0] <= value or moved < tol:
+                    break
+            damping *= 10.0
+            if damping > _MAX_DAMPING:
+                return float(x[0]), float(x[1])
+        if evaluated[0] > value:
+            break
+        x = trial
+        value, gradient, hessian, scale = evaluated
+        damping = max(damping / 10.0, 1e-12)
+        if moved < tol:
+            break
+    return float(x[0]), float(x[1])

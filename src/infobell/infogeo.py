@@ -264,8 +264,9 @@ def sweep(rho: DensityMatrix, thetas) -> ViolationCurve:
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
     """Golden-section minimizer on [lo, hi]; returns the abscissa.
 
-    Derivative-free and fully deterministic, which keeps every scan and
-    fit in this package bit-reproducible.
+    Derivative-free and fully deterministic; max_violation uses it to
+    refine the best point of its scan, which keeps the scan
+    bit-reproducible.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)

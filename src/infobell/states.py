@@ -14,6 +14,7 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ class MeasurementSetting:
     """
 
     stokes_angle: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.stokes_angle):
+            raise ValueError(f"Stokes angle {self.stokes_angle!r} is not finite")
 
     @property
     def physical_angle(self) -> float:
@@ -264,6 +269,8 @@ def modified_werner(lam: float, phase: float, n_qubits: int = 2) -> DensityMatri
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda = {lam!r} outside [0, 1]")
+    if not math.isfinite(phase):
+        raise ValueError(f"phase = {phase!r} is not finite")
     dim = 2 ** n_qubits
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0 / np.sqrt(2.0)

@@ -155,24 +155,32 @@ def linear_inversion(data: TomoDataset) -> np.ndarray:
 
 
 _LOWER_OFFDIAG = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+_ROWS, _COLS = np.array(_LOWER_OFFDIAG).T
 _FLIP = np.eye(4)[::-1]
+_PROBABILITY_FLOOR = 1e-12
 
 
-def _t_to_rho(t: np.ndarray) -> np.ndarray:
-    """Density matrix from the 16 real parameters of a lower-triangular T.
+def _chart(t: np.ndarray):
+    """(T, rho, Tr(T'T)) for the 16 real parameters of a lower-triangular T.
 
-    rho = T'T / Tr(T'T) is Hermitian, positive and trace-one for any
-    parameter values, so the optimizer can roam freely.
+    The parameters are T's 4 real diagonal entries, then the real and
+    imaginary parts of each entry below the diagonal. rho = T'T / Tr(T'T)
+    is Hermitian, positive and trace-one for any parameter values, so the
+    optimizer can roam freely; T = 0 maps to the maximally mixed state.
     """
     T = np.zeros((4, 4), dtype=complex)
     T[np.diag_indices(4)] = t[:4]
-    for k, (r, c) in enumerate(_LOWER_OFFDIAG):
-        T[r, c] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
+    T[_ROWS, _COLS] = t[4::2] + 1j * t[5::2]
     rho = T.conj().T @ T
     trace = np.trace(rho).real
     if trace <= 0.0:
-        return np.eye(4, dtype=complex) / 4.0
-    return rho / trace
+        return T, np.eye(4, dtype=complex) / 4.0, 0.0
+    return T, rho / trace, trace
+
+
+def _t_to_rho(t: np.ndarray) -> np.ndarray:
+    """Density matrix of the Cholesky parameters t (see _chart)."""
+    return _chart(t)[1]
 
 
 def _rho_to_t(rho: np.ndarray) -> np.ndarray:
@@ -186,21 +194,48 @@ def _rho_to_t(rho: np.ndarray) -> np.ndarray:
     T = _FLIP @ lower.conj().T @ _FLIP
     t = np.empty(16)
     t[:4] = np.diag(T).real
-    for k, (r, c) in enumerate(_LOWER_OFFDIAG):
-        t[4 + 2 * k] = T[r, c].real
-        t[5 + 2 * k] = T[r, c].imag
+    t[4::2] = T[_ROWS, _COLS].real
+    t[5::2] = T[_ROWS, _COLS].imag
     return t
 
 
-def _negative_log_likelihood(t: np.ndarray, counts: np.ndarray) -> float:
-    """Poisson -logL (up to the count-factorial constant), scale profiled.
+def _nll_and_gradient(t: np.ndarray, counts: np.ndarray):
+    """Profiled Poisson -logL of the state with parameters t, and its gradient in t.
 
     With mu_i = N p_i and N free, the maximizing N is sum(n)/sum(p);
     substituting it keeps the objective a function of the state alone.
+    Probabilities are floored at 1e-12 before the logarithm.
+
+    The gradient runs the chain rule back through the chart: the
+    derivative by p_i is g_i = N/P - n_i/p_i (0 where p_i is floored),
+    so the derivative by rho is G = sum_i g_i |s_i><s_i|; through
+    rho = T'T / Tr(T'T) the derivative by T'T is
+    M = (G - Tr(G rho) 1) / Tr(T'T), and d(-logL) = 2 Re Tr(M T' dT), so
+    the parameters' derivatives are read from X = 2 M T'.
     """
-    p = np.clip(mode_probabilities(_t_to_rho(t)), 1e-12, None)
-    mu = (counts.sum() / p.sum()) * p
-    return float((mu - counts * np.log(mu)).sum())
+    T, rho, trace = _chart(t)
+    raw = mode_probabilities(rho)
+    floored = raw < _PROBABILITY_FLOOR
+    p = np.where(floored, _PROBABILITY_FLOOR, raw)
+    scale = counts.sum() / p.sum()
+    mu = scale * p
+    nll = float((mu - counts * np.log(mu)).sum())
+    gradient = np.zeros(16)
+    if trace == 0.0:
+        return nll, gradient
+    g = np.where(floored, 0.0, scale - counts / p)
+    G = np.einsum("i,ij,ik->jk", g, _MODE_STATES, _MODE_STATES.conj())
+    M = (G - np.trace(G @ rho).real * np.eye(4)) / trace
+    X = 2.0 * M @ T.conj().T
+    gradient[:4] = np.diag(X).real
+    gradient[4::2] = X[_COLS, _ROWS].real
+    gradient[5::2] = -X[_COLS, _ROWS].imag
+    return nll, gradient
+
+
+def _negative_log_likelihood(t: np.ndarray, counts: np.ndarray) -> float:
+    """Poisson -logL (up to the count-factorial constant), scale profiled."""
+    return _nll_and_gradient(t, counts)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,9 +278,10 @@ def mle_reconstruct(data: TomoDataset, target: PureState | None = None,
     """Poisson maximum-likelihood reconstruction from 16-mode counts.
 
     Starts from the physicality-projected linear inversion and runs
-    L-BFGS-B on the 16 Cholesky parameters, restarting until the
-    negative log-likelihood improves by less than ``tol`` over a full
-    round (guards against flat-stretch early exits). A run that never
+    L-BFGS-B on the 16 Cholesky parameters with the exact gradient of
+    the negative log-likelihood (see _nll_and_gradient), restarting
+    until it improves by less than ``tol`` over a full round (guards
+    against flat-stretch early exits). A run that never
     settles is returned with converged=False rather than raised, so the
     diagnostics stay inspectable.
 
@@ -264,10 +300,11 @@ def mle_reconstruct(data: TomoDataset, target: PureState | None = None,
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         result = minimize(
-            _negative_log_likelihood,
+            _nll_and_gradient,
             t,
             args=(counts,),
             method="L-BFGS-B",
+            jac=True,
             options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10},
         )
         t = result.x

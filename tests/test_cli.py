@@ -214,6 +214,16 @@ def test_exit_code_2_on_non_finite_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_2_on_non_finite_config_and_state(tmp_path, capsys):
+    config_path = tmp_path / "nan.json"
+    config_path.write_text(json.dumps({**CONFIG, "accidental_mean": float("nan")}))
+    assert "NaN" in config_path.read_text()
+    assert main(["simulate", "--config", str(config_path)]) == 2
+    assert "accidental_mean" in capsys.readouterr().err
+    assert main(["violation", "--state", "werner:0.9,nan", "--theta", "0.3"]) == 2
+    assert "phase" in capsys.readouterr().err
+
+
 def test_import_does_not_load_scipy():
     code = "import sys, infobell; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

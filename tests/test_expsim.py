@@ -187,6 +187,16 @@ def test_noise_config_validation():
         NoiseConfig(accidental_mean=0.0, angle_sigma=-0.1, seed=0)
 
 
+def test_noise_config_rejects_non_finite_levels_and_negative_seeds():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="accidental_mean"):
+            NoiseConfig(accidental_mean=bad, angle_sigma=0.0, seed=0)
+        with pytest.raises(ValueError, match="angle_sigma"):
+            NoiseConfig(accidental_mean=0.0, angle_sigma=bad, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        NoiseConfig(accidental_mean=0.0, angle_sigma=0.0, seed=-1)
+
+
 GOOD_CONFIG = {
     "state": {"lambda": 0.998, "phase": 0.225},
     "thetas": [0.2, 0.3, 0.4],
@@ -226,6 +236,33 @@ def test_simulation_config_rejects_malformed(mutate):
     mutate(bad)
     with pytest.raises(ConfigError):
         SimulationConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("accidental_mean", float("nan")),
+        ("accidental_mean", float("inf")),
+        ("angle_sigma", float("nan")),
+        ("angle_sigma", float("inf")),
+        ("seed", -1),
+        ("phase", float("nan")),
+        ("thetas", [0.2, float("nan")]),
+    ],
+)
+def test_simulation_config_rejects_non_finite_values_and_negative_seeds(field, value):
+    bad = json.loads(json.dumps(GOOD_CONFIG))
+    if field == "phase":
+        bad["state"]["phase"] = value
+    else:
+        bad[field] = value
+    with pytest.raises(ConfigError, match=field.split("_")[0]):
+        SimulationConfig.from_dict(bad)
+    fields = {"lam": 0.998, "phase": 0.225, "thetas": (0.2, 0.3), "counts_per_mode": 350,
+              "accidental_mean": 6.0, "angle_sigma": 0.003, "seed": 42}
+    fields[field] = tuple(value) if field == "thetas" else value
+    with pytest.raises(ConfigError, match=field.split("_")[0]):
+        SimulationConfig(**fields)
 
 
 def test_simulation_config_rejects_bad_json(tmp_path):

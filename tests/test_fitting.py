@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,9 +18,10 @@ from infobell import (
     modified_werner,
     sweep,
 )
-from infobell.fitting import LAMBDA_STEP, PHASE_STEP, _coarse_grid
+from infobell.fitting import LAMBDA_STEP, PHASE_STEP, _coarse_grid, _curve_derivatives
 
 THETAS = np.array(REFERENCE_THETAS)
+PINS = json.loads((Path(__file__).parent / "data" / "solver_pins.json").read_text())
 
 
 def curve_for(lam, phase, thetas=THETAS):
@@ -72,12 +79,64 @@ def test_fit_noise_robust_median():
 
 
 def test_fit_beats_every_coarse_grid_candidate():
+    """Every candidate of the full (lam, phase) grid over [0, 1] x [0, 2 pi),
+    not only the half-circle grid the fit starts from."""
     rng = np.random.default_rng(3)
     v_obs = model_curve(0.85, 0.7, THETAS) + rng.normal(0.0, 0.03, size=THETAS.size)
     fit = fit_werner(ViolationCurve(THETAS, v_obs))
-    _, _, curves = _coarse_grid(tuple(float(t) for t in THETAS))
+    lam_grid = np.arange(0.0, 1.0 + LAMBDA_STEP / 2.0, LAMBDA_STEP)
+    phase_grid = np.arange(0.0, 2.0 * np.pi, PHASE_STEP)
+    curves = model_curve(lam_grid[:, None], phase_grid[None, :], THETAS)
     grid_best = float(((curves - v_obs) ** 2).sum(axis=-1).min())
     assert fit.residual_sum <= grid_best + 1e-12
+
+
+@pytest.mark.parametrize("pin", PINS["fit"], ids=lambda pin: f"seed{pin['seed']}")
+def test_fit_never_worse_than_derivative_free_pins(pin):
+    curve = ViolationCurve(THETAS, pin["v"], pin["dv"])
+    assert fit_werner(curve).residual_sum <= pin["residual_sum"] + 1e-12
+    weighted = fit_werner(curve, weighted=True).per_point_residuals / curve.dv
+    assert float(np.sum(weighted**2)) <= pin["weighted_objective"] * (1.0 + 1e-7)
+
+
+@pytest.mark.parametrize("lam, c", [(0.6, 0.3), (0.95, -0.7), (0.2, 0.99),
+                                    (0.8, 1.0), (0.7, -1.0), (1.0, 0.4), (1.0, 1.0)])
+def test_fit_derivatives_match_central_differences(lam, c):
+    """First and second derivatives of the curve by (lam, c = cos phase).
+
+    Central differences in c at c = +-1 and in lam at lam = 1 step just
+    outside the parameter box, where the closed form still holds.
+    """
+    h = 1e-6
+    curve, jacobian, hessian = _curve_derivatives(lam, c, THETAS)
+    assert_allclose(curve, model_curve(lam, np.arccos(c), THETAS), atol=1e-12)
+    for axis, step in enumerate((np.array([h, 0.0]), np.array([0.0, h]))):
+        up = _curve_derivatives(lam + step[0], c + step[1], THETAS)
+        down = _curve_derivatives(lam - step[0], c - step[1], THETAS)
+        assert_allclose(jacobian[:, axis], (up[0] - down[0]) / (2 * h), rtol=1e-6, atol=1e-8)
+        assert_allclose(hessian[:, :, axis], (up[1] - down[1]) / (2 * h), rtol=1e-6, atol=1e-6)
+    if 0.0 < c < 1.0:
+        # The lam column through the public phase form as well.
+        by_lam = (model_curve(lam + h, np.arccos(c), THETAS)
+                  - model_curve(lam - h, np.arccos(c), THETAS)) / (2 * h)
+        assert_allclose(jacobian[:, 0], by_lam, rtol=1e-6, atol=1e-8)
+
+
+def test_fit_on_the_lambda_bound_reports_exactly_one():
+    fit = fit_werner(sweep(bell_state("phi+").density_matrix(), THETAS))
+    assert fit.lam == 1.0
+
+
+def test_fit_does_not_load_scipy():
+    code = (
+        "import sys, numpy as np\n"
+        "from infobell import REFERENCE_THETAS, ViolationCurve, fit_werner, model_curve\n"
+        "fit_werner(ViolationCurve(REFERENCE_THETAS, model_curve(0.998, 0.225, REFERENCE_THETAS)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_grid_steps_match_documented_resolution():

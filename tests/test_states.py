@@ -31,6 +31,12 @@ def test_measurement_setting_angle_conventions():
     assert s.hwp_angle == pytest.approx(0.3)
 
 
+def test_measurement_setting_rejects_non_finite_angles():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            MeasurementSetting(bad)
+
+
 def test_bell_states_are_orthonormal():
     kinds = ("phi+", "phi-", "psi+", "psi-")
     states = [bell_state(k).amplitudes for k in kinds]
@@ -96,6 +102,12 @@ def test_modified_werner_rejects_bad_lambda():
         modified_werner(1.2, 0.0)
     with pytest.raises(ValueError):
         modified_werner(-0.1, 0.0)
+
+
+def test_modified_werner_rejects_non_finite_phase():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="phase"):
+            modified_werner(0.9, bad)
 
 
 def test_modified_werner_four_qubit_ghz_limit():

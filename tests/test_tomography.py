@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,14 +27,17 @@ from infobell.tomography import (
     _KETS,
     _MODE_STATES,
     _negative_log_likelihood,
+    _nll_and_gradient,
     _project_physical,
     _rho_to_t,
+    _t_to_rho,
     mode_probabilities,
 )
 from conftest import random_density
 
 BELL = bell_state("phi+").density_matrix()
 WERNER = modified_werner(0.998, 0.225)
+PINS = json.loads((Path(__file__).parent / "data" / "solver_pins.json").read_text())
 
 
 def trace_distance(a, b) -> float:
@@ -147,6 +153,61 @@ def test_mle_beats_projected_linear_inversion():
     nll_mle = _negative_log_likelihood(_rho_to_t(result.rho_mle.matrix), counts)
     nll_li = _negative_log_likelihood(_rho_to_t(projected), counts)
     assert nll_mle <= nll_li + 1e-9
+
+
+@pytest.mark.parametrize("pin", PINS["mle"], ids=lambda pin: f"seed{pin['seed']}")
+def test_mle_never_worse_than_derivative_free_pins(pin):
+    result = mle_reconstruct(TomoDataset(np.array(pin["counts"], dtype=np.int64)))
+    assert result.converged
+    assert result.log_likelihood >= pin["log_likelihood"] - 1e-9
+    pinned = np.array(pin["rho_re"]) + 1j * np.array(pin["rho_im"])
+    assert trace_distance(result.rho_mle, pinned) <= 1e-4
+
+
+def test_negative_log_likelihood_is_the_profiled_poisson_formula(rng):
+    counts = noisy_dataset(WERNER, 500, seed=4).counts.astype(float)
+    t = rng.standard_normal(16)
+    p = np.clip(mode_probabilities(_t_to_rho(t)), 1e-12, None)
+    mu = (counts.sum() / p.sum()) * p
+    assert _negative_log_likelihood(t, counts) == float((mu - counts * np.log(mu)).sum())
+
+
+def _central_difference_gradient(t, counts, h=1e-7):
+    grad = np.empty(16)
+    for k in range(16):
+        step = np.zeros(16)
+        step[k] = h
+        grad[k] = (_negative_log_likelihood(t + step, counts)
+                   - _negative_log_likelihood(t - step, counts)) / (2 * h)
+    return grad
+
+
+def test_nll_gradient_matches_central_differences(rng):
+    counts = noisy_dataset(random_density(rng), 2000, seed=5).counts.astype(float)
+    for _ in range(5):
+        t = rng.standard_normal(16)
+        value, grad = _nll_and_gradient(t, counts)
+        assert value == _negative_log_likelihood(t, counts)
+        numeric = _central_difference_gradient(t, counts)
+        assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+
+
+def test_nll_gradient_with_a_floored_mode(rng):
+    """T's last diagonal entry alone maps onto |HH>, so with it at 1e-6,
+    p_HH stays below the 1e-12 floor for every step of the stencil while
+    still depending on t: the floored mode adds nothing to the gradient,
+    whatever its count."""
+    counts = noisy_dataset(WERNER, 2000, seed=6).counts.astype(float)
+    t = rng.standard_normal(16)
+    t[3] = 1e-6
+    hh = MODE_LABELS.index("HH")
+    p = mode_probabilities(_t_to_rho(t))
+    p_up = mode_probabilities(_t_to_rho(t + 1e-7 * np.eye(16)[3]))
+    assert 0.0 < p[hh] < p_up[hh] < 1e-12
+    assert counts[hh] > 0 and (np.delete(p, hh) > 1e-6).all()
+    _, grad = _nll_and_gradient(t, counts)
+    numeric = _central_difference_gradient(t, counts)
+    assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
 
 
 def test_mle_round_trip_error_shrinks_with_counts():
