@@ -80,9 +80,21 @@ def _emit(text: str, path: str | None) -> None:
         _atomic_write(path, text)
 
 
+class NonFiniteOutputError(RuntimeError):
+    """A result to be written holds NaN or inf."""
+
+
 def _emit_json(payload: dict, path: str | None) -> None:
-    """Emit ``payload`` as indented JSON under the versioned envelope."""
-    _emit(json.dumps({"format_version": 1, **payload}, indent=2) + "\n", path)
+    """Emit ``payload`` as indented JSON under the versioned envelope.
+
+    A NaN or inf anywhere in the payload raises NonFiniteOutputError
+    before anything is written.
+    """
+    try:
+        text = json.dumps({"format_version": 1, **payload}, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutputError(f"non-finite value in JSON output: {exc}") from None
+    _emit(text + "\n", path)
 
 
 def parse_state_spec(spec: str) -> DensityMatrix:
@@ -435,7 +447,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EstimationError, TomographyError) as exc:
+    except (EstimationError, TomographyError, NonFiniteOutputError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

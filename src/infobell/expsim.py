@@ -21,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infogeo import (QuadrilateralGeometry, _edge_angles, _info_distances, info_distance,
-                      schumacher_settings, stream_rng)
-from .states import (DensityMatrix, JointDistribution, _born_tables, _checked_tables,
-                     joint_probabilities, modified_werner)
+from .infogeo import QuadrilateralGeometry, _edge_angles, _info_distances, stream_rng
+from .states import DensityMatrix, JointDistribution, _born_tables, _checked_tables, modified_werner
 
 __all__ = [
     "DEFAULT_ACCIDENTAL_MEAN",
@@ -113,6 +111,26 @@ class CoincidenceRecord:
             raise ValueError("total_trials must equal the count sum")
 
 
+def _draw_counts(p: np.ndarray, n_trials: int, seed: int, stream: tuple) -> np.ndarray:
+    """Multinomial 2x2 coincidence counts from one outcome table, on substream ``stream``."""
+    p = p.ravel()
+    return stream_rng(seed, _STREAM_SAMPLE, *stream).multinomial(n_trials, p / p.sum()).reshape(2, 2)
+
+
+def _draw_accidentals(noise: NoiseConfig, stream: tuple) -> np.ndarray:
+    """Poisson(accidental_mean) spurious counts for the four bins of one table."""
+    return stream_rng(noise.seed, _STREAM_ACCIDENTAL, *stream).poisson(noise.accidental_mean, size=(2, 2))
+
+
+def _estimated_tables(counts: np.ndarray, accidental) -> np.ndarray:
+    """Checked accidental-subtracted estimates max(0, N - acc), renormalized, for (..., 2, 2) counts."""
+    est = np.clip(counts - accidental, 0.0, None)
+    total = est.sum(axis=(-2, -1), keepdims=True)
+    if not np.all(total > 0.0):
+        raise EstimationError("all outcome bins are empty after accidental subtraction")
+    return _checked_tables(est / total, 2)
+
+
 def sample_counts(dist: JointDistribution, n_trials: int, seed: int,
                   stream: tuple = (), settings=None) -> CoincidenceRecord:
     """One multinomial draw of n_trials coincidences from a two-party table.
@@ -124,12 +142,9 @@ def sample_counts(dist: JointDistribution, n_trials: int, seed: int,
         raise ValueError("sample_counts needs a two-party distribution")
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    rng = stream_rng(seed, _STREAM_SAMPLE, *stream)
-    p = dist.probs.ravel()
-    counts = rng.multinomial(n_trials, p / p.sum()).reshape(2, 2)
     return CoincidenceRecord(
         settings=None if settings is None else tuple(settings),
-        counts=counts,
+        counts=_draw_counts(dist.probs, n_trials, seed, stream),
         accidental_estimate=np.zeros((2, 2)),
         total_trials=int(n_trials),
     )
@@ -144,9 +159,7 @@ def add_accidentals(record: CoincidenceRecord, noise: NoiseConfig,
     """
     if noise.accidental_mean == 0.0:
         return record
-    rng = stream_rng(noise.seed, _STREAM_ACCIDENTAL, *stream)
-    extra = rng.poisson(noise.accidental_mean, size=(2, 2))
-    counts = record.counts + extra
+    counts = record.counts + _draw_accidentals(noise, stream)
     return CoincidenceRecord(
         settings=record.settings,
         counts=counts,
@@ -157,38 +170,47 @@ def add_accidentals(record: CoincidenceRecord, noise: NoiseConfig,
 
 def estimate_distribution(record: CoincidenceRecord) -> JointDistribution:
     """Accidental-subtracted probability estimate: max(0, N - acc), renormalized."""
-    est = np.clip(record.counts - record.accidental_estimate, 0.0, None)
-    total = est.sum()
-    if total <= 0.0:
-        raise EstimationError("all outcome bins are empty after accidental subtraction")
-    return JointDistribution(est / total)
+    return JointDistribution(_estimated_tables(record.counts, record.accidental_estimate))
 
 
-def _edge_uncertainty(d: np.ndarray, p: np.ndarray, n_trials: int, noise: NoiseConfig) -> float:
-    """Quadrature uncertainty of one edge distance.
+def _edge_uncertainties(d: np.ndarray, p: np.ndarray, n_trials: int, noise: NoiseConfig) -> np.ndarray:
+    """Quadrature uncertainties of a batch of edge distances.
 
-    ``d`` holds the exact model distances on _ANGLE_STENCIL and ``p`` the
-    edge's outcome table. Two angle terms (dD/dalpha, dD/dbeta by central
-    differences, each times angle_sigma) plus four count terms (dD/dN_j
-    by central differences through the estimator at the expected
-    counts, each times sqrt of the expected observed count).
+    ``d`` (..., 5) holds the exact model distances on _ANGLE_STENCIL and
+    ``p`` (..., 2, 2) the edges' outcome tables. Two angle terms
+    (dD/dalpha, dD/dbeta by central differences, each times angle_sigma)
+    plus four count terms (dD/dN_j by central differences through the
+    estimator at the expected counts, each times sqrt of the expected
+    observed count).
     """
-    d_dalpha = (d[1] - d[2]) / (2 * _ANGLE_STEP)
-    d_dbeta = (d[3] - d[4]) / (2 * _ANGLE_STEP)
+    d_dalpha = (d[..., 1] - d[..., 2]) / (2 * _ANGLE_STEP)
+    d_dbeta = (d[..., 3] - d[..., 4]) / (2 * _ANGLE_STEP)
     variance = (d_dalpha * noise.angle_sigma) ** 2 + (d_dbeta * noise.angle_sigma) ** 2
 
-    expected = n_trials * p.ravel() + noise.accidental_mean
+    expected = n_trials * p.reshape(p.shape[:-2] + (4,)) + noise.accidental_mean
     step = max(1.0, _COUNT_STEP_FRACTION * n_trials) * np.eye(4)
-    up, down = expected + step, np.maximum(0.0, expected - step)
-    # Row j of up/down perturbs mode j; both go through the estimate chain at once.
-    est = np.clip(np.stack([up, down]) - noise.accidental_mean, 0.0, None)
-    total = est.sum(axis=-1, keepdims=True)
-    if not np.all(total > 0.0):
-        raise EstimationError("perturbed counts vanished under accidental subtraction")
-    d_up, d_down = _info_distances(_checked_tables((est / total).reshape(2, 4, 2, 2), 2))
+    # Row j of up/down perturbs mode j; every row of every edge goes through the estimator at once.
+    up = expected[..., None, :] + step
+    down = np.maximum(0.0, expected[..., None, :] - step)
+    counts = np.stack([up, down]).reshape((2,) + up.shape[:-1] + (2, 2))
+    d_up, d_down = _info_distances(_estimated_tables(counts, noise.accidental_mean))
     for j in range(4):
-        variance += ((d_up[j] - d_down[j]) / (up[j, j] - down[j, j])) ** 2 * expected[j]
-    return float(np.sqrt(variance))
+        slope = (d_up[..., j] - d_down[..., j]) / (up[..., j, j] - down[..., j, j])
+        variance += slope ** 2 * expected[..., j]
+    return np.sqrt(variance)
+
+
+def _model_edges(rho: DensityMatrix, theta, counts_per_mode: int, noise: NoiseConfig):
+    """Model edge tables (..., 4, 2, 2), distances and uncertainties (..., 4) at an array of angles.
+
+    One Born-rule and one entropy pass cover every edge and stencil point.
+    """
+    if counts_per_mode < 1:
+        raise ValueError("counts_per_mode must be at least 1")
+    tables = _born_tables(rho, _edge_angles(theta)[..., None, :] + _ANGLE_STENCIL)
+    d = _info_distances(tables)
+    edge_tables = tables[..., 0, :, :]
+    return edge_tables, d[..., 0], _edge_uncertainties(d, edge_tables, counts_per_mode, noise)
 
 
 def propagate_error(rho_model: DensityMatrix, theta: float, counts_per_mode: int,
@@ -200,13 +222,22 @@ def propagate_error(rho_model: DensityMatrix, theta: float, counts_per_mode: int
     would assign to each edge. In the limit angle_sigma -> 0 and
     counts -> infinity every uncertainty goes to zero.
     """
-    if counts_per_mode < 1:
-        raise ValueError("counts_per_mode must be at least 1")
-    angles = _edge_angles(theta)[:, None, :] + _ANGLE_STENCIL
-    tables = _born_tables(rho_model, angles)
-    d = _info_distances(tables)
-    deltas = [_edge_uncertainty(d[k], tables[k, 0], counts_per_mode, noise) for k in range(4)]
-    return QuadrilateralGeometry(*map(float, d[:, 0]), *deltas)
+    _, d, dd = _model_edges(rho_model, theta, counts_per_mode, noise)
+    return QuadrilateralGeometry(*map(float, d), *map(float, dd))
+
+
+def _simulate(rho: DensityMatrix, thetas: np.ndarray, counts_per_mode: int,
+              noise: NoiseConfig, streams) -> list:
+    """Simulated quadrilaterals at a 1-D array of angles; angle i draws on streams[i]."""
+    tables, _, dd = _model_edges(rho, thetas, counts_per_mode, noise)
+    counts = np.zeros(tables.shape, dtype=np.int64)
+    for i, stream in enumerate(streams):
+        for k in range(4):
+            counts[i, k] = _draw_counts(tables[i, k], counts_per_mode, noise.seed, (*stream, k))
+            if noise.accidental_mean != 0.0:
+                counts[i, k] += _draw_accidentals(noise, (*stream, k))
+    d = _info_distances(_estimated_tables(counts, noise.accidental_mean))
+    return [QuadrilateralGeometry(*map(float, di), *map(float, ddi)) for di, ddi in zip(d, dd)]
 
 
 def simulate_schumacher_run(rho: DensityMatrix, theta: float, counts_per_mode: int,
@@ -222,34 +253,23 @@ def simulate_schumacher_run(rho: DensityMatrix, theta: float, counts_per_mode: i
     realized counts, mirroring how error bars are assigned from expected
     count levels).
     """
-    propagated = propagate_error(rho, theta, counts_per_mode, noise)
-    a1, a2, b1, b2 = schumacher_settings(theta)
-    estimates = []
-    for k, (a, b) in enumerate([(a1, b1), (a2, b1), (a2, b2), (a1, b2)]):
-        dist = joint_probabilities(rho, [a, b])
-        record = sample_counts(dist, counts_per_mode, noise.seed, stream=(*stream, k), settings=(a, b))
-        record = add_accidentals(record, noise, stream=(*stream, k))
-        estimates.append(info_distance(estimate_distribution(record)))
-    return QuadrilateralGeometry(
-        *estimates,
-        propagated.dd_a1b1,
-        propagated.dd_a2b1,
-        propagated.dd_a2b2,
-        propagated.dd_a1b2,
-    )
+    return _simulate(rho, np.array([float(theta)]), counts_per_mode, noise, [stream])[0]
 
 
 def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
                    noise: NoiseConfig) -> list:
     """Simulated runs at each angle; returns [(theta, QuadrilateralGeometry), ...].
 
-    The run at thetas[i] uses substream (i,), so adding, dropping or
-    reordering angles never changes the draws of the others.
+    The run at thetas[i] is simulate_schumacher_run with stream (i,): the
+    keys are positional, so appending angles keeps the earlier rows,
+    while dropping or reordering angles changes the draws of every angle
+    whose position moves. All angles share one Born-rule pass.
     """
-    return [
-        (float(t), simulate_schumacher_run(rho, float(t), counts_per_mode, noise, stream=(i,)))
-        for i, t in enumerate(thetas)
-    ]
+    thetas = [float(t) for t in thetas]
+    if not thetas:
+        return []
+    quads = _simulate(rho, np.array(thetas), counts_per_mode, noise, [(i,) for i in range(len(thetas))])
+    return list(zip(thetas, quads))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,11 @@ from infobell import (
     simulate_sweep,
     sweep,
 )
+from infobell import cli
 from infobell.cli import (
+    NonFiniteOutputError,
     _atomic_write,
+    _emit_json,
     curve_from_csv,
     curve_to_csv,
     main,
@@ -245,6 +248,32 @@ def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     assert main(["tomo", "--counts", str(zero_path), "-o", str(out_path)]) == 3
     assert not out_path.exists()
     capsys.readouterr()
+
+
+def test_exit_code_3_when_every_bin_clamps(tmp_path, capsys):
+    # One count per mode under six accidentals per bin: at seed 8 an edge of
+    # the first angle is empty after subtraction (see test_expsim).
+    config = dict(CONFIG, thetas=[REFERENCE_THETAS[0]], counts_per_mode=1, seed=8)
+    out_path = tmp_path / "run.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, config), "-o", str(out_path)]) == 3
+    assert "empty after accidental subtraction" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_non_finite_json_output_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFiniteOutputError):
+            _emit_json({"values": [1.0, {"x": bad}]}, None)
+    assert capsys.readouterr().out == ""
+
+    monkeypatch.setattr(cli, "chsh", lambda *args: float("nan"))
+    out_path = tmp_path / "s.json"
+    assert main(["chsh", "--state", "bell", "--optimal", "--json", "-o", str(out_path)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out_path.exists()
+    assert os.listdir(tmp_path) == []
+    assert main(["chsh", "--state", "bell", "--optimal", "--json"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_atomic_write_leaves_no_debris(tmp_path):

@@ -13,6 +13,7 @@ from infobell import (
     add_accidentals,
     bell_state,
     estimate_distribution,
+    info_distance,
     joint_probabilities,
     modified_werner,
     propagate_error,
@@ -23,7 +24,9 @@ from infobell import (
     simulate_sweep,
     sweep,
 )
+from infobell import expsim
 from infobell.expsim import CoincidenceRecord
+from infobell.states import DensityMatrix, JointDistribution
 
 WERNER = modified_werner(0.998, 0.225)
 QUIET = NoiseConfig(accidental_mean=0.0, angle_sigma=0.0, seed=0)
@@ -303,3 +306,141 @@ def test_simulated_sweep_seeded_golden():
     assert_allclose(
         [quad.uncertainties for _, quad in rows], SIM_SWEEP_SEED7_UNCERTAINTIES, rtol=0, atol=1e-12
     )
+
+
+def test_sweep_appending_an_angle_keeps_earlier_rows():
+    noise = NoiseConfig(6.0, 0.003, 11)
+    short = simulate_sweep(WERNER, REFERENCE_THETAS[:5], 350, noise)
+    longer = simulate_sweep(WERNER, REFERENCE_THETAS[:5] + (0.55,), 350, noise)
+    assert longer[:5] == short
+
+
+def test_sweep_of_no_angles_is_empty():
+    assert simulate_sweep(WERNER, (), 350, NoiseConfig(6.0, 0.003, 1)) == []
+    assert simulate_sweep(WERNER, np.array([]), 350, QUIET) == []
+
+
+def _ginibre_state(seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = g @ g.conj().T
+    return DensityMatrix(2, m / np.trace(m).real)
+
+
+def _per_edge_reference(rho, theta, counts_per_mode, noise, stream):
+    """One run the scalar way: per-edge Born table, draws, estimate, and error bars.
+
+    Returns the four edges' raw counts, then either their estimated
+    distances or the EstimationError the estimate raised, then the
+    propagated uncertainties.
+    """
+    h = expsim._ANGLE_STEP
+    a1, a2, b1, b2 = (s.stokes_angle for s in schumacher_settings(theta))
+    counts, distances, deltas = [], [], []
+    error = None
+    for k, (a, b) in enumerate([(a1, b1), (a2, b1), (a2, b2), (a1, b2)]):
+        dist = joint_probabilities(rho, [a, b])
+        record = sample_counts(dist, counts_per_mode, noise.seed, stream=(*stream, k))
+        record = add_accidentals(record, noise, stream=(*stream, k))
+        counts.append(record.counts)
+        try:
+            distances.append(info_distance(estimate_distribution(record)))
+        except EstimationError as exc:
+            error = error or exc
+
+        d = [info_distance(joint_probabilities(rho, [a + da, b + db]))
+             for da, db in [(h, 0), (-h, 0), (0, h), (0, -h)]]
+        variance = ((d[0] - d[1]) / (2 * h) * noise.angle_sigma) ** 2
+        variance += ((d[2] - d[3]) / (2 * h) * noise.angle_sigma) ** 2
+        expected = counts_per_mode * dist.probs.ravel() + noise.accidental_mean
+        step = max(1.0, expsim._COUNT_STEP_FRACTION * counts_per_mode)
+        for j in range(4):
+            shifted = []
+            for sign in (1.0, -1.0):
+                n = expected.copy()
+                n[j] = max(0.0, n[j] + sign * step)
+                est = np.clip(n - noise.accidental_mean, 0.0, None)
+                shifted.append((n[j], info_distance(JointDistribution((est / est.sum()).reshape(2, 2)))))
+            (n_up, d_up), (n_down, d_down) = shifted
+            variance += ((d_up - d_down) / (n_up - n_down)) ** 2 * expected[j]
+        deltas.append(np.sqrt(variance))
+    return np.array(counts), error or np.array(distances), np.array(deltas)
+
+
+@pytest.mark.parametrize("state", ["werner", "bell", "ginibre"])
+@pytest.mark.parametrize("accidental_mean", [0.0, 6.0])
+@pytest.mark.parametrize("angle_sigma", [0.0, 0.003])
+@pytest.mark.parametrize("counts_per_mode", [1, 50, 350, 5000])
+def test_simulated_sweep_matches_per_edge_reference(monkeypatch, state, accidental_mean,
+                                                    angle_sigma, counts_per_mode):
+    rho = {"werner": WERNER, "bell": bell_state("phi+").density_matrix(),
+           "ginibre": _ginibre_state(3)}[state]
+    noise = NoiseConfig(accidental_mean, angle_sigma, seed=counts_per_mode + 17)
+    thetas = REFERENCE_THETAS[::2] if counts_per_mode == 1 else REFERENCE_THETAS
+    reference = [_per_edge_reference(rho, t, counts_per_mode, noise, (i,)) for i, t in enumerate(thetas)]
+
+    # The estimator sees every drawn count table once, in one integer (n, 4, 2, 2) array.
+    drawn = []
+    estimated_tables = expsim._estimated_tables
+
+    def spy(counts, accidental):
+        if np.issubdtype(np.asarray(counts).dtype, np.integer):
+            drawn.append(np.array(counts))
+        return estimated_tables(counts, accidental)
+
+    monkeypatch.setattr(expsim, "_estimated_tables", spy)
+    if any(isinstance(d, EstimationError) for _, d, _ in reference):
+        with pytest.raises(EstimationError):
+            simulate_sweep(rho, thetas, counts_per_mode, noise)
+        assert len(drawn) == 1
+        assert np.array_equal(drawn[0], [c for c, _, _ in reference])
+        return
+    rows = simulate_sweep(rho, thetas, counts_per_mode, noise)
+    assert len(drawn) == 1
+    assert np.array_equal(drawn[0], [c for c, _, _ in reference])
+    assert [t for t, _ in rows] == list(thetas)
+    assert_allclose([q.edges for _, q in rows], [d for _, d, _ in reference], rtol=0, atol=1e-15)
+    assert_allclose([q.uncertainties for _, q in rows], [dd for _, _, dd in reference], rtol=0, atol=1e-15)
+    monkeypatch.undo()
+    for i, (theta, quad) in enumerate(rows):
+        assert simulate_schumacher_run(rho, theta, counts_per_mode, noise, stream=(i,)) == quad
+
+
+@pytest.mark.parametrize("accidental_mean, draws_per_edge", [(6.0, 2), (0.0, 1)])
+def test_simulated_sweep_is_one_born_pass(monkeypatch, accidental_mean, draws_per_edge):
+    calls = {"_born_tables": 0, "stream_rng": 0}
+
+    def counted(name):
+        original = getattr(expsim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(expsim, name, counted(name))
+    rows = simulate_sweep(WERNER, REFERENCE_THETAS, 350, NoiseConfig(accidental_mean, 0.003, 4))
+    assert len(rows) == len(REFERENCE_THETAS)
+    assert calls == {"_born_tables": 1, "stream_rng": 4 * draws_per_edge * len(REFERENCE_THETAS)}
+
+
+# One count per mode under six accidentals per bin: at this seed every bin of
+# some edge at the first reference angle falls to zero after subtraction.
+CLAMPED_NOISE = NoiseConfig(accidental_mean=6.0, angle_sigma=0.003, seed=8)
+
+
+def test_simulated_sweep_raises_when_every_bin_clamps():
+    theta = REFERENCE_THETAS[0]
+    a1, a2, b1, b2 = schumacher_settings(theta)
+    emptied = []
+    for k, (a, b) in enumerate([(a1, b1), (a2, b1), (a2, b2), (a1, b2)]):
+        record = sample_counts(joint_probabilities(WERNER, [a, b]), 1, CLAMPED_NOISE.seed, stream=(0, k))
+        record = add_accidentals(record, CLAMPED_NOISE, stream=(0, k))
+        emptied.append(bool((record.counts <= record.accidental_estimate).all()))
+    assert any(emptied)
+    with pytest.raises(EstimationError, match="empty after accidental subtraction"):
+        simulate_sweep(WERNER, (theta,), 1, CLAMPED_NOISE)
+    with pytest.raises(EstimationError):
+        simulate_sweep(WERNER, REFERENCE_THETAS, 1, CLAMPED_NOISE)
