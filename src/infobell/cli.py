@@ -112,8 +112,14 @@ def parse_state_spec(spec: str) -> DensityMatrix:
     raise ValueError(f"cannot parse state spec {spec!r}")
 
 
+def _finite(value: float, what: str) -> float:
+    if not np.isfinite(value):
+        raise ValueError(f"{what} is not finite: {value}")
+    return value
+
+
 def _parse_floats(text: str, expected: int | None = None) -> list:
-    values = [float(part) for part in text.split(",") if part.strip()]
+    values = [_finite(float(part), f"number in {text!r}") for part in text.split(",") if part.strip()]
     if expected is not None and len(values) != expected:
         raise ValueError(f"expected {expected} comma-separated numbers, got {text!r}")
     return values
@@ -124,6 +130,8 @@ def _parse_range(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ValueError(f"range must be 'lo:hi:step', got {text!r}") from None
+    for value in (lo, hi, step):
+        _finite(value, f"range {text!r}")
     if step <= 0 or hi <= lo:
         raise ValueError(f"range must be increasing with positive step, got {text!r}")
     return np.arange(lo, hi + step / 2.0, step)
@@ -171,7 +179,7 @@ def curve_from_csv(path: str) -> ViolationCurve:
 
 def cmd_violation(args) -> int:
     rho = parse_state_spec(args.state)
-    quad = quadrilateral(rho, args.theta)
+    quad = quadrilateral(rho, _finite(args.theta, "--theta"))
     if args.json:
         edges = dict(zip(_EDGE_COLUMNS, quad.edges))
         _emit_json({"theta": args.theta, "edges": edges, "v": quad.violation}, args.output)

@@ -27,12 +27,14 @@ LAMBDA_STEP = 0.002
 PHASE_STEP = 0.01
 
 _LN2 = np.log(2.0)
-# Bounds of (lam, c = cos phase) for the refinement, its step cap and
-# the damping at which it gives up looking for a better point.
+# Bounds of (lam, c = cos phase) for the refinement, its step cap, the
+# damping at which it gives up looking for a better point, and the move
+# below which it stops.
 _LOWER = np.array([0.0, -1.0])
 _UPPER = np.array([1.0, 1.0])
 _MAX_STEPS = 200
 _MAX_DAMPING = 1e16
+_REFINE_TOL = 1e-8
 # Distance from 0 and 1 at which an edge's slope log2((1 - q)/q) is taken.
 _Q_FLOOR = 1e-15
 
@@ -153,8 +155,7 @@ def _coarse_grid(thetas: tuple):
     return lam_grid, phase_grid, curves
 
 
-def fit_werner(observed: ViolationCurve, weighted: bool = False,
-               refine_tol: float = 1e-8) -> WernerFit:
+def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
     """Least-squares (lam, phase) fit of the mixed-state model.
 
     A coarse grid search (lam step 0.002 on [0, 1], phase step 0.01 on
@@ -164,12 +165,11 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False,
     derivatives of model_curve (see _damped_newton). It accepts only
     steps that do not raise the objective, so the fit is never worse
     than its grid start, and it stops once a step moves both parameters
-    by less than ``refine_tol``. A fit on a bound reports the bound
-    exactly. The curve depends on the phase only through c, so the
-    reported phase is arccos c, in [0, pi]. Deterministic. Unweighted by
-    default; ``weighted=True`` applies 1/dv^2 weights (requires
-    uncertainties on the curve). residual_sum is always the unweighted
-    sum of squares.
+    by less than 1e-8. A fit on a bound reports the bound exactly. The
+    curve depends on the phase only through c, so the reported phase is
+    arccos c, in [0, pi]. Deterministic. Unweighted by default;
+    ``weighted=True`` applies 1/dv^2 weights (requires uncertainties on
+    the curve). residual_sum is always the unweighted sum of squares.
     """
     if len(observed) < 2:
         raise ValueError("need at least two curve points to fit")
@@ -189,9 +189,7 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False,
     np.square(objective_grid, out=objective_grid)
     objective_grid = objective_grid @ weights
     i, j = np.unravel_index(int(np.argmin(objective_grid)), objective_grid.shape)
-    lam, c = _damped_newton(
-        np.array([lam_grid[i], np.cos(phase_grid[j])]), thetas, v_obs, weights, refine_tol
-    )
+    lam, c = _damped_newton(np.array([lam_grid[i], np.cos(phase_grid[j])]), thetas, v_obs, weights)
     phase = float(np.arccos(c))
     residuals = model_curve(lam, phase, thetas) - v_obs
     return WernerFit(
@@ -202,7 +200,7 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False,
     )
 
 
-def _damped_newton(x, thetas, v_obs, weights, tol):
+def _damped_newton(x, thetas, v_obs, weights):
     """Minimize f = sum(w r^2) over (lam, c) in [0, 1] x [-1, 1], starting from x.
 
     A parameter on a bound whose gradient points out of the box is held
@@ -212,8 +210,8 @@ def _damped_newton(x, thetas, v_obs, weights, tol):
     without which the iteration zigzags across the narrow valley of a
     small-lam fit; its damping adds a multiple of diag(J'WJ). A step
     that raises f is refused and the damping grows until a step is
-    accepted, or until the refused step moves less than ``tol`` (x is
-    then the minimum to within tol). Returns (lam, c) as floats.
+    accepted, or until the refused step moves less than _REFINE_TOL (x
+    is then the minimum to within that). Returns (lam, c) as floats.
     """
     def evaluate(point):
         curve, jacobian, second = _curve_derivatives(point[0], point[1], thetas)
@@ -241,7 +239,7 @@ def _damped_newton(x, thetas, v_obs, weights, tol):
             moved = float(np.abs(trial - x).max())
             if moved > 0.0:
                 evaluated = evaluate(trial)
-                if evaluated[0] <= value or moved < tol:
+                if evaluated[0] <= value or moved < _REFINE_TOL:
                     break
             damping *= 10.0
             if damping > _MAX_DAMPING:
@@ -251,6 +249,6 @@ def _damped_newton(x, thetas, v_obs, weights, tol):
         x = trial
         value, gradient, hessian, scale = evaluated
         damping = max(damping / 10.0, 1e-12)
-        if moved < tol:
+        if moved < _REFINE_TOL:
             break
     return float(x[0]), float(x[1])

@@ -2,11 +2,11 @@
 
 Reconstruction runs on the standard informationally complete set of 16
 coincidence modes. Linear inversion gives a fast estimate that can leave
-the physical set (negative eigenvalues at finite counts); the maximum
-likelihood step reparameterizes the state as T'T / Tr(T'T) with T
-lower-triangular, which is positive by construction, and maximizes the
-Poisson likelihood of the observed counts with the overall count scale
-profiled out analytically.
+the physical set (negative eigenvalues at finite counts). The maximum
+likelihood step is a log-barrier Newton loop over the 16 expected mode
+counts, in which the Poisson negative log-likelihood is convex; it stops
+once the barrier's duality gap certifies the likelihood to within 1e-10
+of its maximum (or the round-off of the objective, at high counts).
 
 Circular polarization uses R = (H - iV)/sqrt(2), L = (H + iV)/sqrt(2),
 one of the two standard sign conventions; it matters for the sign of
@@ -59,6 +59,19 @@ MODE_LABELS = (
 )
 
 _MODE_STATES = np.array([np.kron(_KETS[lbl[0]], _KETS[lbl[1]]) for lbl in MODE_LABELS])
+
+# Row i of the design matrix maps a flattened state to p_i = <s_i|rho|s_i>.
+_DESIGN = np.einsum("oi,oj->oij", _MODE_STATES.conj(), _MODE_STATES).reshape(16, 16)
+# The dual frame, flattened: sigma = (m @ _FRAME).reshape(4, 4) has <s_i|sigma|s_i> = m_i.
+_FRAME = np.linalg.inv(_DESIGN).T
+_FRAME = 0.5 * (_FRAME + _FRAME.reshape(16, 4, 4).conj().transpose(0, 2, 1).reshape(16, 16))
+
+_BARRIER_START = 1e-4  # first barrier weight, per count, and at least 1
+_BARRIER_SHRINK = 0.01
+_CENTRED = 1e-3  # a weight mu is centred once the squared Newton decrement <= _CENTRED * mu
+_GAP = 1e-10  # the certified likelihood gap 4 mu at the last weight, ...
+_ROUND_OFF = 16 * np.finfo(float).eps  # ... or this much per count, if larger
+_MAX_NEWTON_STEPS = 200
 
 # CHSH settings maximizing |S| for an ideal Bell state (Stokes angles).
 OPTIMAL_BELL_SETTINGS = (
@@ -148,94 +161,56 @@ def linear_inversion(data: TomoDataset) -> np.ndarray:
     if scale <= 0:
         raise TomographyError("cannot set the count scale: HV-basis modes are all empty")
     phat = data.counts / scale
-    design = np.einsum("oi,oj->oij", _MODE_STATES.conj(), _MODE_STATES).reshape(16, 16)
-    rho = np.linalg.solve(design, phat).reshape(4, 4)
+    rho = np.linalg.solve(_DESIGN, phat).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
 
-_LOWER_OFFDIAG = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
-_ROWS, _COLS = np.array(_LOWER_OFFDIAG).T
-_FLIP = np.eye(4)[::-1]
-_PROBABILITY_FLOOR = 1e-12
+def _frame_cholesky(m: np.ndarray):
+    """Cholesky factor of sigma(m) = sum_i m_i F_i, or None unless sigma(m) > 0."""
+    try:
+        return np.linalg.cholesky((m @ _FRAME).reshape(4, 4))
+    except np.linalg.LinAlgError:
+        return None
 
 
-def _chart(t: np.ndarray):
-    """(T, rho, Tr(T'T)) for the 16 real parameters of a lower-triangular T.
+def _barrier_derivatives(m: np.ndarray, counts: np.ndarray, mu: float, chol: np.ndarray):
+    """Gradient and Hessian in m of sum(m - n log m) - mu log det sigma(m).
 
-    The parameters are T's 4 real diagonal entries, then the real and
-    imaginary parts of each entry below the diagonal. rho = T'T / Tr(T'T)
-    is Hermitian, positive and trace-one for any parameter values, so the
-    optimizer can roam freely; T = 0 maps to the maximally mixed state.
+    With sigma = L L' (``chol`` is L) and B_i = L^-1 F_i L'^-1,
+    tr(sigma^-1 F_i) = tr(B_i) and tr(sigma^-1 F_i sigma^-1 F_j) =
+    Re tr(B_i B_j'), so the barrier's Hessian is a Gram matrix.
     """
-    T = np.zeros((4, 4), dtype=complex)
-    T[np.diag_indices(4)] = t[:4]
-    T[_ROWS, _COLS] = t[4::2] + 1j * t[5::2]
-    rho = T.conj().T @ T
-    trace = np.trace(rho).real
-    if trace <= 0.0:
-        return T, np.eye(4, dtype=complex) / 4.0, 0.0
-    return T, rho / trace, trace
+    inv = np.linalg.inv(chol)
+    kron = (inv[:, None, :, None] * inv.conj()[None, :, None, :]).reshape(16, 16)
+    b = _FRAME @ kron.T  # row i is B_i, flattened
+    gradient = 1.0 - counts / m - mu * b[:, ::5].sum(axis=1).real
+    hessian = np.diag(counts / m**2) + mu * (b.conj() @ b.T).real
+    return gradient, hessian
 
 
-def _t_to_rho(t: np.ndarray) -> np.ndarray:
-    """Density matrix of the Cholesky parameters t (see _chart)."""
-    return _chart(t)[1]
-
-
-def _rho_to_t(rho: np.ndarray) -> np.ndarray:
-    """Inverse chart: lower-triangular T with T'T = rho.
-
-    Uses the flipped Cholesky factorization: with J the index-reversal
-    permutation, J rho J = L L' gives T = J L' J, which is lower
-    triangular and satisfies T'T = rho.
+def _newton_step(m, step, decrement, counts, mu, chol):
+    """Backtrack along ``step`` until sigma stays positive definite and the
+    barrier objective falls by a quarter of the Newton prediction; None if
+    no step of 1e-12 or more does. The fall is summed term by term
+    (log1p, log-diagonals of the Cholesky factors) to keep its precision.
+    Where the squared decrement is at most 0.1 min(mu, 1), the objective
+    over min(mu, 1) is self-concordant and a full step provably lowers it,
+    so any positive-definite step is taken there.
     """
-    lower = np.linalg.cholesky(_FLIP @ rho @ _FLIP + 1e-12 * np.eye(4))
-    T = _FLIP @ lower.conj().T @ _FLIP
-    t = np.empty(16)
-    t[:4] = np.diag(T).real
-    t[4::2] = T[_ROWS, _COLS].real
-    t[5::2] = T[_ROWS, _COLS].imag
-    return t
-
-
-def _nll_and_gradient(t: np.ndarray, counts: np.ndarray):
-    """Profiled Poisson -logL of the state with parameters t, and its gradient in t.
-
-    With mu_i = N p_i and N free, the maximizing N is sum(n)/sum(p);
-    substituting it keeps the objective a function of the state alone.
-    Probabilities are floored at 1e-12 before the logarithm.
-
-    The gradient runs the chain rule back through the chart: the
-    derivative by p_i is g_i = N/P - n_i/p_i (0 where p_i is floored),
-    so the derivative by rho is G = sum_i g_i |s_i><s_i|; through
-    rho = T'T / Tr(T'T) the derivative by T'T is
-    M = (G - Tr(G rho) 1) / Tr(T'T), and d(-logL) = 2 Re Tr(M T' dT), so
-    the parameters' derivatives are read from X = 2 M T'.
-    """
-    T, rho, trace = _chart(t)
-    raw = mode_probabilities(rho)
-    floored = raw < _PROBABILITY_FLOOR
-    p = np.where(floored, _PROBABILITY_FLOOR, raw)
-    scale = counts.sum() / p.sum()
-    mu = scale * p
-    nll = float((mu - counts * np.log(mu)).sum())
-    gradient = np.zeros(16)
-    if trace == 0.0:
-        return nll, gradient
-    g = np.where(floored, 0.0, scale - counts / p)
-    G = np.einsum("i,ij,ik->jk", g, _MODE_STATES, _MODE_STATES.conj())
-    M = (G - np.trace(G @ rho).real * np.eye(4)) / trace
-    X = 2.0 * M @ T.conj().T
-    gradient[:4] = np.diag(X).real
-    gradient[4::2] = X[_COLS, _ROWS].real
-    gradient[5::2] = -X[_COLS, _ROWS].imag
-    return nll, gradient
-
-
-def _negative_log_likelihood(t: np.ndarray, counts: np.ndarray) -> float:
-    """Poisson -logL (up to the count-factorial constant), scale profiled."""
-    return _nll_and_gradient(t, counts)[0]
+    old_log_det = np.log(chol.diagonal().real).sum()
+    t = 1.0
+    while t >= 1e-12:
+        trial = m + t * step
+        trial_chol = _frame_cholesky(trial) if (trial > 0).all() else None
+        if trial_chol is not None:
+            moved = trial - m
+            change = float((moved - counts * np.log1p(moved / m)).sum())
+            change -= 2.0 * mu * (np.log(trial_chol.diagonal().real).sum() - old_log_det)
+            if change <= -0.25 * t * decrement or decrement <= 0.1 * min(mu, 1.0):
+                return trial, trial_chol
+        t *= 0.5
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,54 +248,66 @@ def _project_physical(rho: np.ndarray) -> np.ndarray:
     return (vecs * (w / total)) @ vecs.conj().T
 
 
-def mle_reconstruct(data: TomoDataset, target: PureState | None = None,
-                    max_rounds: int = 40, tol: float = 1e-9) -> TomographyResult:
+def mle_reconstruct(data: TomoDataset, target: PureState | None = None) -> TomographyResult:
     """Poisson maximum-likelihood reconstruction from 16-mode counts.
 
-    Starts from the physicality-projected linear inversion and runs
-    L-BFGS-B on the 16 Cholesky parameters with the exact gradient of
-    the negative log-likelihood (see _nll_and_gradient), restarting
-    until it improves by less than ``tol`` over a full round (guards
-    against flat-stretch early exits). A run that never
-    settles is returned with converged=False rather than raised, so the
-    diagnostics stay inspectable.
+    Newton's method minimizes sum(m - n log m) - mu log det sigma(m) over
+    the 16 expected mode counts m, where sigma(m) = sum_i m_i F_i and F is
+    the dual frame of the mode projectors, from the projected linear
+    inversion mixed with 1% white noise. The barrier weight mu starts at
+    1e-4 of the total count N (at least 1). Once the squared Newton
+    decrement is at most 1e-3 mu, mu shrinks 100-fold, down to
+    4 mu = max(1e-10, 16 eps N). At a central point 4 mu bounds how far
+    the likelihood can still rise; 16 eps N is the objective's own
+    round-off. ``converged`` means that this certified stop was reached
+    within 200 Newton steps (``n_iterations``); a run that misses it is
+    returned, not raised, so the diagnostics stay inspectable. The state
+    is sigma / tr(sigma), and ``log_likelihood`` is its Poisson
+    log-likelihood with the count scale profiled out.
 
     ``target`` sets the state used for the fidelity entry of the quality
     report; default is the phi+ Bell state.
     """
-    from scipy.optimize import minimize
-
     counts = data.counts.astype(float)
-    if counts.sum() <= 0:
+    total = counts.sum()
+    if total <= 0:
         raise TomographyError("dataset has no counts")
     linear = linear_inversion(data)
-    t = _rho_to_t(_project_physical(linear))
-    previous = _negative_log_likelihood(t, counts)
+    p = mode_probabilities(0.99 * _project_physical(linear) + 0.0025 * np.eye(4))
+    m = total / p.sum() * p
+    chol = _frame_cholesky(m)
+    mu = max(_BARRIER_START * total, 1.0)
+    last = max(_GAP, _ROUND_OFF * total) / 4.0
+    steps = 0
     converged = False
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        result = minimize(
-            _nll_and_gradient,
-            t,
-            args=(counts,),
-            method="L-BFGS-B",
-            jac=True,
-            options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10},
-        )
-        t = result.x
-        if previous - result.fun < tol:
-            previous = min(previous, float(result.fun))
-            converged = True
+    while steps < _MAX_NEWTON_STEPS:
+        gradient, hessian = _barrier_derivatives(m, counts, mu, chol)
+        try:
+            step = -np.linalg.solve(hessian, gradient)
+        except np.linalg.LinAlgError:
             break
-        previous = float(result.fun)
-    rho = DensityMatrix(2, _t_to_rho(t))
+        decrement = float(-gradient @ step)
+        if decrement <= _CENTRED * mu:
+            if mu <= last:
+                converged = True
+                break
+            mu = max(mu * _BARRIER_SHRINK, last)
+            continue
+        accepted = _newton_step(m, step, decrement, counts, mu, chol)
+        if accepted is None:
+            break
+        m, chol = accepted
+        steps += 1
+    sigma = (m @ _FRAME).reshape(4, 4)
+    rho = DensityMatrix(2, sigma / np.trace(sigma).real)
+    expected = total / m.sum() * m
     report = entanglement_report(rho, target if target is not None else bell_state("phi+"))
     return TomographyResult(
         rho_mle=rho,
         rho_linear=linear,
         report=report,
-        log_likelihood=-previous,
-        n_iterations=rounds,
+        log_likelihood=-float((expected - counts * np.log(expected)).sum()),
+        n_iterations=steps,
         converged=converged,
     )
 

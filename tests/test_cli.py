@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from infobell import (
     MODE_LABELS,
@@ -215,6 +222,12 @@ def test_exit_code_2_on_non_finite_inputs(tmp_path, capsys):
     curve_path.write_text("theta,v,dv\n0.2,0.4,0.01\n0.3,nan,0.01\n0.4,0.3,0.01\n")
     assert main(["fit", "--curve", str(curve_path)]) == 2
     capsys.readouterr()
+    assert main(["violation", "--state", "bell", "--theta", "inf"]) == 2
+    assert "--theta is not finite: inf" in capsys.readouterr().err
+    assert main(["sweep", "--state", "bell", "--thetas", "0.1,inf"]) == 2
+    assert "'0.1,inf'" in capsys.readouterr().err
+    assert main(["sweep", "--state", "bell", "--range", "0:inf:0.1"]) == 2
+    assert "range '0:inf:0.1'" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_non_finite_config_and_state(tmp_path, capsys):
@@ -225,6 +238,57 @@ def test_exit_code_2_on_non_finite_config_and_state(tmp_path, capsys):
     assert "accidental_mean" in capsys.readouterr().err
     assert main(["violation", "--state", "werner:0.9,nan", "--theta", "0.3"]) == 2
     assert "phase" in capsys.readouterr().err
+
+
+# Each template puts one value into one float-valued flag (or the numbers
+# of a werner state spec); "--flag=value" keeps "-inf" from reading as an option.
+_FLOAT_FLAGS = (
+    lambda x: ["violation", "--state", "bell", f"--theta={x}"],
+    lambda x: ["violation", "--state", f"werner:{x},0.1", "--theta", "0.3"],
+    lambda x: ["violation", "--state", f"werner:0.9,{x}", "--theta", "0.3"],
+    lambda x: ["sweep", "--state", "bell", f"--thetas=0.1,{x},0.4"],
+    lambda x: ["sweep", "--state", "bell", f"--range={x}:1:0.1"],
+    lambda x: ["sweep", "--state", "bell", f"--range=0:{x}:0.1"],
+    lambda x: ["sweep", "--state", "bell", f"--range=0:1:{x}"],
+    lambda x: ["chsh", "--state", "bell", f"--angles=0,{x},0.3,0.5"],
+    lambda x: ["reactivity", f"--lambdas=0.2,{x}", "--samples", "10", "--seed", "1"],
+    lambda x: ["reactivity", "--lambdas", "0.2", f"--phase={x}", "--samples", "10", "--seed", "1"],
+)
+
+
+@given(
+    template=st.sampled_from(_FLOAT_FLAGS),
+    value=st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "-Infinity", "+inf"]),
+    as_json=st.booleans(),
+)
+def test_any_non_finite_float_flag_exits_2_quietly(template, value, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = Path(tmp) / "out"
+        argv = template(value) + ["-o", str(out_path)] + (["--json"] if as_json else [])
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == 2
+        assert not out_path.exists()
+    assert stderr.getvalue().startswith("error: ")
+    assert "RuntimeWarning" not in stderr.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_tomo_and_fit_run_with_scipy_blocked(tmp_path):
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text(expected_counts(modified_werner(0.998, 0.225), 10000).to_csv())
+    curve_path = tmp_path / "curve.csv"
+    curve_path.write_text(curve_to_csv(sweep(modified_werner(0.998, 0.225), REFERENCE_THETAS)))
+    code = ("import sys\nsys.modules['scipy'] = None\n"
+            "from infobell.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv in (["tomo", "--counts", str(counts_path)], ["fit", "--curve", str(curve_path)]):
+        run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                             env=env)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout)["format_version"] == 1
 
 
 def test_import_does_not_load_scipy():

@@ -23,14 +23,14 @@ from infobell import (
     mle_reconstruct,
     modified_werner,
 )
+from infobell import tomography
 from infobell.tomography import (
+    _FRAME,
     _KETS,
     _MODE_STATES,
-    _negative_log_likelihood,
-    _nll_and_gradient,
+    _barrier_derivatives,
+    _frame_cholesky,
     _project_physical,
-    _rho_to_t,
-    _t_to_rho,
     mode_probabilities,
 )
 from conftest import random_density
@@ -51,6 +51,13 @@ def noisy_dataset(rho, per_basis, seed):
     rng = np.random.default_rng(seed)
     p = mode_probabilities(rho.matrix)
     return TomoDataset(rng.poisson(per_basis * p).astype(np.int64))
+
+
+def profiled_nll(rho_matrix, counts) -> float:
+    """Poisson -logL of the state, the count scale set to its optimum sum(n)/sum(p)."""
+    p = mode_probabilities(rho_matrix)
+    mu = (counts.sum() / p.sum()) * p
+    return float((mu - counts * np.log(mu)).sum())
 
 
 def test_mode_labels_canonical_order():
@@ -150,9 +157,9 @@ def test_mle_beats_projected_linear_inversion():
     result = mle_reconstruct(data)
     projected = _project_physical(linear_inversion(data))
     counts = data.counts.astype(float)
-    nll_mle = _negative_log_likelihood(_rho_to_t(result.rho_mle.matrix), counts)
-    nll_li = _negative_log_likelihood(_rho_to_t(projected), counts)
-    assert nll_mle <= nll_li + 1e-9
+    nll_li = profiled_nll(projected, counts)
+    assert np.isfinite(nll_li)
+    assert profiled_nll(result.rho_mle.matrix, counts) <= nll_li + 1e-9
 
 
 @pytest.mark.parametrize("pin", PINS["mle"], ids=lambda pin: f"seed{pin['seed']}")
@@ -164,50 +171,90 @@ def test_mle_never_worse_than_derivative_free_pins(pin):
     assert trace_distance(result.rho_mle, pinned) <= 1e-4
 
 
-def test_negative_log_likelihood_is_the_profiled_poisson_formula(rng):
-    counts = noisy_dataset(WERNER, 500, seed=4).counts.astype(float)
-    t = rng.standard_normal(16)
-    p = np.clip(mode_probabilities(_t_to_rho(t)), 1e-12, None)
-    mu = (counts.sum() / p.sum()) * p
-    assert _negative_log_likelihood(t, counts) == float((mu - counts * np.log(mu)).sum())
+def test_mle_passes_a_rank_deficient_stationary_point():
+    """Counts drawn from modified_werner(0.971596590988624, 1.924760804691114)
+    at 10,000 per basis. A Cholesky-chart optimizer stopped here at a
+    rank-2 state, log-likelihood 304300.0793; the maximum has rank 3 and
+    lies 0.196 higher."""
+    counts = np.array([4918, 84, 4947, 78, 2453, 2460, 2429, 2548,
+                       4783, 1646, 4919, 2595, 2454, 2461, 2554, 1629])
+    result = mle_reconstruct(TomoDataset(counts))
+    assert result.converged
+    assert result.log_likelihood >= 304300.27
+    assert np.linalg.eigvalsh(result.rho_mle.matrix)[1] > 1e-3
 
 
-def _central_difference_gradient(t, counts, h=1e-7):
-    grad = np.empty(16)
-    for k in range(16):
-        step = np.zeros(16)
-        step[k] = h
-        grad[k] = (_negative_log_likelihood(t + step, counts)
-                   - _negative_log_likelihood(t - step, counts)) / (2 * h)
-    return grad
+def test_log_likelihood_is_the_profiled_poisson_formula(rng):
+    for data in (noisy_dataset(WERNER, 500, seed=4), noisy_dataset(random_density(rng), 300, seed=5)):
+        result = mle_reconstruct(data)
+        counts = data.counts.astype(float)
+        assert result.log_likelihood == pytest.approx(-profiled_nll(result.rho_mle.matrix, counts),
+                                                      rel=1e-13)
 
 
-def test_nll_gradient_matches_central_differences(rng):
-    counts = noisy_dataset(random_density(rng), 2000, seed=5).counts.astype(float)
-    for _ in range(5):
-        t = rng.standard_normal(16)
-        value, grad = _nll_and_gradient(t, counts)
-        assert value == _negative_log_likelihood(t, counts)
-        numeric = _central_difference_gradient(t, counts)
-        assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+def test_dual_frame_reproduces_the_mode_counts(rng):
+    m = rng.uniform(1.0, 50.0, size=16)
+    sigma = (m @ _FRAME).reshape(4, 4)
+    assert np.array_equal(sigma, sigma.conj().T)
+    assert_allclose(mode_probabilities(sigma), m, rtol=1e-13)
 
 
-def test_nll_gradient_with_a_floored_mode(rng):
-    """T's last diagonal entry alone maps onto |HH>, so with it at 1e-6,
-    p_HH stays below the 1e-12 floor for every step of the stencil while
-    still depending on t: the floored mode adds nothing to the gradient,
-    whatever its count."""
-    counts = noisy_dataset(WERNER, 2000, seed=6).counts.astype(float)
-    t = rng.standard_normal(16)
-    t[3] = 1e-6
-    hh = MODE_LABELS.index("HH")
-    p = mode_probabilities(_t_to_rho(t))
-    p_up = mode_probabilities(_t_to_rho(t + 1e-7 * np.eye(16)[3]))
-    assert 0.0 < p[hh] < p_up[hh] < 1e-12
-    assert counts[hh] > 0 and (np.delete(p, hh) > 1e-6).all()
-    _, grad = _nll_and_gradient(t, counts)
-    numeric = _central_difference_gradient(t, counts)
-    assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+def _barrier_objective(m, counts, mu) -> float:
+    eigenvalues = np.linalg.eigvalsh((m @ _FRAME).reshape(4, 4))
+    assert eigenvalues.min() > 0.0
+    return float((m - counts * np.log(m)).sum()) - mu * float(np.log(eigenvalues).sum())
+
+
+def test_barrier_derivatives_match_central_differences(rng):
+    """Gradient against differences of the objective, Hessian against
+    differences of the gradient, with one mode at zero counts."""
+    counts = noisy_dataset(random_density(rng), 300, seed=5).counts.astype(float)
+    counts[3] = 0.0
+    for mu in (2.0, 0.05):
+        m = counts.sum() * mode_probabilities(random_density(rng).matrix)
+        gradient, hessian = _barrier_derivatives(m, counts, mu, _frame_cholesky(m))
+        numeric_gradient = np.empty(16)
+        numeric_hessian = np.empty((16, 16))
+        for k in range(16):
+            h = 1e-6 * m[k]
+            up, down = m.copy(), m.copy()
+            up[k] += h
+            down[k] -= h
+            numeric_gradient[k] = (_barrier_objective(up, counts, mu)
+                                   - _barrier_objective(down, counts, mu)) / (2 * h)
+            numeric_hessian[k] = (_barrier_derivatives(up, counts, mu, _frame_cholesky(up))[0]
+                                  - _barrier_derivatives(down, counts, mu, _frame_cholesky(down))[0]
+                                  ) / (2 * h)
+        assert np.linalg.norm(gradient - numeric_gradient) <= 1e-6 * np.linalg.norm(gradient)
+        assert np.linalg.norm(hessian - numeric_hessian) <= 1e-6 * np.linalg.norm(hessian)
+        assert np.array_equal(hessian, hessian.T)
+
+
+def test_every_newton_step_lowers_the_barrier_objective(monkeypatch):
+    newton_step = tomography._newton_step
+    falls = []
+
+    def checked(m, step, decrement, counts, mu, chol):
+        accepted = newton_step(m, step, decrement, counts, mu, chol)
+        if accepted is not None:
+            falls.append(_barrier_objective(m, counts, mu)
+                         - _barrier_objective(accepted[0], counts, mu))
+        return accepted
+
+    monkeypatch.setattr(tomography, "_newton_step", checked)
+    counts = np.array([4918, 84, 4947, 78, 2453, 2460, 2429, 2548,
+                       4783, 1646, 4919, 2595, 2454, 2461, 2554, 1629])
+    result = mle_reconstruct(TomoDataset(counts))
+    assert len(falls) == result.n_iterations
+    assert min(falls) >= -1e-9
+
+
+def test_mle_that_hits_the_step_cap_reports_it(monkeypatch):
+    monkeypatch.setattr(tomography, "_MAX_NEWTON_STEPS", 3)
+    result = mle_reconstruct(noisy_dataset(WERNER, 3000, seed=7))
+    assert not result.converged
+    assert result.n_iterations == 3
+    assert np.linalg.eigvalsh(result.rho_mle.matrix).min() >= -1e-9
 
 
 def test_mle_round_trip_error_shrinks_with_counts():
