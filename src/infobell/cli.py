@@ -55,8 +55,16 @@ REACTIVITY_HEADER = "# infobell reactivity v1"
 _EDGE_COLUMNS = ("d_a1b1", "d_a2b1", "d_a2b2", "d_a1b2")
 
 
+class NonFiniteOutputError(RuntimeError):
+    """A result to be written holds NaN or inf."""
+
+
 def _fmt(x: float) -> str:
-    return f"{float(x):.6g}"
+    """Six significant digits; NaN or inf raises NonFiniteOutputError."""
+    x = float(x)
+    if not np.isfinite(x):
+        raise NonFiniteOutputError(f"non-finite value in text output: {x}")
+    return f"{x:.6g}"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -80,21 +88,20 @@ def _emit(text: str, path: str | None) -> None:
         _atomic_write(path, text)
 
 
-class NonFiniteOutputError(RuntimeError):
-    """A result to be written holds NaN or inf."""
+def _json_text(payload: dict) -> str:
+    """``payload`` as indented JSON under the versioned envelope.
 
-
-def _emit_json(payload: dict, path: str | None) -> None:
-    """Emit ``payload`` as indented JSON under the versioned envelope.
-
-    A NaN or inf anywhere in the payload raises NonFiniteOutputError
-    before anything is written.
+    A NaN or inf anywhere in the payload raises NonFiniteOutputError.
     """
     try:
         text = json.dumps({"format_version": 1, **payload}, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteOutputError(f"non-finite value in JSON output: {exc}") from None
-    _emit(text + "\n", path)
+    return text + "\n"
+
+
+def _emit_json(payload: dict, path: str | None) -> None:
+    _emit(_json_text(payload), path)
 
 
 def parse_state_spec(spec: str) -> DensityMatrix:
@@ -149,12 +156,13 @@ def curve_from_csv(path: str) -> ViolationCurve:
 
     Columns are located by the header row, so both layouts (theta,v,dv
     and theta,<edges...>,v,dv) parse; a missing or empty dv column
-    yields a curve without uncertainties.
+    yields a curve without uncertainties. A data row whose cell count
+    differs from the header's is an error that names its line.
     """
     header = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -164,6 +172,9 @@ def curve_from_csv(path: str) -> ViolationCurve:
                 if "theta" not in header or "v" not in header:
                     raise ValueError(f"curve file {path!r} lacks theta/v columns")
                 continue
+            if len(cells) != len(header):
+                raise ValueError(f"curve file {path!r} line {lineno} has {len(cells)} cells "
+                                 f"but its header has {len(header)}")
             rows.append(cells)
     if header is None or not rows:
         raise ValueError(f"curve file {path!r} has no data rows")
@@ -172,7 +183,7 @@ def curve_from_csv(path: str) -> ViolationCurve:
     thetas = np.array([float(r[i_theta]) for r in rows])
     v = np.array([float(r[i_v]) for r in rows])
     dv = None
-    if i_dv is not None and all(len(r) > i_dv and r[i_dv] != "" for r in rows):
+    if i_dv is not None and all(r[i_dv] != "" for r in rows):
         dv = np.array([float(r[i_dv]) for r in rows])
     return ViolationCurve(thetas, v, dv)
 
@@ -306,9 +317,8 @@ def cmd_reactivity(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    """Run the full demonstration pipeline into a results directory."""
-    outdir = args.output
-    os.makedirs(outdir, exist_ok=True)
+    """Run the full demonstration pipeline into a results directory; a failing run writes nothing."""
+    files = {}
     summary = []
 
     bell = bell_state("phi+").density_matrix()
@@ -323,19 +333,19 @@ def cmd_reproduce(args) -> int:
     theta_star, v_star = max_violation(bell)
     summary.append(f"Peak violation (dense scan): theta* = {_fmt(theta_star)}, v* = {_fmt(v_star)}")
 
-    _atomic_write(os.path.join(outdir, "bell_curve.csv"), curve_to_csv(sweep(bell, REFERENCE_THETAS)))
-    _atomic_write(os.path.join(outdir, "werner_curve.csv"), curve_to_csv(sweep(werner, REFERENCE_THETAS)))
+    files["bell_curve.csv"] = curve_to_csv(sweep(bell, REFERENCE_THETAS))
+    files["werner_curve.csv"] = curve_to_csv(sweep(werner, REFERENCE_THETAS))
 
     noise = NoiseConfig(accidental_mean=6.0, angle_sigma=0.0030, seed=args.seed)
     rows = simulate_sweep(werner, REFERENCE_THETAS, args.counts, noise)
-    _atomic_write(os.path.join(outdir, "simulated_run.csv"), run_rows_to_csv(rows))
+    files["simulated_run.csv"] = run_rows_to_csv(rows)
     observed = ViolationCurve(
         np.array([theta for theta, _ in rows]),
         np.array([quad.violation for _, quad in rows]),
         np.array([quad.violation_uncertainty for _, quad in rows]),
     )
     fit = fit_werner(observed)
-    _emit_json(fit.to_json_dict(), os.path.join(outdir, "fit.json"))
+    files["fit.json"] = _json_text(fit.to_json_dict())
     summary.append(
         f"Simulated run ({args.counts} counts/mode, seed {args.seed}) refit: "
         f"lambda = {_fmt(fit.lam)}, phase = {_fmt(fit.phase)}"
@@ -355,7 +365,7 @@ def cmd_reproduce(args) -> int:
         (lam, reactivity(modified_werner(lam, 0.0, n_qubits=4), args.samples, args.seed))
         for lam in lambdas
     ]
-    _atomic_write(os.path.join(outdir, "reactivity.csv"), reactivity_rows_to_csv(react_rows))
+    files["reactivity.csv"] = reactivity_rows_to_csv(react_rows)
     values = [result.reactivity for _, result in react_rows]
     trend = "increasing" if all(b > a for a, b in zip(values, values[1:])) else "NOT increasing"
     summary.append(
@@ -363,9 +373,12 @@ def cmd_reproduce(args) -> int:
         + ", ".join(_fmt(v) for v in values)
         + f"  ({trend} in lambda)"
     )
+    files["summary.txt"] = "\n".join(summary) + "\n"
 
-    _atomic_write(os.path.join(outdir, "summary.txt"), "\n".join(summary) + "\n")
-    print(f"wrote {outdir}")
+    os.makedirs(args.output, exist_ok=True)
+    for name, text in files.items():
+        _atomic_write(os.path.join(args.output, name), text)
+    print(f"wrote {args.output}")
     return 0
 
 

@@ -9,9 +9,10 @@ propagation: finite-difference sensitivities of the information
 distance to the two analyzer angles (times the calibration sigma) and
 to the four mode counts (times the Poisson sqrt(N) count errors).
 
-Note the plug-in entropy estimate gives the distance a small negative
-bias, about -2/(n ln 2) (-0.008 at n = 350); it is left uncorrected,
-matching plain plug-in practice.
+The plug-in entropy estimate biases each distance by about -2/(n ln 2)
+(-0.008 at n = 350), so V (direct edge minus three sides) is biased
+upward by about +4/(n ln 2) (+0.016 at n = 350), enough to fake a
+violation where the exact V is slightly negative. It is left uncorrected.
 """
 
 from __future__ import annotations
@@ -272,6 +273,13 @@ def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
     return list(zip(thetas, quads))
 
 
+def _whole(value, field: str) -> int:
+    """A whole-number config value: 350 and 350.0 pass; 350.9, true and NaN do not."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ConfigError(f"{field} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Parsed run configuration for the simulate pipeline."""
@@ -312,8 +320,8 @@ class SimulationConfig:
             lam = float(state["lambda"])
             phase = float(state["phase"])
             thetas = tuple(float(t) for t in payload["thetas"])
-            counts = int(payload["counts_per_mode"])
-            seed = int(payload["seed"])
+            counts = _whole(payload["counts_per_mode"], "counts_per_mode")
+            seed = _whole(payload["seed"], "seed")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"missing or malformed config field: {exc}") from exc
         try:

@@ -68,23 +68,17 @@ def _info_distances(p: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, d)
 
 
-def _leave_one_out_conditionals(p: np.ndarray, n: int) -> np.ndarray:
-    """H(X_i | all others) for each of the n parties in the trailing axes, clamped at zero."""
+def _contents(p: np.ndarray, n: int) -> np.ndarray:
+    """Information content of the n-party tables in the trailing n axes, bits^(n-1).
+
+    The sum over parties of the product of the other parties' conditional
+    entropies H(X_j | rest), each clamped at zero: the area for n = 3,
+    the volume for n = 4.
+    """
     h_all = _entropies(p, n)
-    h = [h_all - _entropies(p.sum(axis=i - n), n - 1) for i in range(n)]
-    return np.clip(np.stack(h, axis=-1), 0.0, None)
-
-
-def _areas(p: np.ndarray) -> np.ndarray:
-    """Information areas of three-party tables in the trailing axes."""
-    h = _leave_one_out_conditionals(p, 3)
-    return h[..., 0] * h[..., 1] + h[..., 1] * h[..., 2] + h[..., 2] * h[..., 0]
-
-
-def _volumes(p: np.ndarray) -> np.ndarray:
-    """Information volumes of four-party tables in the trailing axes."""
-    h = _leave_one_out_conditionals(p, 4)
-    return sum(np.prod(np.delete(h, k, axis=-1), axis=-1) for k in range(4))
+    h = np.stack([h_all - _entropies(p.sum(axis=i - n), n - 1) for i in range(n)], axis=-1)
+    h = np.clip(h, 0.0, None)
+    return sum(np.prod(np.delete(h, i, axis=-1), axis=-1) for i in range(n))
 
 
 def shannon_entropy(dist) -> float:
@@ -355,14 +349,14 @@ def info_area(dist: JointDistribution) -> float:
     """
     if dist.n_parties != 3:
         raise ValueError("info_area needs a three-party distribution")
-    return float(_areas(dist.probs))
+    return float(_contents(dist.probs, 3))
 
 
 def info_volume(dist: JointDistribution) -> float:
     """Sum of the four triple products of conditional entropies H(X|rest), bits^3."""
     if dist.n_parties != 4:
         raise ValueError("info_volume needs a four-party distribution")
-    return float(_volumes(dist.probs))
+    return float(_contents(dist.probs, 4))
 
 
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -376,24 +370,19 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _random_local_bases(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
-    """One uniformly random rank-1 projective basis per qubit.
+def _random_local_bases(z: np.ndarray) -> np.ndarray:
+    """Uniformly random rank-1 projective qubit bases from Gaussian draws z of shape (..., 4).
 
-    Each basis comes from a normalized complex-Gaussian pure state (a, b)
-    with orthogonal partner (-conj(b), conj(a)); rows are basis states.
+    Each basis comes from the normalized complex-Gaussian pure state
+    (a, b) = (z0 + i z1, z2 + i z3) with orthogonal partner
+    (-conj(b), conj(a)); rows are basis states, shape (..., 2, 2).
     """
-    z = rng.standard_normal((n_qubits, 4))
-    a = z[:, 0] + 1j * z[:, 1]
-    b = z[:, 2] + 1j * z[:, 3]
+    a = z[..., 0] + 1j * z[..., 1]
+    b = z[..., 2] + 1j * z[..., 3]
     norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
     a /= norm
     b /= norm
-    bases = np.empty((n_qubits, 2, 2), dtype=complex)
-    bases[:, 0, 0] = a
-    bases[:, 0, 1] = b
-    bases[:, 1, 0] = -b.conj()
-    bases[:, 1, 1] = a.conj()
-    return bases
+    return np.stack([np.stack([a, b], axis=-1), np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -450,11 +439,11 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
         raise ValueError("reactivity is implemented for 4-qubit states")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    bases = np.stack([_random_local_bases(stream_rng(seed, i), 4) for i in range(n_samples)])
-    p = np.clip(_born(_product_kets(bases), rho.matrix), 0.0, None)
+    z = np.stack([stream_rng(seed, i).standard_normal((4, 4)) for i in range(n_samples)])
+    p = np.clip(_born(_product_kets(_random_local_bases(z)), rho.matrix), 0.0, None)
     p = _checked_tables((p / p.sum(axis=-1, keepdims=True)).reshape(-1, 2, 2, 2, 2), 4)
     faces = np.stack([p.sum(axis=k) for k in range(1, 5)], axis=1)
-    mean_area = float(_areas(faces).mean(axis=-1).mean())
-    mean_volume = float(_volumes(p).mean())
+    mean_area = float(_contents(faces, 3).mean(axis=-1).mean())
+    mean_volume = float(_contents(p, 4).mean())
     ratio = mean_area / mean_volume if mean_volume > 0.0 else float("inf")
     return ReactivityResult(mean_area, mean_volume, ratio, n_samples, seed)

@@ -351,26 +351,11 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     n = rho.n_qubits
     if not keep or len(set(keep)) != len(keep) or any(not 0 <= k < n for k in keep):
         raise ValueError(f"invalid subsystem selection {keep!r} for {n} qubit(s)")
-    keep = tuple(sorted(keep))
-    letters = "abcdefghijklmnop"
-    row, col, out_row, out_col = [], [], [], []
-    free = iter(letters)
-    for i in range(n):
-        if i in keep:
-            r, c = next(free), next(free)
-            row.append(r)
-            col.append(c)
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            t = next(free)
-            row.append(t)
-            col.append(t)
-    sub = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    reduced = np.einsum(sub, tensor)
+    order = sorted(keep) + [i for i in range(n) if i not in keep]
     k = len(keep)
-    return DensityMatrix(k, reduced.reshape(2**k, 2**k))
+    tensor = rho.matrix.reshape((2,) * (2 * n)).transpose(order + [n + i for i in order])
+    block = tensor.reshape(2**k, 2 ** (n - k), 2**k, 2 ** (n - k))
+    return DensityMatrix(k, np.trace(block, axis1=1, axis2=3))
 
 
 def fidelity(rho: DensityMatrix, target: PureState) -> float:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from infobell import (
     MODE_LABELS,
     REFERENCE_THETAS,
+    ReactivityResult,
     SimulationConfig,
     expected_counts,
     modified_werner,
@@ -337,6 +338,57 @@ def test_non_finite_json_output_is_a_numerical_failure(tmp_path, monkeypatch, ca
     assert not out_path.exists()
     assert os.listdir(tmp_path) == []
     assert main(["chsh", "--state", "bell", "--optimal", "--json"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_fit_curve_row_shorter_than_header_exits_2(tmp_path, capsys):
+    curve_path = tmp_path / "short.csv"
+    curve_path.write_text("# a comment\ntheta,v,dv\n0.2\n")
+    assert main(["fit", "--curve", str(curve_path)]) == 2
+    assert "line 3 has 1 cells but its header has 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("counts_per_mode", 350.9), ("seed", 2.7), ("counts_per_mode", True), ("seed", False),
+])
+def test_simulate_config_rejects_fractional_and_boolean_whole_numbers(tmp_path, capsys,
+                                                                      field, value):
+    out_path = tmp_path / "run.csv"
+    bad = write_config(tmp_path, {**CONFIG, field: value})
+    assert main(["simulate", "--config", bad, "-o", str(out_path)]) == 2
+    assert f"{field} must be a whole number, got {value!r}" in capsys.readouterr().err
+    assert not out_path.exists()
+    whole = CONFIG[field]
+    assert main(["simulate", "--config", write_config(tmp_path, {**CONFIG, field: float(whole)})]) == 0
+    as_float = capsys.readouterr().out
+    assert main(["simulate", "--config", write_config(tmp_path, {**CONFIG, field: whole})]) == 0
+    assert capsys.readouterr().out == as_float
+
+
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--counts", "0"], ["--samples", "0"]])
+def test_failed_reproduce_writes_nothing(tmp_path, capsys, flag):
+    outdir = tmp_path / "demo"
+    argv = ["reproduce", "--output", str(outdir), "--seed", "3", "--samples", "20"]
+    assert main(argv + flag) == 2
+    capsys.readouterr()
+    assert not outdir.exists()
+
+
+def test_non_finite_text_output_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFiniteOutputError):
+            cli._fmt(bad)
+    assert cli._fmt(0.1234567) == "0.123457"
+
+    def degenerate(rho, n_samples, seed):
+        return ReactivityResult(1.0, 0.0, float("inf"), n_samples, seed)
+
+    monkeypatch.setattr(cli, "reactivity", degenerate)
+    out_path = tmp_path / "f.csv"
+    assert main(["reactivity", "--lambdas", "0.2", "--seed", "1", "-o", str(out_path)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    assert main(["reactivity", "--lambdas", "0.2", "--seed", "1"]) == 3
     assert capsys.readouterr().out == ""
 
 

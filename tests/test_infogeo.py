@@ -27,6 +27,7 @@ from infobell import (
     sweep,
     violation,
 )
+from infobell import infogeo
 from infobell.infogeo import golden_section_min
 
 # Exact-model values on the eight-angle reference grid, frozen from an
@@ -278,3 +279,77 @@ def test_reactivity_result_validates_ratio():
 def test_reactivity_requires_four_qubits():
     with pytest.raises(ValueError):
         reactivity(modified_werner(0.5, 0.0), 50, 0)
+
+
+def _plain_entropy(q):
+    q = q.ravel()
+    return -float((q * np.log2(np.where(q > 1e-15, q, 1.0))).sum())
+
+
+def _leave_one_out(p):
+    """H(X_i | rest) = H(all) - H(all but i), clamped at zero, written out per party."""
+    return [max(0.0, _plain_entropy(p) - _plain_entropy(p.sum(axis=i))) for i in range(p.ndim)]
+
+
+def test_contents_are_the_elementary_symmetric_polynomials(rng):
+    tables3 = rng.dirichlet(np.full(8, 0.5), size=50).reshape(-1, 2, 2, 2)
+    tables4 = rng.dirichlet(np.full(16, 0.5), size=50).reshape(-1, 2, 2, 2, 2)
+    areas = infogeo._contents(tables3, 3)
+    volumes = infogeo._contents(tables4, 4)
+    for p, area in zip(tables3, areas):
+        h0, h1, h2 = _leave_one_out(p)
+        assert area == pytest.approx(h0 * h1 + h0 * h2 + h1 * h2, abs=1e-15)
+    for p, volume in zip(tables4, volumes):
+        h0, h1, h2, h3 = _leave_one_out(p)
+        e3 = h1 * h2 * h3 + h0 * h2 * h3 + h0 * h1 * h3 + h0 * h1 * h2
+        assert volume == pytest.approx(e3, abs=1e-15)
+    for n in (3, 4):
+        correlated = np.zeros((2,) * n)
+        correlated[(0,) * n] = correlated[(1,) * n] = 0.5
+        assert infogeo._contents(correlated, n) == 0.0
+        assert infogeo._contents(np.full((2,) * n, 0.5**n), n) == pytest.approx(n, abs=1e-14)
+
+
+def test_reactivity_builds_its_bases_in_one_call(monkeypatch):
+    calls = {"bases": 0, "streams": 0}
+    bases, streams = infogeo._random_local_bases, infogeo.stream_rng
+
+    def counting_bases(z):
+        calls["bases"] += 1
+        return bases(z)
+
+    def counting_streams(*key):
+        calls["streams"] += 1
+        return streams(*key)
+
+    monkeypatch.setattr(infogeo, "_random_local_bases", counting_bases)
+    monkeypatch.setattr(infogeo, "stream_rng", counting_streams)
+    reactivity(modified_werner(0.5, 0.0, n_qubits=4), 37, 3)
+    assert calls == {"bases": 1, "streams": 37}
+
+
+def _per_sample_bases(rng, n_qubits):
+    """One sample's bases as the per-sample implementation built them."""
+    z = rng.standard_normal((n_qubits, 4))
+    a = z[:, 0] + 1j * z[:, 1]
+    b = z[:, 2] + 1j * z[:, 3]
+    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    a /= norm
+    b /= norm
+    bases = np.empty((n_qubits, 2, 2), dtype=complex)
+    bases[:, 0, 0] = a
+    bases[:, 0, 1] = b
+    bases[:, 1, 0] = -b.conj()
+    bases[:, 1, 1] = a.conj()
+    return bases
+
+
+def test_batched_bases_match_the_per_sample_reference():
+    for seed, n_samples in ((7, 300), (0, 1), (12345, 17)):
+        z = np.stack([stream_rng(seed, i).standard_normal((4, 4)) for i in range(n_samples)])
+        batched = infogeo._random_local_bases(z)
+        reference = np.stack([_per_sample_bases(stream_rng(seed, i), 4) for i in range(n_samples)])
+        assert batched.shape == (n_samples, 4, 2, 2)
+        assert np.array_equal(batched, reference)
+        unitary = batched @ batched.conj().swapaxes(-1, -2)
+        assert_allclose(unitary, np.broadcast_to(np.eye(2), unitary.shape), atol=1e-14)

@@ -195,6 +195,41 @@ def test_partial_trace_of_product_state(rng):
     assert_allclose(partial_trace(joint, (1,)).matrix, b.matrix, atol=1e-12)
 
 
+def _kron_all(matrices):
+    out = np.ones((1, 1))
+    for m in matrices:
+        out = np.kron(out, m)
+    return out
+
+
+@pytest.mark.parametrize("n, keep", [
+    (3, (0,)), (3, (2,)), (3, (2, 0)), (3, (1, 2)), (3, (0, 1, 2)),
+    (4, (3, 1)), (4, (0, 2)), (4, (3, 0, 2)), (4, (1, 2, 3)), (4, (2,)),
+])
+def test_partial_trace_of_kron_products(rng, n, keep):
+    factors = [random_density(rng, 1).matrix for _ in range(n)]
+    reduced = partial_trace(DensityMatrix(n, _kron_all(factors)), keep)
+    assert reduced.n_qubits == len(keep)
+    assert_allclose(reduced.matrix, _kron_all([factors[i] for i in sorted(keep)]), atol=1e-14)
+
+
+def test_partial_trace_keeps_an_entangled_pair(rng):
+    pair = random_density(rng, 2).matrix
+    c, d = random_density(rng, 1).matrix, random_density(rng, 1).matrix
+    rho = DensityMatrix(4, _kron_all([pair, c, d]))
+    assert_allclose(partial_trace(rho, (3, 1, 0)).matrix, _kron_all([pair, d]), atol=1e-14)
+    assert_allclose(partial_trace(rho, (2, 3)).matrix, _kron_all([c, d]), atol=1e-14)
+
+
+def test_partial_trace_on_nine_qubits(rng):
+    mixed = partial_trace(DensityMatrix(9, np.eye(512) / 512), range(8))
+    assert mixed.n_qubits == 8
+    assert_allclose(mixed.matrix, np.eye(256) / 256, atol=1e-15)
+    factors = [random_density(rng, 1).matrix for _ in range(9)]
+    reduced = partial_trace(DensityMatrix(9, _kron_all(factors)), (8, 0, 4))
+    assert_allclose(reduced.matrix, _kron_all([factors[0], factors[4], factors[8]]), atol=1e-14)
+
+
 def test_fidelity_requires_pure_target():
     rho = bell_state("phi+").density_matrix()
     with pytest.raises(TypeError):
