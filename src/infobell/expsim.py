@@ -273,9 +273,17 @@ def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
     return list(zip(thetas, quads))
 
 
+def _number(value, field: str, what: str = "a number") -> float:
+    """A numeric config value as JSON writes it: an int or a float, never
+    a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be {what}, got {value!r}")
+    return float(value)
+
+
 def _whole(value, field: str) -> int:
-    """A whole-number config value: 350 and 350.0 pass; 350.9, true and NaN do not."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """A whole-number config value: 350 and 350.0 pass; 350.9, true, "350" and NaN do not."""
+    if not _number(value, field, "a whole number").is_integer():
         raise ConfigError(f"{field} must be a whole number, got {value!r}")
     return int(value)
 
@@ -317,18 +325,16 @@ class SimulationConfig:
         """
         try:
             state = payload["state"]
-            lam = float(state["lambda"])
-            phase = float(state["phase"])
-            thetas = tuple(float(t) for t in payload["thetas"])
+            lam = _number(state["lambda"], "state.lambda")
+            phase = _number(state["phase"], "state.phase")
+            thetas = tuple(_number(t, "thetas") for t in payload["thetas"])
             counts = _whole(payload["counts_per_mode"], "counts_per_mode")
             seed = _whole(payload["seed"], "seed")
-        except (KeyError, TypeError, ValueError) as exc:
+            accidental = _number(payload.get("accidental_mean", DEFAULT_ACCIDENTAL_MEAN),
+                                 "accidental_mean")
+            sigma = _number(payload.get("angle_sigma", DEFAULT_ANGLE_SIGMA), "angle_sigma")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"missing or malformed config field: {exc}") from exc
-        try:
-            accidental = float(payload.get("accidental_mean", DEFAULT_ACCIDENTAL_MEAN))
-            sigma = float(payload.get("angle_sigma", DEFAULT_ANGLE_SIGMA))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed noise field: {exc}") from exc
         return cls(
             lam=lam,
             phase=phase,

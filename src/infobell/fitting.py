@@ -37,6 +37,13 @@ _MAX_DAMPING = 1e16
 _REFINE_TOL = 1e-8
 # Distance from 0 and 1 at which an edge's slope log2((1 - q)/q) is taken.
 _Q_FLOOR = 1e-15
+# Every edge (a, b) of the quadrilateral as (sign, a/theta, b/theta):
+# V = edge(0, 3t) - edge(0, t) - edge(2t, t) - edge(2t, 3t). The first
+# two have a = 0, so their terms do not depend on the phase.
+_EDGE_TABLE = np.array([[1.0, 0.0, 3.0], [-1.0, 0.0, 1.0], [-1.0, 2.0, 1.0], [-1.0, 2.0, 3.0]])
+_SIGN = _EDGE_TABLE[:, :1]
+# lam rows per block of the cold grid build.
+_GRID_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,17 +85,20 @@ def _xlogx(x):
     return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
-def _edges(lam, c, th):
-    """(sign, K, sin a sin b, q) of each edge (a, b) of the quadrilateral.
+def _edge_table(th):
+    """(cos a cos b, sin a sin b) of every edge at every theta, each (4, n).
 
-    V = edge(0, 3t) - edge(0, t) - edge(2t, t) - edge(2t, 3t), where an
-    edge is 2 H2(q) with q = (1 + lam K)/2 and K = cos a cos b + c sin a sin b.
+    An edge is 2 H2(q) with q = (1 + lam K)/2 and K = cos a cos b + c sin a sin b,
+    c = cos phase.
     """
-    for sign, a, b in ((1.0, 0.0, 3 * th), (-1.0, 0.0, th),
-                       (-1.0, 2 * th, th), (-1.0, 2 * th, 3 * th)):
-        s = np.sin(a) * np.sin(b)
-        k = np.cos(a) * np.cos(b) + c * s
-        yield sign, k, s, (1.0 + lam * k) / 2.0
+    a = _EDGE_TABLE[:, 1:2] * th
+    b = _EDGE_TABLE[:, 2:3] * th
+    return np.cos(a) * np.cos(b), np.sin(a) * np.sin(b)
+
+
+def _edge_terms(lam, k, sign):
+    """sign * 2 H2((1 + lam K)/2), broadcast over lam, K and sign."""
+    return sign * 2.0 * _binary_entropy((1.0 + lam * k) / 2.0)
 
 
 def model_curve(lam, phase, thetas):
@@ -105,13 +115,10 @@ def model_curve(lam, phase, thetas):
     is broadcast(lam, phase).shape + thetas.shape.
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    lam = np.asarray(lam, dtype=float)
-    cph = np.cos(np.asarray(phase, dtype=float))
-    if lam.ndim:
-        lam = lam[..., None]
-    if cph.ndim:
-        cph = cph[..., None]
-    return sum(sign * 2.0 * _binary_entropy(q) for sign, _, _, q in _edges(lam, cph, th))
+    lam = np.asarray(lam, dtype=float)[..., None, None]
+    cph = np.cos(np.asarray(phase, dtype=float))[..., None, None]
+    cc, ss = _edge_table(th)
+    return _edge_terms(lam, cc + cph * ss, _SIGN).sum(axis=-2)
 
 
 def _curve_derivatives(lam: float, c: float, th: np.ndarray):
@@ -125,20 +132,18 @@ def _curve_derivatives(lam: float, c: float, th: np.ndarray):
     q is kept a hair inside (0, 1) for L and L' only, so both stay finite
     on a pure state. Returns arrays of shapes (n,), (n, 2) and (n, 2, 2).
     """
-    curve = np.zeros_like(th)
-    jacobian = np.zeros((th.size, 2))
-    hessian = np.zeros((th.size, 2, 2))
-    for sign, k, s, q in _edges(lam, c, th):
-        curve += sign * 2.0 * _binary_entropy(q)
-        q = np.clip(q, _Q_FLOOR, 1.0 - _Q_FLOOR)
-        slope = sign * np.log((1.0 - q) / q) / _LN2
-        bend = -sign / (2.0 * _LN2 * q * (1.0 - q))
-        jacobian[:, 0] += k * slope
-        jacobian[:, 1] += lam * s * slope
-        hessian[:, 0, 0] += k * k * bend
-        hessian[:, 0, 1] += s * slope + lam * s * k * bend
-        hessian[:, 1, 1] += lam * lam * s * s * bend
-    hessian[:, 1, 0] = hessian[:, 0, 1]
+    cc, s = _edge_table(th)
+    k = cc + c * s
+    q = (1.0 + lam * k) / 2.0
+    curve = (_SIGN * 2.0 * _binary_entropy(q)).sum(axis=0)
+    q = np.clip(q, _Q_FLOOR, 1.0 - _Q_FLOOR)
+    slope = _SIGN * np.log((1.0 - q) / q) / _LN2
+    bend = -_SIGN / (2.0 * _LN2 * q * (1.0 - q))
+    jacobian = np.stack(((k * slope).sum(axis=0), (lam * s * slope).sum(axis=0)), axis=-1)
+    hessian = np.empty((th.size, 2, 2))
+    hessian[:, 0, 0] = (k * k * bend).sum(axis=0)
+    hessian[:, 0, 1] = hessian[:, 1, 0] = (s * slope + lam * s * k * bend).sum(axis=0)
+    hessian[:, 1, 1] = (lam * lam * s * s * bend).sum(axis=0)
     return curve, jacobian, hessian
 
 
@@ -147,12 +152,44 @@ def _coarse_grid(thetas: tuple):
     """Model curves over the coarse (lam, phase) grid, cached per theta grid.
 
     The model depends on the phase only through cos(phase), so phases
-    on [0, pi) cover every curve the full circle gives.
+    on [0, pi) cover every curve the full circle gives. The curves are
+    built _GRID_BLOCK lam rows at a time; the two a = 0 edges once per
+    lam, since their K = cos b does not depend on the phase. The edges
+    are summed in model_curve's order, so the two agree bit for bit.
     """
     lam_grid = np.arange(0.0, 1.0 + LAMBDA_STEP / 2.0, LAMBDA_STEP)
     phase_grid = np.arange(0.0, np.pi, PHASE_STEP)
-    curves = model_curve(lam_grid[:, None], phase_grid[None, :], np.array(thetas))
+    th = np.array(thetas)
+    cc, ss = _edge_table(th)
+    tilted_k = cc[2:] + np.cos(phase_grid)[:, None, None] * ss[2:]
+    curves = np.empty((lam_grid.size, phase_grid.size, th.size))
+    for start in range(0, lam_grid.size, _GRID_BLOCK):
+        rows = slice(start, start + _GRID_BLOCK)
+        lam = lam_grid[rows, None, None]
+        flat = _edge_terms(lam, cc[:2], _SIGN[:2]).sum(axis=-2)
+        tilted = _edge_terms(lam[..., None], tilted_k, _SIGN[2:])
+        curves[rows] = flat[:, None] + tilted[..., 0, :] + tilted[..., 1, :]
     return lam_grid, phase_grid, curves
+
+
+@lru_cache(maxsize=4)
+def _grid_norms(thetas: tuple, weights: tuple):
+    """sum_t w_t c_t^2 of every coarse grid curve, shape (lam, phase)."""
+    curves = _coarse_grid(thetas)[2]
+    w = np.array(weights)
+    norms = np.empty(curves.shape[:2])
+    for start in range(0, len(curves), _GRID_BLOCK):
+        rows = slice(start, start + _GRID_BLOCK)
+        norms[rows] = np.square(curves[rows]) @ w
+    return norms
+
+
+def _grid_start(thetas: tuple, v_obs, weights) -> tuple:
+    """(lam, phase) indices of the coarse grid cell of least sum w (c - v)^2,
+    taken as N - 2 c.(w v) with the cached norms N. Ties go to the first cell."""
+    objective = _coarse_grid(thetas)[2] @ (-2.0 * weights * v_obs)
+    objective += _grid_norms(thetas, tuple(weights.tolist()))
+    return np.unravel_index(int(np.argmin(objective)), objective.shape)
 
 
 def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
@@ -160,16 +197,22 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
 
     A coarse grid search (lam step 0.002 on [0, 1], phase step 0.01 on
     [0, pi)) picks the start; grid ties resolve to the smallest
-    (lam, phase) pair. A bounded, damped Newton iteration then refines
-    (lam, c = cos phase) on [0, 1] x [-1, 1] with the analytic
-    derivatives of model_curve (see _damped_newton). It accepts only
-    steps that do not raise the objective, so the fit is never worse
-    than its grid start, and it stops once a step moves both parameters
-    by less than 1e-8. A fit on a bound reports the bound exactly. The
-    curve depends on the phase only through c, so the reported phase is
-    arccos c, in [0, pi]. Deterministic. Unweighted by default;
-    ``weighted=True`` applies 1/dv^2 weights (requires uncertainties on
-    the curve). residual_sum is always the unweighted sum of squares.
+    (lam, phase) pair. The grid objective sum_t w_t (c_t - v_t)^2 of a
+    grid curve c is taken as N - 2 c.(w v), dropping the constant
+    sum_t w_t v_t^2: the curves and their weighted norms
+    N = sum_t w_t c_t^2 are cached per theta grid and weights, so a call
+    costs one matrix-vector product over the grid. A bounded, damped
+    Newton iteration then refines (lam, c = cos phase) on [0, 1] x [-1, 1]
+    with the analytic derivatives of model_curve (see _damped_newton). It
+    accepts only steps that do not raise the objective, so the fit is
+    never worse than its grid start, and it stops once a step moves both
+    parameters by less than 1e-8. A fit on a bound reports the bound
+    exactly. The curve depends on the phase only through c, so the
+    reported phase is arccos c, in [0, pi]; at lam = 0 every phase gives
+    the same curve, and both the start and the fit then take phase 0.
+    Deterministic. Unweighted by default; ``weighted=True`` applies
+    1/dv^2 weights (requires uncertainties on the curve). residual_sum
+    is always the unweighted sum of squares.
     """
     if len(observed) < 2:
         raise ValueError("need at least two curve points to fit")
@@ -184,13 +227,12 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
     else:
         weights = np.ones_like(v_obs)
 
-    lam_grid, phase_grid, curves = _coarse_grid(tuple(float(t) for t in thetas))
-    objective_grid = curves - v_obs
-    np.square(objective_grid, out=objective_grid)
-    objective_grid = objective_grid @ weights
-    i, j = np.unravel_index(int(np.argmin(objective_grid)), objective_grid.shape)
-    lam, c = _damped_newton(np.array([lam_grid[i], np.cos(phase_grid[j])]), thetas, v_obs, weights)
-    phase = float(np.arccos(c))
+    key = tuple(float(t) for t in thetas)
+    lam_grid, phase_grid, _ = _coarse_grid(key)
+    i, j = _grid_start(key, v_obs, weights)
+    start_c = np.cos(phase_grid[j]) if lam_grid[i] > 0.0 else 1.0
+    lam, c = _damped_newton(np.array([lam_grid[i], start_c]), thetas, v_obs, weights)
+    phase = float(np.arccos(c)) if lam > 0.0 else 0.0
     residuals = model_curve(lam, phase, thetas) - v_obs
     return WernerFit(
         lam=lam,

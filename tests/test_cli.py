@@ -365,6 +365,32 @@ def test_simulate_config_rejects_fractional_and_boolean_whole_numbers(tmp_path, 
     assert capsys.readouterr().out == as_float
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lambda", True), ("lambda", "0.9"), ("phase", False), ("phase", "0.2"),
+    ("thetas", [0.2, True]), ("thetas", ["0.2", 0.3]),
+    ("counts_per_mode", "350"), ("seed", "3"),
+    ("accidental_mean", False), ("accidental_mean", "6"),
+    ("angle_sigma", True), ("angle_sigma", "0.003"),
+])
+def test_simulate_config_numbers_must_be_json_numbers(tmp_path, capsys, field, value):
+    """Booleans and numeric strings are refused, though float() and int() would take them."""
+    if field in ("lambda", "phase"):
+        config = {**CONFIG, "state": {**CONFIG["state"], field: value}}
+    else:
+        config = {**CONFIG, field: value}
+    out_path = tmp_path / "run.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, config), "-o", str(out_path)]) == 2
+    assert f"{field} must be a" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("field", ["counts_per_mode", "seed", "accidental_mean"])
+def test_simulate_config_integer_beyond_float_range_exits_2(tmp_path, capsys, field):
+    bad = write_config(tmp_path, {**CONFIG, field: 10**400})
+    assert main(["simulate", "--config", bad]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--counts", "0"], ["--samples", "0"]])
 def test_failed_reproduce_writes_nothing(tmp_path, capsys, flag):
     outdir = tmp_path / "demo"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,17 @@ from infobell import (
     modified_werner,
     sweep,
 )
-from infobell.fitting import LAMBDA_STEP, PHASE_STEP, _coarse_grid, _curve_derivatives
+from infobell.fitting import (
+    _LN2,
+    _Q_FLOOR,
+    LAMBDA_STEP,
+    PHASE_STEP,
+    _binary_entropy,
+    _coarse_grid,
+    _curve_derivatives,
+    _grid_norms,
+    _grid_start,
+)
 
 THETAS = np.array(REFERENCE_THETAS)
 PINS = json.loads((Path(__file__).parent / "data" / "solver_pins.json").read_text())
@@ -189,3 +200,89 @@ def test_werner_fit_validation_and_json():
         WernerFit(lam=0.5, phase=7.0, residual_sum=0.0, per_point_residuals=np.zeros(2))
     with pytest.raises(ValueError):
         WernerFit(lam=0.5, phase=0.0, residual_sum=0.5, per_point_residuals=residuals)
+
+
+def test_fit_at_zero_lambda_reports_phase_zero():
+    """Every phase gives the same curve at lam = 0; the tie rule picks phase 0."""
+    v = model_curve(0.0, 0.3, THETAS) + np.random.default_rng([9, 52]).normal(0.0, 0.05, 8)
+    fit = fit_werner(ViolationCurve(THETAS, v))
+    assert fit.lam == 0.0
+    assert fit.phase == 0.0
+
+
+def test_coarse_grid_matches_model_curve_and_cached_norms():
+    key = tuple(float(t) for t in THETAS)
+    lam_grid, phase_grid, curves = _coarse_grid(key)
+    for rows in np.array_split(np.arange(lam_grid.size), 4):
+        direct = model_curve(lam_grid[rows, None], phase_grid[None, :], THETAS)
+        assert np.array_equal(curves[rows], direct)
+    for weights in (np.ones_like(THETAS), np.random.default_rng(4).uniform(0.5, 2e4, THETAS.size)):
+        assert_allclose(_grid_norms(key, tuple(weights)), (curves**2) @ weights, rtol=1e-12, atol=0)
+
+
+def test_cold_grid_build_allocates_little_beyond_its_result():
+    """The grid is built in blocks of lam rows, not in full-size temporaries."""
+    key = tuple(float(t) for t in THETAS)
+    curves = _coarse_grid(key)[2]
+    norms = _grid_norms(key, tuple(np.ones_like(THETAS)))
+    tracemalloc.start()
+    try:
+        _coarse_grid.__wrapped__(key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= curves.nbytes + norms.nbytes + 8e6
+
+
+def per_edge_reference(lam, c, th):
+    """The per-edge loop the edge table replaced: the curve, its Jacobian
+    and its Hessian by (lam, c = cos phase); lam and c broadcast as in
+    model_curve, the derivatives are for scalar (lam, c) only."""
+    curve, jacobian, hessian = 0, np.zeros((th.size, 2)), np.zeros((th.size, 2, 2))
+    for sign, a, b in ((1.0, 0.0, 3 * th), (-1.0, 0.0, th),
+                       (-1.0, 2 * th, th), (-1.0, 2 * th, 3 * th)):
+        s = np.sin(a) * np.sin(b)
+        k = np.cos(a) * np.cos(b) + c * s
+        q = (1.0 + lam * k) / 2.0
+        curve = curve + sign * 2.0 * _binary_entropy(q)
+        if np.ndim(lam) or np.ndim(c):
+            continue
+        q = np.clip(q, _Q_FLOOR, 1.0 - _Q_FLOOR)
+        slope = sign * np.log((1.0 - q) / q) / _LN2
+        bend = -sign / (2.0 * _LN2 * q * (1.0 - q))
+        jacobian[:, 0] += k * slope
+        jacobian[:, 1] += lam * s * slope
+        hessian[:, 0, 0] += k * k * bend
+        hessian[:, 0, 1] += s * slope + lam * s * k * bend
+        hessian[:, 1, 1] += lam * lam * s * s * bend
+    hessian[:, 1, 0] = hessian[:, 0, 1]
+    return curve, jacobian, hessian
+
+
+def test_edge_table_matches_the_per_edge_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    lams, cs = rng.uniform(0.0, 1.0, 300), rng.uniform(-1.0, 1.0, 300)
+    for lam, c in zip(np.concatenate([lams, [0.0, 1.0, 1.0]]), np.concatenate([cs, [0.4, 1.0, -1.0]])):
+        for got, want in zip(_curve_derivatives(lam, c, THETAS), per_edge_reference(lam, c, THETAS)):
+            assert np.array_equal(got, want)
+        phase = np.arccos(c)
+        assert np.array_equal(model_curve(lam, phase, THETAS),
+                              per_edge_reference(lam, np.cos(phase), THETAS)[0])
+    phases = np.arccos(cs)
+    grid = per_edge_reference(lams[:, None, None], np.cos(phases)[None, :, None], THETAS)[0]
+    assert np.array_equal(model_curve(lams[:, None], phases[None, :], THETAS), grid)
+
+
+def test_grid_start_is_the_brute_force_grid_minimum():
+    """The start cell's direct objective sum w (c - v)^2 is the grid minimum,
+    weighted and unweighted, on a seeded bank of noisy curves."""
+    key = tuple(float(t) for t in THETAS)
+    curves = _coarse_grid(key)[2]
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        lam, phase, sigma = rng.uniform(0.0, 1.0), rng.uniform(0.0, np.pi), rng.uniform(0.005, 0.1)
+        v = model_curve(lam, phase, THETAS) + rng.normal(0.0, sigma, THETAS.size)
+        dv = rng.uniform(0.5, 1.5, THETAS.size) * sigma
+        for weights in (np.ones_like(THETAS), 1.0 / dv**2):
+            direct = np.square(curves - v) @ weights
+            assert direct[_grid_start(key, v, weights)] <= direct.min() + 1e-12
