@@ -38,12 +38,15 @@ _REFINE_TOL = 1e-8
 # Distance from 0 and 1 at which an edge's slope log2((1 - q)/q) is taken.
 _Q_FLOOR = 1e-15
 # Every edge (a, b) of the quadrilateral as (sign, a/theta, b/theta):
-# V = edge(0, 3t) - edge(0, t) - edge(2t, t) - edge(2t, 3t). The first
-# two have a = 0, so their terms do not depend on the phase.
+# V = edge(0, 3t) - edge(0, t) - edge(2t, t) - edge(2t, 3t).
 _EDGE_TABLE = np.array([[1.0, 0.0, 3.0], [-1.0, 0.0, 1.0], [-1.0, 2.0, 1.0], [-1.0, 2.0, 3.0]])
 _SIGN = _EDGE_TABLE[:, :1]
-# lam rows per block of the cold grid build.
-_GRID_BLOCK = 16
+# Values per temporary array of a blockwise pass (see _row_blocks). At
+# 64 KB a temporary stays below glibc's default 128 KB mmap
+# threshold, so successive blocks reuse heap memory instead of faulting
+# in fresh pages; in a fresh process, 512 KB blocks built the coarse
+# grid about 1.7 times slower.
+_BLOCK_VALUES = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +99,17 @@ def _edge_table(th):
     return np.cos(a) * np.cos(b), np.sin(a) * np.sin(b)
 
 
-def _edge_terms(lam, k, sign):
-    """sign * 2 H2((1 + lam K)/2), broadcast over lam, K and sign."""
-    return sign * 2.0 * _binary_entropy((1.0 + lam * k) / 2.0)
+def _edge_sum(q):
+    """The signed edge sum of 2 H2(q) over the edge axis, q of shape (..., 4, n)."""
+    return (_SIGN * 2.0 * _binary_entropy(q)).sum(axis=-2)
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices that cover range(rows) with at most _BLOCK_VALUES // width
+    rows each (at least one), so a pass over rows of `width` values keeps
+    its temporaries to one block."""
+    step = max(1, _BLOCK_VALUES // max(width, 1))
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 def model_curve(lam, phase, thetas):
@@ -112,13 +123,19 @@ def model_curve(lam, phase, thetas):
         V(theta) = edge(0, 3t) - edge(0, t) - edge(2t, t) - edge(2t, 3t).
 
     ``lam`` and ``phase`` may be broadcastable arrays; the returned shape
-    is broadcast(lam, phase).shape + thetas.shape.
+    is broadcast(lam, phase).shape + thetas.shape. A broadcast grid is
+    evaluated in blocks of (lam, phase) points, so its temporaries stay
+    the size of one block whatever the size of the grid.
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    lam = np.asarray(lam, dtype=float)[..., None, None]
-    cph = np.cos(np.asarray(phase, dtype=float))[..., None, None]
+    lam, cph = np.broadcast_arrays(np.asarray(lam, dtype=float), np.cos(np.asarray(phase, dtype=float)))
+    shape = lam.shape + th.shape
+    lam, cph = lam.reshape(-1, 1, 1), cph.reshape(-1, 1, 1)
     cc, ss = _edge_table(th)
-    return _edge_terms(lam, cc + cph * ss, _SIGN).sum(axis=-2)
+    curves = np.empty((len(lam), th.size))
+    for rows in _row_blocks(len(lam), 4 * th.size):
+        curves[rows] = _edge_sum((1.0 + lam[rows] * (cc + cph[rows] * ss)) / 2.0)
+    return curves.reshape(shape)
 
 
 def _curve_derivatives(lam: float, c: float, th: np.ndarray):
@@ -135,7 +152,7 @@ def _curve_derivatives(lam: float, c: float, th: np.ndarray):
     cc, s = _edge_table(th)
     k = cc + c * s
     q = (1.0 + lam * k) / 2.0
-    curve = (_SIGN * 2.0 * _binary_entropy(q)).sum(axis=0)
+    curve = _edge_sum(q)
     q = np.clip(q, _Q_FLOOR, 1.0 - _Q_FLOOR)
     slope = _SIGN * np.log((1.0 - q) / q) / _LN2
     bend = -_SIGN / (2.0 * _LN2 * q * (1.0 - q))
@@ -152,36 +169,29 @@ def _coarse_grid(thetas: tuple):
     """Model curves over the coarse (lam, phase) grid, cached per theta grid.
 
     The model depends on the phase only through cos(phase), so phases
-    on [0, pi) cover every curve the full circle gives. The curves are
-    built _GRID_BLOCK lam rows at a time; the two a = 0 edges once per
-    lam, since their K = cos b does not depend on the phase. The edges
-    are summed in model_curve's order, so the two agree bit for bit.
+    on [0, pi) cover every curve the full circle gives.
     """
     lam_grid = np.arange(0.0, 1.0 + LAMBDA_STEP / 2.0, LAMBDA_STEP)
     phase_grid = np.arange(0.0, np.pi, PHASE_STEP)
-    th = np.array(thetas)
-    cc, ss = _edge_table(th)
-    tilted_k = cc[2:] + np.cos(phase_grid)[:, None, None] * ss[2:]
-    curves = np.empty((lam_grid.size, phase_grid.size, th.size))
-    for start in range(0, lam_grid.size, _GRID_BLOCK):
-        rows = slice(start, start + _GRID_BLOCK)
-        lam = lam_grid[rows, None, None]
-        flat = _edge_terms(lam, cc[:2], _SIGN[:2]).sum(axis=-2)
-        tilted = _edge_terms(lam[..., None], tilted_k, _SIGN[2:])
-        curves[rows] = flat[:, None] + tilted[..., 0, :] + tilted[..., 1, :]
+    curves = model_curve(lam_grid[:, None], phase_grid[None, :], np.array(thetas))
     return lam_grid, phase_grid, curves
 
 
 @lru_cache(maxsize=4)
 def _grid_norms(thetas: tuple, weights: tuple):
-    """sum_t w_t c_t^2 of every coarse grid curve, shape (lam, phase)."""
+    """sum_t w_t c_t^2 of every coarse grid curve, shape (lam, phase).
+
+    Cached per weights, so only repeated weights hit the cache: the unit
+    weights of every unweighted fit do, the 1/dv^2 weights of a weighted
+    fit in general do not, and each such fit pays one blockwise pass.
+    """
     curves = _coarse_grid(thetas)[2]
+    flat = curves.reshape(-1, len(weights))
     w = np.array(weights)
-    norms = np.empty(curves.shape[:2])
-    for start in range(0, len(curves), _GRID_BLOCK):
-        rows = slice(start, start + _GRID_BLOCK)
-        norms[rows] = np.square(curves[rows]) @ w
-    return norms
+    norms = np.empty(len(flat))
+    for rows in _row_blocks(len(flat), w.size):
+        norms[rows] = np.square(flat[rows]) @ w
+    return norms.reshape(curves.shape[:2])
 
 
 def _grid_start(thetas: tuple, v_obs, weights) -> tuple:

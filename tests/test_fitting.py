@@ -55,6 +55,12 @@ def test_model_curve_is_even_in_phase():
         )
 
 
+def test_model_curve_shape_is_broadcast_shape_plus_thetas_shape():
+    assert model_curve(0.5, 0.1, []).shape == (0,)
+    assert model_curve(np.zeros((3, 0)), 0.1, [0.2, 0.3]).shape == (3, 0, 2)
+    assert model_curve(np.linspace(0.0, 1.0, 5)[:, None], np.zeros((1, 7)), 0.3).shape == (5, 7, 1)
+
+
 def test_fit_recovers_reference_parameters():
     fit = fit_werner(curve_for(0.998, 0.225))
     assert fit.lam == pytest.approx(0.998, abs=1e-3)
@@ -221,7 +227,7 @@ def test_coarse_grid_matches_model_curve_and_cached_norms():
 
 
 def test_cold_grid_build_allocates_little_beyond_its_result():
-    """The grid is built in blocks of lam rows, not in full-size temporaries."""
+    """model_curve evaluates the grid in blocks of points, not in full-size temporaries."""
     key = tuple(float(t) for t in THETAS)
     curves = _coarse_grid(key)[2]
     norms = _grid_norms(key, tuple(np.ones_like(THETAS)))
