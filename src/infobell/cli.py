@@ -127,6 +127,8 @@ def _finite(value: float, what: str) -> float:
 
 def _parse_floats(text: str, expected: int | None = None) -> list:
     values = [_finite(float(part), f"number in {text!r}") for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"no numbers in {text!r}")
     if expected is not None and len(values) != expected:
         raise ValueError(f"expected {expected} comma-separated numbers, got {text!r}")
     return values

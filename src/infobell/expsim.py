@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infogeo import QuadrilateralGeometry, _edge_angles, _info_distances, stream_rng
+from .infogeo import QuadrilateralGeometry, _edge_angles, _info_distances, _streams, stream_rng
 from .states import DensityMatrix, JointDistribution, _born_tables, _checked_tables, modified_werner
 
 __all__ = [
@@ -112,15 +112,15 @@ class CoincidenceRecord:
             raise ValueError("total_trials must equal the count sum")
 
 
-def _draw_counts(p: np.ndarray, n_trials: int, seed: int, stream: tuple) -> np.ndarray:
-    """Multinomial 2x2 coincidence counts from one outcome table, on substream ``stream``."""
+def _draw_counts(p: np.ndarray, n_trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Multinomial 2x2 coincidence counts from one outcome table."""
     p = p.ravel()
-    return stream_rng(seed, _STREAM_SAMPLE, *stream).multinomial(n_trials, p / p.sum()).reshape(2, 2)
+    return rng.multinomial(n_trials, p / p.sum()).reshape(2, 2)
 
 
-def _draw_accidentals(noise: NoiseConfig, stream: tuple) -> np.ndarray:
+def _draw_accidentals(noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
     """Poisson(accidental_mean) spurious counts for the four bins of one table."""
-    return stream_rng(noise.seed, _STREAM_ACCIDENTAL, *stream).poisson(noise.accidental_mean, size=(2, 2))
+    return rng.poisson(noise.accidental_mean, size=(2, 2))
 
 
 def _estimated_tables(counts: np.ndarray, accidental) -> np.ndarray:
@@ -145,7 +145,7 @@ def sample_counts(dist: JointDistribution, n_trials: int, seed: int,
         raise ValueError("n_trials must be at least 1")
     return CoincidenceRecord(
         settings=None if settings is None else tuple(settings),
-        counts=_draw_counts(dist.probs, n_trials, seed, stream),
+        counts=_draw_counts(dist.probs, n_trials, stream_rng(seed, _STREAM_SAMPLE, *stream)),
         accidental_estimate=np.zeros((2, 2)),
         total_trials=int(n_trials),
     )
@@ -160,7 +160,7 @@ def add_accidentals(record: CoincidenceRecord, noise: NoiseConfig,
     """
     if noise.accidental_mean == 0.0:
         return record
-    counts = record.counts + _draw_accidentals(noise, stream)
+    counts = record.counts + _draw_accidentals(noise, stream_rng(noise.seed, _STREAM_ACCIDENTAL, *stream))
     return CoincidenceRecord(
         settings=record.settings,
         counts=counts,
@@ -229,15 +229,16 @@ def propagate_error(rho_model: DensityMatrix, theta: float, counts_per_mode: int
 
 def _simulate(rho: DensityMatrix, thetas: np.ndarray, counts_per_mode: int,
               noise: NoiseConfig, streams) -> list:
-    """Simulated quadrilaterals at a 1-D array of angles; angle i draws on streams[i]."""
+    """Simulated quadrilaterals at a 1-D array of angles; edge k of angle i draws on (*streams[i], k)."""
     tables, _, dd = _model_edges(rho, thetas, counts_per_mode, noise)
-    counts = np.zeros(tables.shape, dtype=np.int64)
-    for i, stream in enumerate(streams):
-        for k in range(4):
-            counts[i, k] = _draw_counts(tables[i, k], counts_per_mode, noise.seed, (*stream, k))
-            if noise.accidental_mean != 0.0:
-                counts[i, k] += _draw_accidentals(noise, (*stream, k))
-    d = _info_distances(_estimated_tables(counts, noise.accidental_mean))
+    keys = [(*stream, k) for stream in streams for k in range(4)]
+    sample_keys = [(_STREAM_SAMPLE, *key) for key in keys]
+    counts = np.stack([_draw_counts(p, counts_per_mode, rng)
+                       for p, rng in zip(tables.reshape(-1, 2, 2), _streams(noise.seed, sample_keys))])
+    if noise.accidental_mean != 0.0:
+        accidental_keys = [(_STREAM_ACCIDENTAL, *key) for key in keys]
+        counts += np.stack([_draw_accidentals(noise, rng) for rng in _streams(noise.seed, accidental_keys)])
+    d = _info_distances(_estimated_tables(counts.reshape(tables.shape), noise.accidental_mean))
     return [QuadrilateralGeometry(*map(float, di), *map(float, ddi)) for di, ddi in zip(d, dd)]
 
 

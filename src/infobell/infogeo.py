@@ -16,6 +16,8 @@ below 1e-15 are treated as exact zeros.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +60,8 @@ _EDGE_MULTIPLES = np.array([(0.0, 1.0), (2.0, 1.0), (2.0, 3.0), (0.0, 3.0)])
 
 def _entropies(p: np.ndarray, n_axes: int) -> np.ndarray:
     """Shannon entropies in bits of the tables held in the trailing ``n_axes`` axes."""
-    flat = p.reshape(p.shape[: p.ndim - n_axes] + (-1,))
+    lead = p.shape[: p.ndim - n_axes]
+    flat = p.reshape(lead + (math.prod(p.shape[len(lead):]),))
     return -(flat * np.log2(np.where(flat > _ZERO_CUTOFF, flat, 1.0))).sum(axis=-1)
 
 
@@ -359,15 +362,143 @@ def info_volume(dist: JointDistribution) -> float:
     return float(_contents(dist.probs, 4))
 
 
+def _key_entry(value, name: str) -> int:
+    """One entry of a stream key as a non-negative Python int."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"stream key entry {name} = {value!r} is not an integer") from None
+    if value < 0:
+        raise ValueError(f"stream key entry {name} = {value} is negative")
+    return value
+
+
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-keyed random stream.
 
     The same (seed, stream...) key always yields the same sequence, and
     distinct keys are independent, so samples drawn under different keys
-    do not depend on evaluation order or interleaving.
+    do not depend on evaluation order or interleaving. Key entries must be
+    non-negative integers.
     """
-    entropy = (int(seed),) + tuple(int(s) for s in stream)
+    entropy = (_key_entry(seed, "seed"),) + tuple(
+        _key_entry(s, f"stream[{j}]") for j, s in enumerate(stream))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+# numpy.random.SeedSequence's hash constants (O'Neill's seed_seq_fe, pool of four 32-bit words).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value) -> list:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it (0 is one word)."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
+    """Philox keys (m, 2) uint64 of m entropy rows of 32-bit words, shape (m, n_words).
+
+    Row r gives SeedSequence(entropy).generate_state(2, np.uint64) for the
+    entropy whose words are words[r]. Arrays of uint32 wrap silently; the
+    running hash constant is a Python int masked to 32 bits.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * _MULT_A) & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    m, n_words = words.shape
+    zeros = np.zeros(m, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < n_words else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+
+    const = _INIT_B
+    state = []
+    for value in pool:
+        value = value ^ const
+        const = (const * _MULT_B) & _MASK32
+        value = value * const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([state[0] | (state[1] << np.uint64(32)), state[2] | (state[3] << np.uint64(32))], axis=-1)
+
+
+def _stream_keys(seed: int, streams) -> np.ndarray:
+    """Philox keys, shape (m, 2) uint64, of the streams (seed, *streams[r]) for the m rows of ``streams``.
+
+    ``streams`` is a 2-d array of non-negative whole numbers, one key per
+    row (it may have zero columns). Row r gives exactly the key that
+    stream_rng(seed, *streams[r]) seeds its Philox with, computed for all
+    rows in one vectorised pass of SeedSequence's hash.
+    """
+    seed_words = _words(_key_entry(seed, "seed"))
+    entries = np.asarray(streams)
+    if entries.ndim != 2:
+        raise ValueError(f"streams must be a 2-d array of key entries, got shape {entries.shape}")
+    if entries.dtype.kind not in "iu":
+        entries = np.array([[_key_entry(v, f"streams[{r}][{c}]") for c, v in enumerate(row)]
+                            for r, row in enumerate(streams)], dtype=object)
+    if entries.dtype.kind == "i" and entries.size and entries.min() < 0:
+        r, c = np.argwhere(entries < 0)[0]
+        raise ValueError(f"stream key entry streams[{r}][{c}] = {entries[r, c]} is negative")
+    m = entries.shape[0]
+    if m == 0:
+        return np.empty((0, 2), dtype=np.uint64)
+
+    # Plane k of a key entry holds its word k; the plane is part of a row's entropy
+    # only where that entry reaches 2**(32 k). Rows with one layout hash together.
+    planes = [np.full(m, word, dtype=np.uint32) for word in seed_words]
+    present = [np.ones(m, dtype=bool)] * len(seed_words)
+    for column in entries.T:
+        for k in range(len(_words(int(column.max())))):
+            shifted = column >> (32 * k)
+            planes.append((shifted & _MASK32).astype(np.uint32))
+            present.append(np.ones(m, dtype=bool) if k == 0 else shifted > 0)
+    planes, present = np.stack(planes, axis=-1), np.stack(present, axis=-1)
+    if present.all():
+        return _seed_sequence_keys(planes)
+    keys = np.empty((m, 2), dtype=np.uint64)
+    for layout in np.unique(present, axis=0):
+        rows = (present == layout).all(axis=-1)
+        keys[rows] = _seed_sequence_keys(planes[rows][:, layout])
+    return keys
+
+
+def _streams(seed: int, streams):
+    """Yield, for each row of ``streams``, a Generator that draws what stream_rng(seed, *row) draws.
+
+    One Philox bit generator is re-keyed in place for every row, with its
+    counter and buffer reset to zero, so each yielded Generator is valid
+    only until the next one is requested.
+    """
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    for key in _stream_keys(seed, streams):
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield rng
 
 
 def _random_local_bases(z: np.ndarray) -> np.ndarray:
@@ -439,7 +570,9 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
         raise ValueError("reactivity is implemented for 4-qubit states")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    z = np.stack([stream_rng(seed, i).standard_normal((4, 4)) for i in range(n_samples)])
+    z = np.empty((n_samples, 4, 4))
+    for zi, rng in zip(z, _streams(seed, np.arange(n_samples)[:, None])):
+        rng.standard_normal(out=zi)
     p = np.clip(_born(_product_kets(_random_local_bases(z)), rho.matrix), 0.0, None)
     p = _checked_tables((p / p.sum(axis=-1, keepdims=True)).reshape(-1, 2, 2, 2, 2), 4)
     faces = np.stack([p.sum(axis=k) for k in range(1, 5)], axis=1)

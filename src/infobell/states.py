@@ -159,10 +159,10 @@ def _checked_tables(p: np.ndarray, n_parties: int) -> np.ndarray:
     Raises on any entry below -1e-12 or non-finite and on any table sum off
     1 by more than 1e-10; returns the tables with tiny negatives clipped to 0.
     """
-    if not p.min() >= -1e-12:
+    if p.size and not p.min() >= -1e-12:
         raise ValueError(f"negative or non-finite probability {p.min()!r}")
     p = np.clip(p, 0.0, None)
-    sums = p.reshape(p.shape[: p.ndim - n_parties] + (-1,)).sum(axis=-1)
+    sums = p.sum(axis=tuple(range(-n_parties, 0)))
     bad = ~(np.abs(sums - 1.0) <= 1e-10)
     if bad.any():
         raise ValueError(f"probabilities sum to {sums[bad].flat[0]!r}, not 1")
@@ -316,8 +316,13 @@ def _product_kets(bases: np.ndarray) -> np.ndarray:
 
 
 def _born(kets: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Born-rule probabilities <u|rho|u> for kets stacked on the last axis."""
-    return np.einsum("...i,ij,...j->...", kets.conj(), matrix, kets).real
+    """Born-rule probabilities <u|rho|u> for kets stacked on the last axis.
+
+    One matrix product rho|u> over the flattened batch, then a row-wise <u|.> dot.
+    """
+    d = matrix.shape[-1]
+    rho_kets = (kets.reshape(-1, d) @ matrix.T).reshape(kets.shape)
+    return np.einsum("...j,...j->...", kets.conj(), rho_kets).real
 
 
 def _born_tables(rho: DensityMatrix, stokes) -> np.ndarray:

@@ -391,6 +391,25 @@ def test_simulate_config_integer_beyond_float_range_exits_2(tmp_path, capsys, fi
     assert "too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [",", " , ", ""])
+@pytest.mark.parametrize("template", [
+    lambda text: ["sweep", "--state", "bell:phi+", "--thetas", text],
+    lambda text: ["reactivity", "--lambdas", text, "--samples", "3", "--seed", "1"],
+    lambda text: ["chsh", "--state", "bell", "--angles", text],
+])
+def test_empty_number_list_exits_2(tmp_path, capsys, template, text):
+    assert main(template(text) + ["-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: no numbers in {text!r}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_reactivity_with_a_negative_seed_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "out.csv"
+    assert main(["reactivity", "--lambdas", "0.2", "--samples", "3", "--seed", "-1", "-o", str(out_path)]) == 2
+    assert "seed = -1 is negative" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--counts", "0"], ["--samples", "0"]])
 def test_failed_reproduce_writes_nothing(tmp_path, capsys, flag):
     outdir = tmp_path / "demo"

@@ -24,7 +24,7 @@ from infobell import (
     simulate_sweep,
     sweep,
 )
-from infobell import expsim
+from infobell import expsim, infogeo
 from infobell.expsim import CoincidenceRecord
 from infobell.states import DensityMatrix, JointDistribution
 
@@ -408,22 +408,25 @@ def test_simulated_sweep_matches_per_edge_reference(monkeypatch, state, accident
 
 @pytest.mark.parametrize("accidental_mean, draws_per_edge", [(6.0, 2), (0.0, 1)])
 def test_simulated_sweep_is_one_born_pass(monkeypatch, accidental_mean, draws_per_edge):
-    calls = {"_born_tables": 0, "stream_rng": 0}
+    """One Born pass, and one batched key computation per draw purpose: no per-draw stream_rng."""
+    calls = {"_born_tables": 0, "_stream_keys": 0, "stream_rng": 0}
 
-    def counted(name):
-        original = getattr(expsim, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(expsim, name, counted(name))
+    counted(expsim, "_born_tables")
+    counted(infogeo, "_stream_keys")
+    counted(expsim, "stream_rng")
+    counted(infogeo, "stream_rng")
     rows = simulate_sweep(WERNER, REFERENCE_THETAS, 350, NoiseConfig(accidental_mean, 0.003, 4))
     assert len(rows) == len(REFERENCE_THETAS)
-    assert calls == {"_born_tables": 1, "stream_rng": 4 * draws_per_edge * len(REFERENCE_THETAS)}
+    assert calls == {"_born_tables": 1, "_stream_keys": draws_per_edge, "stream_rng": 0}
 
 
 # One count per mode under six accidentals per bin: at this seed every bin of

@@ -227,6 +227,66 @@ def test_stream_rng_determinism_and_separation():
     assert not np.array_equal(a, c)
 
 
+# Seeds of one, two and three 32-bit words, as SeedSequence splits them.
+KEY_SEEDS = (0, 2**31 - 1, 2**32, 2**64 + 3, 10**23)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+@pytest.mark.parametrize("n_entries", [0, 1, 2, 3, 4, 7])
+def test_stream_keys_match_seed_sequence(seed, n_entries):
+    """More than four words of entropy (a big seed with entries, or 7 entries) run
+    SeedSequence's extra mixing loop; the 32-bit hash wraps without a RuntimeWarning."""
+    streams = np.random.default_rng([n_entries, 5]).integers(0, 1000, size=(6, n_entries))
+    streams[0] = 0
+    keys = infogeo._stream_keys(seed, streams)
+    expected = [np.random.SeedSequence((seed, *row)).generate_state(2, np.uint64) for row in streams.tolist()]
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, np.reshape(expected, (6, 2)))
+
+
+def test_stream_keys_of_entries_of_several_words():
+    """Rows whose entries take different word counts hash with their own layouts."""
+    rows = [[0, 2**32], [5, 3], [2**40, 1], [2**63 - 1, 0], [2**70, 2], [3, 10**23]]
+    for streams in (rows[:4], np.array(rows[:4], dtype=np.int64), rows):
+        expected = [np.random.SeedSequence((9, *row)).generate_state(2, np.uint64)
+                    for row in np.asarray(streams).tolist()]
+        assert np.array_equal(infogeo._stream_keys(9, streams), expected)
+    assert infogeo._stream_keys(9, np.zeros((0, 2), dtype=int)).shape == (0, 2)
+
+
+def test_streams_draw_what_stream_rng_draws():
+    streams = [(0, i, k) for i in range(3) for k in range(4)] + [(1, 2**33, 7)]
+    tables = np.random.default_rng(3).dirichlet(np.ones(4), size=len(streams))
+    for seed in (0, 4, 10**23):
+        for row, table, rng in zip(streams, tables, infogeo._streams(seed, streams)):
+            reference = stream_rng(seed, *row)
+            assert np.array_equal(rng.standard_normal((4, 4)), reference.standard_normal((4, 4)))
+            assert np.array_equal(rng.multinomial(350, table), reference.multinomial(350, table))
+            assert np.array_equal(rng.poisson(6.0, size=(2, 2)), reference.poisson(6.0, size=(2, 2)))
+
+
+@pytest.mark.parametrize("make_key", [
+    lambda seed, entry: stream_rng(seed, 1, entry),
+    lambda seed, entry: infogeo._stream_keys(seed, [[1, entry]]),
+])
+def test_stream_key_entries_are_non_negative_integers(make_key):
+    with pytest.raises(ValueError, match=r"seed = -1 is negative"):
+        make_key(-1, 2)
+    with pytest.raises(ValueError, match=r"\[1\] = -3 is negative"):
+        make_key(5, -3)
+    with pytest.raises(TypeError, match=r"\[1\] = .*1\.5.* is not an integer"):
+        make_key(5, 1.5)
+    with pytest.raises(TypeError, match=r"seed = 5\.0 is not an integer"):
+        make_key(5.0, 2)
+
+
+def test_sweep_of_no_angles_is_an_empty_curve():
+    curve = sweep(bell_state("phi+").density_matrix(), [])
+    assert len(curve) == 0
+    assert curve.thetas.shape == curve.v.shape == (0,)
+
+
 def test_reactivity_maximally_mixed_any_seed():
     mixed = DensityMatrix(4, np.eye(16) / 16)
     for seed, n in ((0, 50), (99, 200)):
@@ -311,21 +371,21 @@ def test_contents_are_the_elementary_symmetric_polynomials(rng):
 
 
 def test_reactivity_builds_its_bases_in_one_call(monkeypatch):
-    calls = {"bases": 0, "streams": 0}
-    bases, streams = infogeo._random_local_bases, infogeo.stream_rng
+    calls = {"_random_local_bases": 0, "_stream_keys": 0, "stream_rng": 0}
 
-    def counting_bases(z):
-        calls["bases"] += 1
-        return bases(z)
+    def counted(name):
+        original = getattr(infogeo, name)
 
-    def counting_streams(*key):
-        calls["streams"] += 1
-        return streams(*key)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(infogeo, "_random_local_bases", counting_bases)
-    monkeypatch.setattr(infogeo, "stream_rng", counting_streams)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(infogeo, name, counted(name))
     reactivity(modified_werner(0.5, 0.0, n_qubits=4), 37, 3)
-    assert calls == {"bases": 1, "streams": 37}
+    assert calls == {"_random_local_bases": 1, "_stream_keys": 1, "stream_rng": 0}
 
 
 def _per_sample_bases(rng, n_qubits):

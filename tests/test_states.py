@@ -19,6 +19,7 @@ from infobell import (
     polarizer_projector,
     visibility,
 )
+from infobell import states
 from conftest import random_density, random_pure
 
 ANGLES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -160,6 +161,20 @@ def test_joint_probabilities_match_kron_trace_reference(rng):
                 op = np.kron(op, effects[k][o])
             expected[outcome] = np.trace(rho.matrix @ op).real
         assert_allclose(joint_probabilities(rho, stokes).probs, expected, rtol=0, atol=1e-14)
+
+
+def test_born_matches_the_three_operand_einsum(rng):
+    """The one-GEMM Born kernel against the direct <u|rho|u> contraction, 1 to 4 qubits."""
+    for n in (1, 2, 3, 4):
+        d = 2**n
+        rho = random_density(rng, n).matrix
+        for shape in ((d,), (5, d), (3, 2, d, d), (0, d), (0, 4, d)):
+            kets = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+            expected = np.einsum("...i,ij,...j->...", kets.conj(), rho, kets).real
+            got = states._born(kets, rho)
+            assert got.shape == shape[:-1]
+            assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
 def test_joint_distribution_validates_tables():
