@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DensityMatrix, JointDistribution, MeasurementSetting, _born, _born_tables,
-                     _checked_tables, _product_kets)
+                     _checked_tables, _pauli_coefficients)
 
 __all__ = [
     "REFERENCE_THETAS",
@@ -376,10 +376,13 @@ def _key_entry(value, name: str) -> int:
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-keyed random stream.
 
-    The same (seed, stream...) key always yields the same sequence, and
-    distinct keys are independent, so samples drawn under different keys
-    do not depend on evaluation order or interleaving. Key entries must be
-    non-negative integers.
+    The same (seed, stream...) key always yields the same sequence, so
+    samples drawn under different keys do not depend on evaluation order
+    or interleaving. Key entries must be non-negative integers. Keys that
+    differ only by trailing zeros within four 32-bit words in all give the
+    same stream, because SeedSequence pads a short entropy pool with
+    zeros: (7, 0) and (7, 0, 0, 0) draw the same numbers, while
+    (7, 0, 0, 0, 0) does not. Other distinct keys are independent.
     """
     entropy = (_key_entry(seed, "seed"),) + tuple(
         _key_entry(s, f"stream[{j}]") for j, s in enumerate(stream))
@@ -501,19 +504,17 @@ def _streams(seed: int, streams):
         yield rng
 
 
-def _random_local_bases(z: np.ndarray) -> np.ndarray:
-    """Uniformly random rank-1 projective qubit bases from Gaussian draws z of shape (..., 4).
+def _random_blochs(z: np.ndarray) -> np.ndarray:
+    """Bloch vectors of uniformly random qubit pure states from Gaussian draws z of shape (..., 4).
 
-    Each basis comes from the normalized complex-Gaussian pure state
-    (a, b) = (z0 + i z1, z2 + i z3) with orthogonal partner
-    (-conj(b), conj(a)); rows are basis states, shape (..., 2, 2).
+    The normalized complex-Gaussian state (a, b) = (z0 + i z1, z2 + i z3) / |z|
+    has Bloch vector (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2); its orthogonal
+    partner, the basis's other outcome, has the opposite vector. Shape (..., 3).
     """
-    a = z[..., 0] + 1j * z[..., 1]
-    b = z[..., 2] + 1j * z[..., 3]
-    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
-    a /= norm
-    b /= norm
-    return np.stack([np.stack([a, b], axis=-1), np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
+    z0, z1, z2, z3 = np.moveaxis(z, -1, 0)
+    r = np.stack([2.0 * (z0 * z2 + z1 * z3), 2.0 * (z0 * z3 - z1 * z2),
+                  z0 * z0 + z1 * z1 - z2 * z2 - z3 * z3], axis=-1)
+    return r / (z * z).sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -564,8 +565,10 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     averaged, and the four-party volume evaluated. Means are taken over
     samples first and the ratio last. The sample-i stream depends only on
     (seed, i), so the result is independent of evaluation order and
-    repeats bit-identically for a fixed seed.
+    repeats bit-identically for a fixed seed. ``n_samples`` and ``seed``
+    may be any integer type; the result holds them as Python ints.
     """
+    n_samples, seed = operator.index(n_samples), operator.index(seed)
     if rho.n_qubits != 4:
         raise ValueError("reactivity is implemented for 4-qubit states")
     if n_samples < 1:
@@ -573,7 +576,7 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     z = np.empty((n_samples, 4, 4))
     for zi, rng in zip(z, _streams(seed, np.arange(n_samples)[:, None])):
         rng.standard_normal(out=zi)
-    p = np.clip(_born(_product_kets(_random_local_bases(z)), rho.matrix), 0.0, None)
+    p = np.clip(_born(_random_blochs(z), _pauli_coefficients(rho.matrix)), 0.0, None).reshape(-1, 16)
     p = _checked_tables((p / p.sum(axis=-1, keepdims=True)).reshape(-1, 2, 2, 2, 2), 4)
     faces = np.stack([p.sum(axis=k) for k in range(1, 5)], axis=1)
     mean_area = float(_contents(faces, 3).mean(axis=-1).mean())

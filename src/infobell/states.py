@@ -10,6 +10,12 @@ Conventions fixed here and used everywhere else:
 * The polarizer at Stokes angle ``a`` passes ``cos(a/2)|0> + sin(a/2)|1>``.
 * Measurement outcomes are binary: 0 means the photon passed the
   analyzer, 1 that it went to the orthogonal port.
+
+Every exact outcome table comes from one real Born-rule contraction,
+``_born``. The state enters through its Pauli coefficients
+R_a = Tr(rho sigma_a1 x ... x sigma_an) and each qubit's measurement
+through the unit Bloch vector of its pass projector, so a table costs
+O(n 4**n) real operations and no 2**n x 2**n product ket is built.
 """
 
 from __future__ import annotations
@@ -286,54 +292,60 @@ def polarizer_projector(setting) -> np.ndarray:
     with |0> vertical; the returned 2x2 matrix is idempotent and has
     unit trace by construction.
     """
-    v = _polarizer_bases(_stokes(setting))[0]
-    return np.outer(v, v.conj())
+    half = _stokes(setting) / 2.0
+    c, s = math.cos(half), math.sin(half)
+    return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
 
 
-def _polarizer_bases(stokes) -> np.ndarray:
-    """Pass and block kets (rows) of polarizers at an array of Stokes angles.
+_PAULI_MAP = np.stack([np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z]).transpose(0, 2, 1).reshape(4, 4)
 
-    Shape (...) in, (..., 2, 2) out: row 0 is cos(a/2)|0> + sin(a/2)|1>,
-    row 1 its orthogonal partner -sin(a/2)|0> + cos(a/2)|1>.
+
+def _pauli_coefficients(matrix: np.ndarray) -> np.ndarray:
+    """Pauli coefficients R[a1, ..., an] = Re Tr(rho sigma_a1 x ... x sigma_an), shape (4,)*n.
+
+    rho = 2**-n sum_a R_a sigma_a1 x ... x sigma_an for Hermitian rho. The
+    matrix is reshaped so that each qubit holds one (i, j) pair axis, and
+    the fixed 4x4 map ``_PAULI_MAP`` (row a, column (i, j): rho[i, j] ->
+    Tr(rho sigma_a), with sigma_0..3 = I, X, Y, Z) is applied to one qubit
+    at a time; each application cycles the next qubit's axis to the front.
     """
-    half = np.asarray(stokes, dtype=float) / 2.0
-    c, s = np.cos(half), np.sin(half)
-    rows = [np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)]
-    return np.stack(rows, axis=-2).astype(complex)
+    n = matrix.shape[-1].bit_length() - 1
+    r = matrix.reshape((2,) * (2 * n)).transpose([axis for k in range(n) for axis in (k, n + k)])
+    for _ in range(n):
+        r = (_PAULI_MAP @ r.reshape(4, -1)).T
+    return r.real.reshape((4,) * n)
 
 
-def _product_kets(bases: np.ndarray) -> np.ndarray:
-    """Product kets of one local basis per qubit, rows in outcome order.
+def _born(blochs: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Born-rule outcome tables of one projective measurement per qubit.
 
-    Bases (..., n, 2, 2) with kets as rows give (..., 2**n, 2**n), where
-    row (o1...on) is kron(bases[0, o1], ..., bases[n-1, on]).
+    ``blochs`` (..., n, 3) holds the unit Bloch vector r_k of each qubit's
+    outcome-0 projector (I + r_k.sigma)/2; outcome 1 has -r_k.
+    ``coefficients`` are the state's Pauli coefficients R, shape (4,)*n.
+    Returns tables (..., 2, ..., 2) with one binary axis per qubit:
+    p(o) = 2**-n sum_a R_a prod_k v_k[o_k, a_k] with v_k = ((1, r_k), (1, -r_k)).
+    The first qubit is one GEMM against the shared R and each later qubit
+    one batched matmul, so a table costs O(n 4**n) real operations.
     """
-    kets = bases[..., 0, :, :]
-    for k in range(1, bases.shape[-3]):
-        outer = kets[..., :, None, :, None] * bases[..., k, None, :, None, :]
-        kets = outer.reshape(kets.shape[:-2] + (2 * kets.shape[-1],) * 2)
-    return kets
-
-
-def _born(kets: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Born-rule probabilities <u|rho|u> for kets stacked on the last axis.
-
-    One matrix product rho|u> over the flattened batch, then a row-wise <u|.> dot.
-    """
-    d = matrix.shape[-1]
-    rho_kets = (kets.reshape(-1, d) @ matrix.T).reshape(kets.shape)
-    return np.einsum("...j,...j->...", kets.conj(), rho_kets).real
+    batch, n = blochs.shape[:-2], blochs.shape[-2]
+    m = math.prod(batch)
+    v = np.ones((n, m, 2, 4))
+    v[..., 1:] = blochs.reshape(m, n, 1, 3).transpose(1, 0, 2, 3) * [[1.0], [-1.0]]
+    p = v[0].reshape(2 * m, 4) @ (0.5**n * coefficients).reshape(4, 4 ** (n - 1))
+    for k in range(1, n):
+        p = v[k, :, None] @ p.reshape(m, 2**k, 4, 4 ** (n - 1 - k))
+    return p.reshape(batch + (2,) * n)
 
 
 def _born_tables(rho: DensityMatrix, stokes) -> np.ndarray:
     """Checked outcome tables for Stokes angles of shape (..., n), one analyzer per qubit.
 
+    The polarizer at Stokes angle ``a`` has Bloch vector (sin a, 0, cos a).
     Returns shape (..., 2, ..., 2) with one binary axis per qubit.
     """
     stokes = np.asarray(stokes, dtype=float)
-    p = _born(_product_kets(_polarizer_bases(stokes)), rho.matrix)
-    n = stokes.shape[-1]
-    return _checked_tables(p.reshape(stokes.shape[:-1] + (2,) * n), n)
+    blochs = np.stack([np.sin(stokes), np.zeros_like(stokes), np.cos(stokes)], axis=-1)
+    return _checked_tables(_born(blochs, _pauli_coefficients(rho.matrix)), stokes.shape[-1])
 
 
 def joint_probabilities(rho: DensityMatrix, settings) -> JointDistribution:

@@ -26,6 +26,7 @@ from .states import (
     PureState,
     _born,
     _born_tables,
+    _pauli_coefficients,
     _stokes,
     bell_state,
     entanglement_report,
@@ -59,6 +60,8 @@ MODE_LABELS = (
 )
 
 _MODE_STATES = np.array([np.kron(_KETS[lbl[0]], _KETS[lbl[1]]) for lbl in MODE_LABELS])
+_BLOCHS = {"H": (0, 0, -1), "V": (0, 0, 1), "D": (1, 0, 0), "R": (0, 1, 0), "L": (0, -1, 0)}
+_MODE_BLOCHS = np.array([[_BLOCHS[lbl[0]], _BLOCHS[lbl[1]]] for lbl in MODE_LABELS], dtype=float)
 
 # Row i of the design matrix maps a flattened state to p_i = <s_i|rho|s_i>.
 _DESIGN = np.einsum("oi,oj->oij", _MODE_STATES.conj(), _MODE_STATES).reshape(16, 16)
@@ -145,8 +148,12 @@ def expected_counts(rho: DensityMatrix, per_basis: int) -> TomoDataset:
 
 
 def mode_probabilities(rho_matrix: np.ndarray) -> np.ndarray:
-    """p_i = <s_i| rho |s_i> for the 16 mode projection states."""
-    return _born(_MODE_STATES, rho_matrix)
+    """p_i = <s_i| rho |s_i> for the 16 mode projection states.
+
+    Each mode is read as the pass-pass entry of the Born kernel's table for
+    the exact Bloch vectors r of its two kets (projectors (I + r.sigma)/2).
+    """
+    return _born(_MODE_BLOCHS, _pauli_coefficients(rho_matrix))[:, 0, 0]
 
 
 def linear_inversion(data: TomoDataset) -> np.ndarray:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,7 +29,7 @@ from infobell import (
     sweep,
     violation,
 )
-from infobell import infogeo
+from infobell import infogeo, states
 from infobell.infogeo import golden_section_min
 
 # Exact-model values on the eight-angle reference grid, frozen from an
@@ -336,6 +338,17 @@ def test_reactivity_result_validates_ratio():
         )
 
 
+def test_reactivity_takes_any_integer_type():
+    rho = modified_werner(0.5, 0.0, n_qubits=4)
+    assert reactivity(rho, True, 1) == reactivity(rho, 1, 1)
+    result = reactivity(rho, np.int64(3), np.uint8(1))
+    assert result == reactivity(rho, 3, 1)
+    assert type(result.n_samples) is int and type(result.seed) is int
+    json.dumps(result.to_json_dict())
+    with pytest.raises(TypeError):
+        reactivity(rho, 3.0, 1)
+
+
 def test_reactivity_requires_four_qubits():
     with pytest.raises(ValueError):
         reactivity(modified_werner(0.5, 0.0), 50, 0)
@@ -371,7 +384,7 @@ def test_contents_are_the_elementary_symmetric_polynomials(rng):
 
 
 def test_reactivity_builds_its_bases_in_one_call(monkeypatch):
-    calls = {"_random_local_bases": 0, "_stream_keys": 0, "stream_rng": 0}
+    calls = {"_random_blochs": 0, "_stream_keys": 0, "stream_rng": 0}
 
     def counted(name):
         original = getattr(infogeo, name)
@@ -385,7 +398,7 @@ def test_reactivity_builds_its_bases_in_one_call(monkeypatch):
     for name in calls:
         monkeypatch.setattr(infogeo, name, counted(name))
     reactivity(modified_werner(0.5, 0.0, n_qubits=4), 37, 3)
-    assert calls == {"_random_local_bases": 1, "_stream_keys": 1, "stream_rng": 0}
+    assert calls == {"_random_blochs": 1, "_stream_keys": 1, "stream_rng": 0}
 
 
 def _per_sample_bases(rng, n_qubits):
@@ -405,11 +418,14 @@ def _per_sample_bases(rng, n_qubits):
 
 
 def test_batched_bases_match_the_per_sample_reference():
+    """The batched Bloch vectors are <u|sigma|u> of the per-sample pass kets, and the block kets have -r."""
+    paulis = np.stack([states.SIGMA_X, states.SIGMA_Y, states.SIGMA_Z])
     for seed, n_samples in ((7, 300), (0, 1), (12345, 17)):
         z = np.stack([stream_rng(seed, i).standard_normal((4, 4)) for i in range(n_samples)])
-        batched = infogeo._random_local_bases(z)
+        batched = infogeo._random_blochs(z)
         reference = np.stack([_per_sample_bases(stream_rng(seed, i), 4) for i in range(n_samples)])
-        assert batched.shape == (n_samples, 4, 2, 2)
-        assert np.array_equal(batched, reference)
-        unitary = batched @ batched.conj().swapaxes(-1, -2)
-        assert_allclose(unitary, np.broadcast_to(np.eye(2), unitary.shape), atol=1e-14)
+        vectors = np.einsum("...oi,sij,...oj->...os", reference.conj(), paulis, reference).real
+        assert batched.shape == (n_samples, 4, 3)
+        assert_allclose(batched, vectors[..., 0, :], rtol=0, atol=1e-15)
+        assert_allclose(batched, -vectors[..., 1, :], rtol=0, atol=1e-15)
+        assert_allclose(np.linalg.norm(batched, axis=-1), 1.0, rtol=0, atol=1e-15)

@@ -163,18 +163,51 @@ def test_joint_probabilities_match_kron_trace_reference(rng):
         assert_allclose(joint_probabilities(rho, stokes).probs, expected, rtol=0, atol=1e-14)
 
 
+PAULIS = (np.eye(2), states.SIGMA_X, states.SIGMA_Y, states.SIGMA_Z)
+
+
+def _random_bases(rng, shape):
+    """Random orthonormal qubit bases (..., 2, 2), kets as rows."""
+    a, b = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
+    norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    a, b = a / norm, b / norm
+    return np.stack([np.stack([a, b], axis=-1), np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
+
+
 def test_born_matches_the_three_operand_einsum(rng):
-    """The one-GEMM Born kernel against the direct <u|rho|u> contraction, 1 to 4 qubits."""
-    for n in (1, 2, 3, 4):
-        d = 2**n
+    """The real Pauli/Bloch contraction against <u|rho|u> over explicit kron product kets, 1 to 6 qubits."""
+    for n in range(1, 7):
         rho = random_density(rng, n).matrix
-        for shape in ((d,), (5, d), (3, 2, d, d), (0, d), (0, 4, d)):
-            kets = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+        coefficients = states._pauli_coefficients(rho)
+        for batch in ((), (5,), (3, 2), (0,), (0, 4)):
+            bases = _random_bases(rng, batch + (n,))
+            kets = np.empty(batch + (2,) * n + (2**n,), dtype=complex)
+            for index in np.ndindex(*batch):
+                for outcome in np.ndindex(*(2,) * n):
+                    ket = np.ones(1)
+                    for k, o in enumerate(outcome):
+                        ket = np.kron(ket, bases[index + (k, o)])
+                    kets[index + outcome] = ket
             expected = np.einsum("...i,ij,...j->...", kets.conj(), rho, kets).real
-            got = states._born(kets, rho)
-            assert got.shape == shape[:-1]
+            passed = bases[..., 0, :]
+            blochs = np.einsum("...i,sij,...j->...s", passed.conj(), PAULIS[1:], passed).real
+            got = states._born(blochs, coefficients)
+            assert got.shape == batch + (2,) * n
             assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
+def test_pauli_coefficients_are_the_pauli_traces(rng):
+    for n in (1, 2, 3, 4):
+        rho = random_density(rng, n).matrix
+        expected = np.empty((4,) * n)
+        for index in np.ndindex(*expected.shape):
+            sigma = np.ones((1, 1))
+            for a in index:
+                sigma = np.kron(sigma, PAULIS[a])
+            expected[index] = np.trace(rho @ sigma).real
+        got = states._pauli_coefficients(rho)
+        assert got.shape == (4,) * n
+        assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
 def test_joint_distribution_validates_tables():

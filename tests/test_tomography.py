@@ -83,6 +83,13 @@ def test_mode_probabilities_first_quartet_sums_to_one(rng):
     assert p[:4].sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_mode_probabilities_are_the_mode_kets_born_rule(rng):
+    for _ in range(20):
+        rho = random_density(rng).matrix
+        expected = np.einsum("oi,ij,oj->o", _MODE_STATES.conj(), rho, _MODE_STATES).real
+        assert_allclose(mode_probabilities(rho), expected, rtol=0, atol=1e-15)
+
+
 def test_expected_counts_returns_dataset():
     data = expected_counts(BELL, 1000)
     assert isinstance(data, TomoDataset)
