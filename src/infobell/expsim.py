@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infogeo import QuadrilateralGeometry, _edge_angles, _info_distances, _streams, stream_rng
-from .states import DensityMatrix, JointDistribution, _born_tables, _checked_tables, modified_werner
+from .infogeo import (QuadrilateralGeometry, _edge_angles, _info_distances, _key_entries, _key_entry,
+                      _streams, stream_rng)
+from .states import DensityMatrix, JointDistribution, _born_tables, modified_werner
 
 __all__ = [
     "DEFAULT_ACCIDENTAL_MEAN",
@@ -67,7 +68,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class NoiseConfig:
     """Noise model: mean accidental coincidences per bin, analyzer
-    calibration sigma (radians, Stokes), and the run seed."""
+    calibration sigma (radians, Stokes), and the run seed, a
+    non-negative integer of any integer type, stored as a Python int."""
 
     accidental_mean: float = DEFAULT_ACCIDENTAL_MEAN
     angle_sigma: float = DEFAULT_ANGLE_SIGMA
@@ -78,8 +80,7 @@ class NoiseConfig:
             raise ValueError(f"accidental_mean = {self.accidental_mean!r} must be finite and nonnegative")
         if not 0.0 <= self.angle_sigma < np.inf:
             raise ValueError(f"angle_sigma = {self.angle_sigma!r} must be finite and nonnegative")
-        if self.seed < 0:
-            raise ValueError(f"seed = {self.seed!r} must be nonnegative")
+        object.__setattr__(self, "seed", _key_entry(self.seed, "seed"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +89,8 @@ class CoincidenceRecord:
 
     counts[i, j] is the number of coincidences with party A in outcome i
     and party B in outcome j (0 = pass, 1 = block); accidental_estimate
-    holds the expected spurious coincidences per bin. total_trials always
-    equals the current count sum.
+    holds the expected spurious coincidences per bin, finite and
+    nonnegative. total_trials always equals the current count sum.
     """
 
     settings: tuple | None
@@ -106,8 +107,8 @@ class CoincidenceRecord:
             raise ValueError("counts and accidental_estimate must be 2x2 tables")
         if not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be integers")
-        if counts.min() < 0 or acc.min() < 0.0:
-            raise ValueError("counts and accidental estimates must be nonnegative")
+        if counts.min() < 0 or not (np.isfinite(acc).all() and acc.min() >= 0.0):
+            raise ValueError("counts must be nonnegative and accidental estimates finite and nonnegative")
         if int(counts.sum()) != self.total_trials:
             raise ValueError("total_trials must equal the count sum")
 
@@ -124,12 +125,12 @@ def _draw_accidentals(noise: NoiseConfig, rng: np.random.Generator) -> np.ndarra
 
 
 def _estimated_tables(counts: np.ndarray, accidental) -> np.ndarray:
-    """Checked accidental-subtracted estimates max(0, N - acc), renormalized, for (..., 2, 2) counts."""
+    """Accidental-subtracted estimates max(0, N - acc), renormalized, for (..., 2, 2) counts."""
     est = np.clip(counts - accidental, 0.0, None)
     total = est.sum(axis=(-2, -1), keepdims=True)
     if not np.all(total > 0.0):
         raise EstimationError("all outcome bins are empty after accidental subtraction")
-    return _checked_tables(est / total, 2)
+    return est / total
 
 
 def sample_counts(dist: JointDistribution, n_trials: int, seed: int,
@@ -253,9 +254,9 @@ def simulate_schumacher_run(rho: DensityMatrix, theta: float, counts_per_mode: i
     a fixed seed. The attached uncertainties are the model-propagated
     ones (they depend on the model and noise settings, not on the
     realized counts, mirroring how error bars are assigned from expected
-    count levels).
+    count levels). ``stream`` entries must be non-negative integers.
     """
-    return _simulate(rho, np.array([float(theta)]), counts_per_mode, noise, [stream])[0]
+    return _simulate(rho, np.array([float(theta)]), counts_per_mode, noise, [_key_entries(stream)])[0]
 
 
 def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
@@ -313,7 +314,7 @@ class SimulationConfig:
         try:
             self.state()
             self.noise()
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from None
 
     @classmethod

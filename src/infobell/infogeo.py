@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DensityMatrix, JointDistribution, MeasurementSetting, _born, _born_tables,
-                     _checked_tables, _pauli_coefficients)
+                     _pauli_coefficients)
 
 __all__ = [
     "REFERENCE_THETAS",
@@ -210,7 +210,7 @@ def violation(rho: DensityMatrix, theta: float, offset: float = 0.0) -> float:
     quadrilateral evades the constraint because its diagonal pairs are
     never measured together.
     """
-    return float(_violations(rho, theta, offset))
+    return quadrilateral(rho, theta, offset).violation
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,6 +373,11 @@ def _key_entry(value, name: str) -> int:
     return value
 
 
+def _key_entries(stream) -> tuple:
+    """The entries of a stream key, each checked by _key_entry."""
+    return tuple(_key_entry(s, f"stream[{j}]") for j, s in enumerate(stream))
+
+
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-keyed random stream.
 
@@ -384,8 +389,7 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     zeros: (7, 0) and (7, 0, 0, 0) draw the same numbers, while
     (7, 0, 0, 0, 0) does not. Other distinct keys are independent.
     """
-    entropy = (_key_entry(seed, "seed"),) + tuple(
-        _key_entry(s, f"stream[{j}]") for j, s in enumerate(stream))
+    entropy = (_key_entry(seed, "seed"), *_key_entries(stream))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -450,21 +454,14 @@ def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
 def _stream_keys(seed: int, streams) -> np.ndarray:
     """Philox keys, shape (m, 2) uint64, of the streams (seed, *streams[r]) for the m rows of ``streams``.
 
-    ``streams`` is a 2-d array of non-negative whole numbers, one key per
-    row (it may have zero columns). Row r gives exactly the key that
+    ``streams`` is a 2-d array of non-negative integers, one key per row
+    (it may have zero columns); the entry points have checked the seed
+    and the entries. Row r gives exactly the key that
     stream_rng(seed, *streams[r]) seeds its Philox with, computed for all
     rows in one vectorised pass of SeedSequence's hash.
     """
-    seed_words = _words(_key_entry(seed, "seed"))
+    seed_words = _words(seed)
     entries = np.asarray(streams)
-    if entries.ndim != 2:
-        raise ValueError(f"streams must be a 2-d array of key entries, got shape {entries.shape}")
-    if entries.dtype.kind not in "iu":
-        entries = np.array([[_key_entry(v, f"streams[{r}][{c}]") for c, v in enumerate(row)]
-                            for r, row in enumerate(streams)], dtype=object)
-    if entries.dtype.kind == "i" and entries.size and entries.min() < 0:
-        r, c = np.argwhere(entries < 0)[0]
-        raise ValueError(f"stream key entry streams[{r}][{c}] = {entries[r, c]} is negative")
     m = entries.shape[0]
     if m == 0:
         return np.empty((0, 2), dtype=np.uint64)
@@ -568,7 +565,7 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     repeats bit-identically for a fixed seed. ``n_samples`` and ``seed``
     may be any integer type; the result holds them as Python ints.
     """
-    n_samples, seed = operator.index(n_samples), operator.index(seed)
+    n_samples, seed = operator.index(n_samples), _key_entry(seed, "seed")
     if rho.n_qubits != 4:
         raise ValueError("reactivity is implemented for 4-qubit states")
     if n_samples < 1:
@@ -577,7 +574,7 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     for zi, rng in zip(z, _streams(seed, np.arange(n_samples)[:, None])):
         rng.standard_normal(out=zi)
     p = np.clip(_born(_random_blochs(z), _pauli_coefficients(rho.matrix)), 0.0, None).reshape(-1, 16)
-    p = _checked_tables((p / p.sum(axis=-1, keepdims=True)).reshape(-1, 2, 2, 2, 2), 4)
+    p = (p / p.sum(axis=-1, keepdims=True)).reshape(-1, 2, 2, 2, 2)
     faces = np.stack([p.sum(axis=k) for k in range(1, 5)], axis=1)
     mean_area = float(_contents(faces, 3).mean(axis=-1).mean())
     mean_volume = float(_contents(p, 4).mean())

@@ -21,6 +21,7 @@ O(n 4**n) real operations and no 2**n x 2**n product ket is built.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,8 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
-MIN_EIGENVALUE = -1e-9
+# Floor of a state's eigenvalues and of a table's entries; a state above it has tables above it.
+PROBABILITY_FLOOR = -1e-12
 NORM_TOL = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -55,8 +57,10 @@ _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 def _stokes(setting) -> float:
-    """Accept a MeasurementSetting or a bare Stokes angle in radians."""
-    return float(getattr(setting, "stokes_angle", setting))
+    """The Stokes angle of a MeasurementSetting, or of a bare angle in radians checked as one."""
+    if not isinstance(setting, MeasurementSetting):
+        setting = MeasurementSetting(float(setting))
+    return float(setting.stokes_angle)
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ class PureState:
         dim = amps.shape[0] if amps.ndim == 1 else 0
         if dim < 2 or dim & (dim - 1):
             raise ValueError("amplitudes must be a 1-d vector of power-of-2 length")
-        if abs(np.vdot(amps, amps).real - 1.0) > NORM_TOL:
+        if not abs(np.vdot(amps, amps).real - 1.0) <= NORM_TOL:
             raise ValueError(f"squared norm {np.vdot(amps, amps).real!r} is not 1")
 
     @property
@@ -115,28 +119,34 @@ class PureState:
 class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite matrix on n qubits.
 
-    The three physicality conditions are checked at construction
-    (Hermiticity and trace to 1e-10, smallest eigenvalue above -1e-9)
-    so every instance in circulation is a valid state.
+    This is the one check on a state. ``n_qubits`` is stored as a Python
+    int; the matrix must be finite, Hermitian and of trace one to 1e-10,
+    with smallest eigenvalue at least -1e-12. Every instance in
+    circulation is then a valid state, and its exact outcome tables are
+    valid probability tables up to round-off.
     """
 
     n_qubits: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
+        n = operator.index(self.n_qubits)
+        if n < 1:
             raise ValueError("n_qubits must be at least 1")
         mat = np.asarray(self.matrix, dtype=complex)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", mat)
-        dim = 2 ** self.n_qubits
+        dim = 2**n
         if mat.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix for {self.n_qubits} qubit(s)")
+            raise ValueError(f"expected a {dim}x{dim} matrix for {n} qubit(s)")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has non-finite entries")
         if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian")
         tr = np.trace(mat)
         if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} is not 1")
-        if np.linalg.eigvalsh(mat)[0] < MIN_EIGENVALUE:
+        if np.linalg.eigvalsh(mat)[0] < PROBABILITY_FLOOR:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")
 
     @property
@@ -156,23 +166,7 @@ class DensityMatrix:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DensityMatrix":
         mat = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-        return cls(int(payload["n_qubits"]), mat)
-
-
-def _checked_tables(p: np.ndarray, n_parties: int) -> np.ndarray:
-    """Validate a batch of probability tables held in the trailing ``n_parties`` axes.
-
-    Raises on any entry below -1e-12 or non-finite and on any table sum off
-    1 by more than 1e-10; returns the tables with tiny negatives clipped to 0.
-    """
-    if p.size and not p.min() >= -1e-12:
-        raise ValueError(f"negative or non-finite probability {p.min()!r}")
-    p = np.clip(p, 0.0, None)
-    sums = p.sum(axis=tuple(range(-n_parties, 0)))
-    bad = ~(np.abs(sums - 1.0) <= 1e-10)
-    if bad.any():
-        raise ValueError(f"probabilities sum to {sums[bad].flat[0]!r}, not 1")
-    return p
+        return cls(payload["n_qubits"], mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +185,12 @@ class JointDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim < 1 or p.shape != (2,) * p.ndim:
             raise ValueError("probability table must have one binary axis per party")
-        object.__setattr__(self, "probs", _checked_tables(p, p.ndim))
+        if not p.min() >= PROBABILITY_FLOOR:
+            raise ValueError(f"negative or non-finite probability {p.min()!r}")
+        p = np.clip(p, 0.0, None)
+        if not abs(p.sum() - 1.0) <= TRACE_TOL:
+            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+        object.__setattr__(self, "probs", p)
 
     @property
     def n_parties(self) -> int:
@@ -338,14 +337,16 @@ def _born(blochs: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 
 
 def _born_tables(rho: DensityMatrix, stokes) -> np.ndarray:
-    """Checked outcome tables for Stokes angles of shape (..., n), one analyzer per qubit.
+    """Outcome tables for Stokes angles of shape (..., n), one analyzer per qubit.
 
     The polarizer at Stokes angle ``a`` has Bloch vector (sin a, 0, cos a).
-    Returns shape (..., 2, ..., 2) with one binary axis per qubit.
+    Returns shape (..., 2, ..., 2) with one binary axis per qubit, with
+    round-off negatives clipped to zero; ``rho`` is a valid state, so
+    the tables need no further check.
     """
     stokes = np.asarray(stokes, dtype=float)
     blochs = np.stack([np.sin(stokes), np.zeros_like(stokes), np.cos(stokes)], axis=-1)
-    return _checked_tables(_born(blochs, _pauli_coefficients(rho.matrix)), stokes.shape[-1])
+    return np.clip(_born(blochs, _pauli_coefficients(rho.matrix)), 0.0, None)
 
 
 def joint_probabilities(rho: DensityMatrix, settings) -> JointDistribution:

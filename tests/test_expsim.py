@@ -131,6 +131,14 @@ def test_coincidence_record_validation():
             accidental_estimate=np.zeros((2, 2)),
             total_trials=5,
         )
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CoincidenceRecord(
+                settings=None,
+                counts=np.array([[1, 1], [1, 1]]),
+                accidental_estimate=np.array([[0.0, 0.0], [0.0, bad]]),
+                total_trials=4,
+            )
 
 
 def test_propagate_error_edges_equal_model():
@@ -208,6 +216,23 @@ GOOD_CONFIG = {
     "angle_sigma": 0.003,
     "seed": 42,
 }
+
+
+def test_noise_config_seed_is_a_python_int():
+    assert type(NoiseConfig(seed=np.int64(7)).seed) is int
+    assert NoiseConfig(seed=np.uint8(7)) == NoiseConfig(seed=7)
+    with pytest.raises(TypeError, match=r"seed = 1\.5 is not an integer"):
+        NoiseConfig(seed=1.5)
+    with pytest.raises(ConfigError, match="not an integer"):
+        SimulationConfig(lam=0.9, phase=0.0, thetas=(0.3,), counts_per_mode=350, seed=1.5)
+
+
+def test_simulated_run_checks_its_stream_before_any_work(monkeypatch):
+    run = simulate_schumacher_run(WERNER, 0.3, 350, QUIET, stream=(np.int64(1), 2))
+    assert run == simulate_schumacher_run(WERNER, 0.3, 350, QUIET, stream=(1, 2))
+    monkeypatch.setattr(expsim, "_born_tables", lambda *args: pytest.fail("the stream was not checked first"))
+    with pytest.raises(ValueError, match=r"^stream key entry stream\[1\] = -3 is negative$"):
+        simulate_schumacher_run(WERNER, 0.3, 350, QUIET, stream=(1, -3))
 
 
 def test_simulation_config_round_trip(tmp_path):

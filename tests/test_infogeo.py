@@ -10,6 +10,7 @@ from infobell import (
     REFERENCE_THETAS,
     DensityMatrix,
     JointDistribution,
+    NoiseConfig,
     ReactivityResult,
     ViolationCurve,
     bell_state,
@@ -25,6 +26,7 @@ from infobell import (
     reactivity,
     schumacher_settings,
     shannon_entropy,
+    simulate_schumacher_run,
     stream_rng,
     sweep,
     violation,
@@ -268,19 +270,28 @@ def test_streams_draw_what_stream_rng_draws():
             assert np.array_equal(rng.poisson(6.0, size=(2, 2)), reference.poisson(6.0, size=(2, 2)))
 
 
-@pytest.mark.parametrize("make_key", [
+# The public entry points that take a seed, called with (seed, stream entry).
+# reactivity takes no stream, so it ignores the entry.
+KEYED_ENTRY_POINTS = [
     lambda seed, entry: stream_rng(seed, 1, entry),
-    lambda seed, entry: infogeo._stream_keys(seed, [[1, entry]]),
-])
+    lambda seed, entry: simulate_schumacher_run(
+        bell_state("phi+").density_matrix(), 0.3, 10, NoiseConfig(seed=seed), stream=(1, entry)),
+    lambda seed, entry: reactivity(modified_werner(0.5, 0.0, n_qubits=4), 1, seed),
+]
+
+
+@pytest.mark.parametrize("make_key", KEYED_ENTRY_POINTS)
 def test_stream_key_entries_are_non_negative_integers(make_key):
     with pytest.raises(ValueError, match=r"seed = -1 is negative"):
         make_key(-1, 2)
+    with pytest.raises(TypeError, match=r"seed = 5\.0 is not an integer"):
+        make_key(5.0, 2)
+    if make_key is KEYED_ENTRY_POINTS[2]:
+        return
     with pytest.raises(ValueError, match=r"\[1\] = -3 is negative"):
         make_key(5, -3)
     with pytest.raises(TypeError, match=r"\[1\] = .*1\.5.* is not an integer"):
         make_key(5, 1.5)
-    with pytest.raises(TypeError, match=r"seed = 5\.0 is not an integer"):
-        make_key(5.0, 2)
 
 
 def test_sweep_of_no_angles_is_an_empty_curve():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from infobell import (
     MeasurementSetting,
     PureState,
     bell_state,
+    chsh,
     concurrence,
     entanglement_report,
     fidelity,
@@ -17,6 +20,9 @@ from infobell import (
     modified_werner,
     partial_trace,
     polarizer_projector,
+    quadrilateral,
+    reactivity,
+    violation,
     visibility,
 )
 from infobell import states
@@ -38,6 +44,18 @@ def test_measurement_setting_rejects_non_finite_angles():
             MeasurementSetting(bad)
 
 
+def test_bare_angles_are_checked_where_they_enter():
+    rho = bell_state("phi+").density_matrix()
+    for bad in (float("nan"), float("inf")):
+        for enter in (lambda: polarizer_projector(bad), lambda: joint_probabilities(rho, [0.0, bad]),
+                      lambda: chsh(rho, bad, 0.0, 0.5, 1.0)):
+            with pytest.raises(ValueError, match="not finite"):
+                enter()
+    for theta, offset in ((float("nan"), 0.0), (0.3, float("nan"))):
+        with pytest.raises(ValueError, match="outside"):
+            violation(rho, theta, offset)
+
+
 def test_bell_states_are_orthonormal():
     kinds = ("phi+", "phi-", "psi+", "psi-")
     states = [bell_state(k).amplitudes for k in kinds]
@@ -56,8 +74,9 @@ def test_bell_state_unknown_kind():
 
 
 def test_pure_state_requires_normalization():
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0]))
+    for amplitudes in ([1.0, 1.0], [np.nan, 0.0], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="squared norm"):
+            PureState(np.array(amplitudes))
 
 
 def test_pure_state_requires_qubit_dimension():
@@ -79,6 +98,76 @@ def test_density_matrix_rejects_wrong_trace():
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
         DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_density_matrix_rejects_eigenvalues_below_the_table_floor():
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(2, np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]))
+    DensityMatrix(2, np.diag([0.5 + 5e-13, 0.5, 0.0, -5e-13]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    for i, j in ((0, 0), (0, 1)):
+        m = np.eye(2, dtype=complex) / 2
+        m[i, j] = m[j, i] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(1, m)
+
+
+def test_density_matrix_holds_n_qubits_as_a_python_int():
+    rho = DensityMatrix(np.int64(2), np.eye(4) / 4)
+    assert type(rho.n_qubits) is int and type(rho.dim) is int
+    payload = json.loads(json.dumps(rho.to_json_dict()))
+    assert DensityMatrix.from_json_dict(payload).n_qubits == 2
+    with pytest.raises(TypeError):
+        DensityMatrix(2.0, np.eye(4) / 4)
+    with pytest.raises(TypeError):
+        DensityMatrix.from_json_dict({**payload, "n_qubits": 2.9})
+
+
+def _state_with_eigenvalue(rng, eigenvalue, stokes):
+    """A random state whose eigenvalue ``eigenvalue`` belongs to the product
+    state that analyzers at the Stokes angles ``stokes`` all pass."""
+    d = 2 ** len(stokes)
+    g = rng.standard_normal((d, d - 1)) + 1j * rng.standard_normal((d, d - 1))
+    g[0] = 0.0
+    m = g @ g.conj().T
+    m *= (1.0 - eigenvalue) / np.trace(m).real
+    m[0, 0] = eigenvalue
+    u = _kron_all([np.array([[np.cos(a / 2), -np.sin(a / 2)], [np.sin(a / 2), np.cos(a / 2)]])
+                   for a in stokes])
+    return u @ m @ u.T
+
+
+# Smallest eigenvalues on both sides of the shared floor of -1e-12.
+FLOOR_PROBES = (-1e-9, -5e-10, -1e-11, -1.01e-12, -0.99e-12, -5e-13, 0.0, 1e-13)
+
+
+def test_accepted_states_never_fail_a_probability_check(rng):
+    """A state is rejected below the floor; above it, no exact kernel finds a bad table,
+    even with an analyzer setting that reads the state's smallest eigenvalue."""
+    for n in (1, 2, 3, 4):
+        for eigenvalue in FLOOR_PROBES:
+            for stokes in (rng.uniform(-np.pi, np.pi, n), np.resize([np.pi / 2, 3 * np.pi / 2], n)):
+                matrix = _state_with_eigenvalue(rng, eigenvalue, stokes)
+                if eigenvalue < -1e-12:
+                    with pytest.raises(ValueError, match="negative eigenvalue"):
+                        DensityMatrix(n, matrix)
+                    continue
+                rho = DensityMatrix(n, matrix)
+                assert states._born_tables(rho, stokes).min() >= 0.0
+                corner = joint_probabilities(rho, stokes).probs[(0,) * n]
+                assert corner == pytest.approx(max(eigenvalue, 0.0), abs=1e-14)
+                if n == 2:
+                    a, b = stokes
+                    quadrilateral(rho, b - a, a)
+                    violation(rho, b - a, a)
+                    chsh(rho, a, 0.3, b, 1.1)
+                    visibility(rho, "HV")
+                    visibility(rho, "DA")
+                if n == 4:
+                    reactivity(rho, 4, 0)
 
 
 def test_density_matrix_json_round_trip(rng):
