@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infogeo import (QuadrilateralGeometry, _edge_angles, _info_distances, _key_entries, _key_entry,
-                      _streams, stream_rng)
+from .infogeo import (QuadrilateralGeometry, _check_finite, _edge_angles, _info_distances, _key_entries,
+                      _key_entry, _streams, stream_rng)
 from .states import DensityMatrix, JointDistribution, _born_tables, modified_werner
 
 __all__ = [
@@ -224,23 +224,27 @@ def propagate_error(rho_model: DensityMatrix, theta: float, counts_per_mode: int
     would assign to each edge. In the limit angle_sigma -> 0 and
     counts -> infinity every uncertainty goes to zero.
     """
+    _check_finite(theta=theta)
     _, d, dd = _model_edges(rho_model, theta, counts_per_mode, noise)
     return QuadrilateralGeometry(*map(float, d), *map(float, dd))
 
 
 def _simulate(rho: DensityMatrix, thetas: np.ndarray, counts_per_mode: int,
-              noise: NoiseConfig, streams) -> list:
-    """Simulated quadrilaterals at a 1-D array of angles; edge k of angle i draws on (*streams[i], k)."""
+              noise: NoiseConfig, stream: tuple):
+    """Simulated edge distances and their model uncertainties, (d, dd) of shape (..., 4).
+
+    ``thetas`` is a 0-d angle (one run) or a 1-d array (a sweep). Edge k of
+    the angle at index i draws its counts on (_STREAM_SAMPLE, *stream, *i, k)
+    and its accidentals on (_STREAM_ACCIDENTAL, *stream, *i, k).
+    """
     tables, _, dd = _model_edges(rho, thetas, counts_per_mode, noise)
-    keys = [(*stream, k) for stream in streams for k in range(4)]
-    sample_keys = [(_STREAM_SAMPLE, *key) for key in keys]
-    counts = np.stack([_draw_counts(p, counts_per_mode, rng)
-                       for p, rng in zip(tables.reshape(-1, 2, 2), _streams(noise.seed, sample_keys))])
+    shape = tables.shape[:-2]
+    samples = _streams(noise.seed, (_STREAM_SAMPLE, *stream), shape)
+    counts = np.stack([_draw_counts(p, counts_per_mode, rng) for p, rng in zip(tables.reshape(-1, 2, 2), samples)])
     if noise.accidental_mean != 0.0:
-        accidental_keys = [(_STREAM_ACCIDENTAL, *key) for key in keys]
-        counts += np.stack([_draw_accidentals(noise, rng) for rng in _streams(noise.seed, accidental_keys)])
-    d = _info_distances(_estimated_tables(counts.reshape(tables.shape), noise.accidental_mean))
-    return [QuadrilateralGeometry(*map(float, di), *map(float, ddi)) for di, ddi in zip(d, dd)]
+        accidentals = _streams(noise.seed, (_STREAM_ACCIDENTAL, *stream), shape)
+        counts += np.stack([_draw_accidentals(noise, rng) for rng in accidentals])
+    return _info_distances(_estimated_tables(counts.reshape(tables.shape), noise.accidental_mean)), dd
 
 
 def simulate_schumacher_run(rho: DensityMatrix, theta: float, counts_per_mode: int,
@@ -254,9 +258,12 @@ def simulate_schumacher_run(rho: DensityMatrix, theta: float, counts_per_mode: i
     a fixed seed. The attached uncertainties are the model-propagated
     ones (they depend on the model and noise settings, not on the
     realized counts, mirroring how error bars are assigned from expected
-    count levels). ``stream`` entries must be non-negative integers.
+    count levels). ``theta`` must be finite and ``stream`` entries
+    non-negative integers.
     """
-    return _simulate(rho, np.array([float(theta)]), counts_per_mode, noise, [_key_entries(stream)])[0]
+    _check_finite(theta=theta)
+    d, dd = _simulate(rho, float(theta), counts_per_mode, noise, _key_entries(stream))
+    return QuadrilateralGeometry(*map(float, d), *map(float, dd))
 
 
 def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
@@ -266,13 +273,15 @@ def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
     The run at thetas[i] is simulate_schumacher_run with stream (i,): the
     keys are positional, so appending angles keeps the earlier rows,
     while dropping or reordering angles changes the draws of every angle
-    whose position moves. All angles share one Born-rule pass.
+    whose position moves. All angles share one Born-rule pass and one
+    key computation per draw purpose.
     """
     thetas = [float(t) for t in thetas]
+    _check_finite(thetas=thetas)
     if not thetas:
         return []
-    quads = _simulate(rho, np.array(thetas), counts_per_mode, noise, [(i,) for i in range(len(thetas))])
-    return list(zip(thetas, quads))
+    d, dd = _simulate(rho, np.array(thetas), counts_per_mode, noise, ())
+    return [(t, QuadrilateralGeometry(*map(float, di), *map(float, ddi))) for t, di, ddi in zip(thetas, d, dd)]
 
 
 def _number(value, field: str, what: str = "a number") -> float:

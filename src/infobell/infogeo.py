@@ -123,6 +123,16 @@ def schumacher_settings(theta: float, offset: float = 0.0):
     )
 
 
+def _check_finite(**values) -> None:
+    """Raise a ValueError naming the first argument that holds a NaN or an infinity.
+
+    The entry points that take bare angles call it once, before any work.
+    """
+    for name, value in values.items():
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValueError(f"{name} = {value!r} is not finite")
+
+
 def _edge_angles(theta, offset: float = 0.0) -> np.ndarray:
     """Stokes-angle pairs of the four measured edges for an array of angles, shape (..., 4, 2)."""
     return offset + np.asarray(theta, dtype=float)[..., None, None] * _EDGE_MULTIPLES
@@ -133,9 +143,9 @@ def _edge_distances(rho: DensityMatrix, theta, offset: float = 0.0) -> np.ndarra
     return _info_distances(_born_tables(rho, _edge_angles(theta, offset)))
 
 
-def _violations(rho: DensityMatrix, theta, offset: float = 0.0) -> np.ndarray:
+def _violations(rho: DensityMatrix, theta) -> np.ndarray:
     """V = D(a1,b2) - sum of the three sides, for an array of angles."""
-    d = _edge_distances(rho, theta, offset)
+    d = _edge_distances(rho, theta)
     return d[..., 3] - (d[..., 0] + d[..., 1] + d[..., 2])
 
 
@@ -164,8 +174,8 @@ class QuadrilateralGeometry:
                 raise ValueError(f"{name} = {d!r} outside [0, 2]")
         for name in ("dd_a1b1", "dd_a2b1", "dd_a2b2", "dd_a1b2"):
             dd = getattr(self, name)
-            if dd is not None and dd < 0.0:
-                raise ValueError(f"{name} = {dd!r} is negative")
+            if dd is not None and not 0.0 <= dd < np.inf:
+                raise ValueError(f"{name} = {dd!r} must be finite and nonnegative")
 
     @property
     def edges(self) -> tuple:
@@ -199,6 +209,7 @@ class QuadrilateralGeometry:
 
 def quadrilateral(rho: DensityMatrix, theta: float, offset: float = 0.0) -> QuadrilateralGeometry:
     """Exact Born-rule edge distances of the single-angle scheme at theta."""
+    _check_finite(theta=theta, offset=offset)
     return QuadrilateralGeometry(*map(float, _edge_distances(rho, theta, offset)))
 
 
@@ -255,6 +266,7 @@ class ViolationCurve:
 def sweep(rho: DensityMatrix, thetas) -> ViolationCurve:
     """Exact violation curve over a strictly increasing list of angles."""
     thetas = np.asarray(list(thetas), dtype=float)
+    _check_finite(thetas=thetas)
     return ViolationCurve(thetas, _violations(rho, thetas))
 
 
@@ -290,6 +302,7 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
     point when that is higher (a peak at the edge of the scan, where the
     refinement can only approach the bound from inside).
     """
+    _check_finite(lo=lo, hi=hi, step=step)
     grid = np.minimum(np.arange(lo, hi + step / 2.0, step), hi)
     values = _violations(rho, grid)
     i = int(np.argmax(values))
@@ -451,51 +464,34 @@ def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
     return np.stack([state[0] | (state[1] << np.uint64(32)), state[2] | (state[3] << np.uint64(32))], axis=-1)
 
 
-def _stream_keys(seed: int, streams) -> np.ndarray:
-    """Philox keys, shape (m, 2) uint64, of the streams (seed, *streams[r]) for the m rows of ``streams``.
+def _stream_keys(seed: int, prefix: tuple, shape: tuple) -> np.ndarray:
+    """Philox keys, shape (*shape, 2) uint64, of the streams (seed, *prefix, *index) for every index of ``shape``.
 
-    ``streams`` is a 2-d array of non-negative integers, one key per row
-    (it may have zero columns); the entry points have checked the seed
-    and the entries. Row r gives exactly the key that
-    stream_rng(seed, *streams[r]) seeds its Philox with, computed for all
-    rows in one vectorised pass of SeedSequence's hash.
+    The entry points have checked the seed and the prefix entries. Each
+    index gives exactly the key that stream_rng(seed, *prefix, *index)
+    seeds its Philox with, computed for all indices in one vectorised pass
+    of SeedSequence's hash: the seed and the prefix entries are constant
+    32-bit word planes, and each index axis is one plane (no array has
+    2**32 rows).
     """
-    seed_words = _words(seed)
-    entries = np.asarray(streams)
-    m = entries.shape[0]
-    if m == 0:
-        return np.empty((0, 2), dtype=np.uint64)
-
-    # Plane k of a key entry holds its word k; the plane is part of a row's entropy
-    # only where that entry reaches 2**(32 k). Rows with one layout hash together.
-    planes = [np.full(m, word, dtype=np.uint32) for word in seed_words]
-    present = [np.ones(m, dtype=bool)] * len(seed_words)
-    for column in entries.T:
-        for k in range(len(_words(int(column.max())))):
-            shifted = column >> (32 * k)
-            planes.append((shifted & _MASK32).astype(np.uint32))
-            present.append(np.ones(m, dtype=bool) if k == 0 else shifted > 0)
-    planes, present = np.stack(planes, axis=-1), np.stack(present, axis=-1)
-    if present.all():
-        return _seed_sequence_keys(planes)
-    keys = np.empty((m, 2), dtype=np.uint64)
-    for layout in np.unique(present, axis=0):
-        rows = (present == layout).all(axis=-1)
-        keys[rows] = _seed_sequence_keys(planes[rows][:, layout])
-    return keys
+    n = math.prod(shape)
+    planes = [np.full(n, word, dtype=np.uint32) for entry in (seed, *prefix) for word in _words(entry)]
+    planes += [axis.ravel().astype(np.uint32) for axis in np.indices(shape)]
+    return _seed_sequence_keys(np.stack(planes, axis=-1)).reshape(*shape, 2)
 
 
-def _streams(seed: int, streams):
-    """Yield, for each row of ``streams``, a Generator that draws what stream_rng(seed, *row) draws.
+def _streams(seed: int, prefix: tuple, shape: tuple):
+    """Yield, for each index of ``shape`` in C order, a Generator that draws what
+    stream_rng(seed, *prefix, *index) draws.
 
-    One Philox bit generator is re-keyed in place for every row, with its
+    One Philox bit generator is re-keyed in place for every index, with its
     counter and buffer reset to zero, so each yielded Generator is valid
     only until the next one is requested.
     """
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
-    for key in _stream_keys(seed, streams):
+    for key in _stream_keys(seed, prefix, shape).reshape(-1, 2):
         state["state"]["key"] = key
         bitgen.state = state
         yield rng
@@ -571,7 +567,7 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     z = np.empty((n_samples, 4, 4))
-    for zi, rng in zip(z, _streams(seed, np.arange(n_samples)[:, None])):
+    for zi, rng in zip(z, _streams(seed, (), (n_samples,))):
         rng.standard_normal(out=zi)
     p = np.clip(_born(_random_blochs(z), _pauli_coefficients(rho.matrix)), 0.0, None).reshape(-1, 16)
     p = (p / p.sum(axis=-1, keepdims=True)).reshape(-1, 2, 2, 2, 2)

@@ -11,6 +11,7 @@ from infobell import (
     DensityMatrix,
     JointDistribution,
     NoiseConfig,
+    QuadrilateralGeometry,
     ReactivityResult,
     ViolationCurve,
     bell_state,
@@ -22,16 +23,18 @@ from infobell import (
     max_violation,
     metric_axioms_check,
     modified_werner,
+    propagate_error,
     quadrilateral,
     reactivity,
     schumacher_settings,
     shannon_entropy,
     simulate_schumacher_run,
+    simulate_sweep,
     stream_rng,
     sweep,
     violation,
 )
-from infobell import infogeo, states
+from infobell import expsim, infogeo, states
 from infobell.infogeo import golden_section_min
 
 # Exact-model values on the eight-angle reference grid, frozen from an
@@ -170,6 +173,47 @@ def test_violation_curve_validation():
         ViolationCurve(np.array([0.1, 0.2]), np.zeros(2), np.array([0.1, np.inf]))
 
 
+def test_quadrilateral_geometry_rejects_non_finite_uncertainties():
+    fields = ("dd_a1b1", "dd_a2b1", "dd_a2b2", "dd_a1b2")
+    for name in fields:
+        for bad in (float("nan"), float("inf"), -1e-3):
+            dds = {field: bad if field == name else 0.01 for field in fields}
+            with pytest.raises(ValueError, match=f"^{name} = .* must be finite and nonnegative$"):
+                QuadrilateralGeometry(0.1, 0.1, 0.1, 0.5, **dds)
+    assert QuadrilateralGeometry(0.1, 0.1, 0.1, 0.5, 0.0, 0.0, 0.0, 0.0).violation_uncertainty == 0.0
+
+
+# Each entry point that takes bare angles, called with one angle argument replaced.
+ANGLE_ENTRY_POINTS = [
+    pytest.param("theta", lambda rho, bad: quadrilateral(rho, bad), id="quadrilateral-theta"),
+    pytest.param("offset", lambda rho, bad: quadrilateral(rho, 0.3, bad), id="quadrilateral-offset"),
+    pytest.param("theta", lambda rho, bad: violation(rho, bad), id="violation-theta"),
+    pytest.param("offset", lambda rho, bad: violation(rho, 0.3, offset=bad), id="violation-offset"),
+    pytest.param("thetas", lambda rho, bad: sweep(rho, [0.1, bad]), id="sweep-thetas"),
+    pytest.param("lo", lambda rho, bad: max_violation(rho, lo=bad), id="max_violation-lo"),
+    pytest.param("hi", lambda rho, bad: max_violation(rho, hi=bad), id="max_violation-hi"),
+    pytest.param("step", lambda rho, bad: max_violation(rho, step=bad), id="max_violation-step"),
+    pytest.param("theta", lambda rho, bad: propagate_error(rho, bad, 350, NoiseConfig()),
+                 id="propagate_error-theta"),
+    pytest.param("theta", lambda rho, bad: simulate_schumacher_run(rho, bad, 350, NoiseConfig()),
+                 id="simulate_schumacher_run-theta"),
+    pytest.param("thetas", lambda rho, bad: simulate_sweep(rho, [0.1, bad], 350, NoiseConfig()),
+                 id="simulate_sweep-thetas"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, enter", ANGLE_ENTRY_POINTS)
+def test_non_finite_angles_are_rejected_where_they_enter(monkeypatch, name, enter):
+    """A NaN or infinite angle raises a ValueError naming its argument, before any Born-rule work."""
+    rho = bell_state("phi+").density_matrix()
+    for module in (infogeo, expsim):
+        monkeypatch.setattr(module, "_born_tables", lambda *args: pytest.fail("an angle was not checked first"))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
+            enter(rho, bad)
+
+
 def test_violation_curve_iteration():
     curve = ViolationCurve(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
     points = list(curve)
@@ -235,39 +279,55 @@ def test_stream_rng_determinism_and_separation():
 KEY_SEEDS = (0, 2**31 - 1, 2**32, 2**64 + 3, 10**23)
 
 
+# Index shapes of the batched draws: one key per index, in C order.
+KEY_SHAPES = ((), (0,), (2, 0), (6,), (3, 4), (2, 3, 2))
+
+
+def _seed_sequence_reference(seed, prefix, shape):
+    """SeedSequence's keys of the streams (seed, *prefix, *index), one per index of shape in C order."""
+    return np.reshape([np.random.SeedSequence((seed, *prefix, *index)).generate_state(2, np.uint64)
+                       for index in np.ndindex(shape)], shape + (2,))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 @pytest.mark.parametrize("n_entries", [0, 1, 2, 3, 4, 7])
 def test_stream_keys_match_seed_sequence(seed, n_entries):
-    """More than four words of entropy (a big seed with entries, or 7 entries) run
-    SeedSequence's extra mixing loop; the 32-bit hash wraps without a RuntimeWarning."""
-    streams = np.random.default_rng([n_entries, 5]).integers(0, 1000, size=(6, n_entries))
-    streams[0] = 0
-    keys = infogeo._stream_keys(seed, streams)
-    expected = [np.random.SeedSequence((seed, *row)).generate_state(2, np.uint64) for row in streams.tolist()]
-    assert keys.dtype == np.uint64
-    assert np.array_equal(keys, np.reshape(expected, (6, 2)))
+    """Keys of a prefix of n_entries entries, over empty, 1-d, 2-d and 3-d index shapes.
+
+    More than four words of entropy (a big seed with a prefix and an index, or
+    7 entries) run SeedSequence's extra mixing loop; the 32-bit hash wraps
+    without a RuntimeWarning.
+    """
+    prefix = tuple(np.random.default_rng([n_entries, 5]).integers(0, 1000, size=n_entries).tolist())
+    for shape in KEY_SHAPES:
+        keys = infogeo._stream_keys(seed, prefix, shape)
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, _seed_sequence_reference(seed, prefix, shape))
 
 
 def test_stream_keys_of_entries_of_several_words():
-    """Rows whose entries take different word counts hash with their own layouts."""
-    rows = [[0, 2**32], [5, 3], [2**40, 1], [2**63 - 1, 0], [2**70, 2], [3, 10**23]]
-    for streams in (rows[:4], np.array(rows[:4], dtype=np.int64), rows):
-        expected = [np.random.SeedSequence((9, *row)).generate_state(2, np.uint64)
-                    for row in np.asarray(streams).tolist()]
-        assert np.array_equal(infogeo._stream_keys(9, streams), expected)
-    assert infogeo._stream_keys(9, np.zeros((0, 2), dtype=int)).shape == (0, 2)
+    """Seeds and prefix entries of one to three 32-bit words hash with all their words."""
+    prefixes = [(0, 2**32), (5, 3), (2**40, 1), (2**63 - 1, 0), (2**70, 2), (3, 10**23), (2**33,)]
+    for seed in (9, 2**32, 10**23):
+        for prefix in prefixes:
+            for shape in ((), (4,), (2, 3)):
+                assert np.array_equal(infogeo._stream_keys(seed, prefix, shape),
+                                      _seed_sequence_reference(seed, prefix, shape))
+    assert infogeo._stream_keys(9, (2**70,), (2, 0)).shape == (2, 0, 2)
 
 
 def test_streams_draw_what_stream_rng_draws():
-    streams = [(0, i, k) for i in range(3) for k in range(4)] + [(1, 2**33, 7)]
-    tables = np.random.default_rng(3).dirichlet(np.ones(4), size=len(streams))
     for seed in (0, 4, 10**23):
-        for row, table, rng in zip(streams, tables, infogeo._streams(seed, streams)):
-            reference = stream_rng(seed, *row)
-            assert np.array_equal(rng.standard_normal((4, 4)), reference.standard_normal((4, 4)))
-            assert np.array_equal(rng.multinomial(350, table), reference.multinomial(350, table))
-            assert np.array_equal(rng.poisson(6.0, size=(2, 2)), reference.poisson(6.0, size=(2, 2)))
+        for prefix, shape in (((0,), (3, 4)), ((1, 2**33), (2,)), ((), (5,)), ((1, 7), ()), ((1,), (2, 0))):
+            indices = list(np.ndindex(shape))
+            tables = np.random.default_rng(3).dirichlet(np.ones(4), size=len(indices))
+            assert sum(1 for _ in infogeo._streams(seed, prefix, shape)) == len(indices)
+            for index, table, rng in zip(indices, tables, infogeo._streams(seed, prefix, shape)):
+                reference = stream_rng(seed, *prefix, *index)
+                assert np.array_equal(rng.standard_normal((4, 4)), reference.standard_normal((4, 4)))
+                assert np.array_equal(rng.multinomial(350, table), reference.multinomial(350, table))
+                assert np.array_equal(rng.poisson(6.0, size=(2, 2)), reference.poisson(6.0, size=(2, 2)))
 
 
 # The public entry points that take a seed, called with (seed, stream entry).

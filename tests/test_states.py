@@ -51,8 +51,8 @@ def test_bare_angles_are_checked_where_they_enter():
                       lambda: chsh(rho, bad, 0.0, 0.5, 1.0)):
             with pytest.raises(ValueError, match="not finite"):
                 enter()
-    for theta, offset in ((float("nan"), 0.0), (0.3, float("nan"))):
-        with pytest.raises(ValueError, match="outside"):
+    for theta, offset, name in ((float("nan"), 0.0, "theta"), (0.3, float("nan"), "offset")):
+        with pytest.raises(ValueError, match=f"^{name} = nan is not finite$"):
             violation(rho, theta, offset)
 
 
