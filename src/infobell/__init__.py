@@ -7,134 +7,19 @@ the four-edge triangle-inequality violation, finite-count simulation
 with error propagation, maximum-likelihood state tomography, CHSH
 values, a mixed-state model fit, and a multipartite area/volume
 generalization.
+
+Each module's ``__all__`` is its public surface; the package re-exports
+all of it.
 """
 
-from .states import (
-    DensityMatrix,
-    EntanglementReport,
-    JointDistribution,
-    MeasurementSetting,
-    PureState,
-    bell_state,
-    concurrence,
-    entanglement_report,
-    fidelity,
-    joint_probabilities,
-    modified_werner,
-    partial_trace,
-    polarizer_projector,
-    visibility,
-)
-from .infogeo import (
-    REFERENCE_THETAS,
-    MetricAxiomsReport,
-    QuadrilateralGeometry,
-    ReactivityResult,
-    ViolationCurve,
-    conditional_entropy,
-    info_area,
-    info_distance,
-    info_volume,
-    max_violation,
-    metric_axioms_check,
-    quadrilateral,
-    reactivity,
-    schumacher_settings,
-    shannon_entropy,
-    stream_rng,
-    sweep,
-    violation,
-)
-from .expsim import (
-    CoincidenceRecord,
-    ConfigError,
-    EstimationError,
-    NoiseConfig,
-    SimulationConfig,
-    add_accidentals,
-    estimate_distribution,
-    propagate_error,
-    sample_counts,
-    simulate_schumacher_run,
-    simulate_sweep,
-)
-from .tomography import (
-    MODE_LABELS,
-    OPTIMAL_BELL_SETTINGS,
-    TomoDataset,
-    TomographyError,
-    TomographyResult,
-    chsh,
-    correlation,
-    expected_counts,
-    linear_inversion,
-    mle_reconstruct,
-)
-from .fitting import WernerFit, fit_werner, model_curve
+from . import expsim, fitting, infogeo, states, tomography
+from .expsim import *  # noqa: F401,F403
+from .fitting import *  # noqa: F401,F403
+from .infogeo import *  # noqa: F401,F403
+from .states import *  # noqa: F401,F403
+from .tomography import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # states
-    "DensityMatrix",
-    "EntanglementReport",
-    "JointDistribution",
-    "MeasurementSetting",
-    "PureState",
-    "bell_state",
-    "concurrence",
-    "entanglement_report",
-    "fidelity",
-    "joint_probabilities",
-    "modified_werner",
-    "partial_trace",
-    "polarizer_projector",
-    "visibility",
-    # infogeo
-    "REFERENCE_THETAS",
-    "MetricAxiomsReport",
-    "QuadrilateralGeometry",
-    "ReactivityResult",
-    "ViolationCurve",
-    "conditional_entropy",
-    "info_area",
-    "info_distance",
-    "info_volume",
-    "max_violation",
-    "metric_axioms_check",
-    "quadrilateral",
-    "reactivity",
-    "schumacher_settings",
-    "shannon_entropy",
-    "stream_rng",
-    "sweep",
-    "violation",
-    # expsim
-    "CoincidenceRecord",
-    "ConfigError",
-    "EstimationError",
-    "NoiseConfig",
-    "SimulationConfig",
-    "add_accidentals",
-    "estimate_distribution",
-    "propagate_error",
-    "sample_counts",
-    "simulate_schumacher_run",
-    "simulate_sweep",
-    # tomography
-    "MODE_LABELS",
-    "OPTIMAL_BELL_SETTINGS",
-    "TomoDataset",
-    "TomographyError",
-    "TomographyResult",
-    "chsh",
-    "correlation",
-    "expected_counts",
-    "linear_inversion",
-    "mle_reconstruct",
-    # fitting
-    "WernerFit",
-    "fit_werner",
-    "model_curve",
-]
+__all__ = ["__version__", *states.__all__, *infogeo.__all__, *expsim.__all__, *tomography.__all__,
+           *fitting.__all__]

@@ -29,6 +29,7 @@ from .expsim import (
 )
 from .fitting import fit_werner
 from .infogeo import (
+    EDGE_NAMES,
     REFERENCE_THETAS,
     ViolationCurve,
     max_violation,
@@ -52,7 +53,7 @@ CURVE_HEADER = "# infobell curve v1"
 RUN_HEADER = "# infobell run v1"
 REACTIVITY_HEADER = "# infobell reactivity v1"
 
-_EDGE_COLUMNS = ("d_a1b1", "d_a2b1", "d_a2b2", "d_a1b2")
+_EDGE_COLUMNS = tuple(f"d_{edge}" for edge in EDGE_NAMES)
 
 
 class NonFiniteOutputError(RuntimeError):
@@ -242,9 +243,9 @@ def cmd_simulate(args) -> int:
                 {
                     "theta": theta,
                     "edges": dict(zip(_EDGE_COLUMNS, quad.edges)),
-                    "edge_uncertainties": dict(
-                        zip(("dd_a1b1", "dd_a2b1", "dd_a2b2", "dd_a1b2"), quad.uncertainties)
-                    ),
+                    "edge_uncertainties": {
+                        f"dd_{edge}": dd for edge, dd in zip(EDGE_NAMES, quad.uncertainties)
+                    },
                     "v": quad.violation,
                     "dv": quad.violation_uncertainty,
                 }
@@ -338,8 +339,7 @@ def cmd_reproduce(args) -> int:
     files["bell_curve.csv"] = curve_to_csv(sweep(bell, REFERENCE_THETAS))
     files["werner_curve.csv"] = curve_to_csv(sweep(werner, REFERENCE_THETAS))
 
-    noise = NoiseConfig(accidental_mean=6.0, angle_sigma=0.0030, seed=args.seed)
-    rows = simulate_sweep(werner, REFERENCE_THETAS, args.counts, noise)
+    rows = simulate_sweep(werner, REFERENCE_THETAS, args.counts, NoiseConfig(seed=args.seed))
     files["simulated_run.csv"] = run_rows_to_csv(rows)
     observed = ViolationCurve(
         np.array([theta for theta, _ in rows]),

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .infogeo import ViolationCurve
+from .infogeo import _EDGE_MULTIPLES, ViolationCurve
 
 __all__ = [
     "LAMBDA_STEP",
@@ -37,10 +37,11 @@ _MAX_DAMPING = 1e16
 _REFINE_TOL = 1e-8
 # Distance from 0 and 1 at which an edge's slope log2((1 - q)/q) is taken.
 _Q_FLOOR = 1e-15
-# Every edge (a, b) of the quadrilateral as (sign, a/theta, b/theta):
-# V = edge(0, 3t) - edge(0, t) - edge(2t, t) - edge(2t, 3t).
-_EDGE_TABLE = np.array([[1.0, 0.0, 3.0], [-1.0, 0.0, 1.0], [-1.0, 2.0, 1.0], [-1.0, 2.0, 3.0]])
-_SIGN = _EDGE_TABLE[:, :1]
+# infogeo's edges with the direct edge first, and the sign of each in V:
+# V = edge(0, 3t) - edge(0, t) - edge(2t, t) - edge(2t, 3t). The order fixes
+# the float sum over edges, and so the fitted numbers to the last digit.
+_MULTIPLES = _EDGE_MULTIPLES[[3, 0, 1, 2]]
+_SIGN = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
 # Values per temporary array of a blockwise pass (see _row_blocks). At
 # 64 KB a temporary stays below glibc's default 128 KB mmap
 # threshold, so successive blocks reuse heap memory instead of faulting
@@ -94,8 +95,8 @@ def _edge_table(th):
     An edge is 2 H2(q) with q = (1 + lam K)/2 and K = cos a cos b + c sin a sin b,
     c = cos phase.
     """
-    a = _EDGE_TABLE[:, 1:2] * th
-    b = _EDGE_TABLE[:, 2:3] * th
+    a = _MULTIPLES[:, :1] * th
+    b = _MULTIPLES[:, 1:] * th
     return np.cos(a) * np.cos(b), np.sin(a) * np.sin(b)
 
 

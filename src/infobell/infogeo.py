@@ -27,6 +27,7 @@ from .states import (DensityMatrix, JointDistribution, MeasurementSetting, _born
 
 __all__ = [
     "REFERENCE_THETAS",
+    "EDGE_NAMES",
     "QuadrilateralGeometry",
     "ViolationCurve",
     "MetricAxiomsReport",
@@ -53,8 +54,9 @@ REFERENCE_THETAS = (0.175, 0.227, 0.279, 0.328, 0.393, 0.436, 0.471, 0.503)
 _ZERO_CUTOFF = 1e-15
 
 
-# Stokes angles (a, b) of the four measured edges as multiples of theta, in
-# schumacher_settings' layout: sides (a1,b1), (a2,b1), (a2,b2), then the direct edge (a1,b2).
+# The four measured edges, in schumacher_settings' layout: the sides (a1,b1), (a2,b1),
+# (a2,b2), then the direct edge (a1,b2); and their Stokes angles (a, b) as multiples of theta.
+EDGE_NAMES = ("a1b1", "a2b1", "a2b2", "a1b2")
 _EDGE_MULTIPLES = np.array([(0.0, 1.0), (2.0, 1.0), (2.0, 3.0), (0.0, 3.0)])
 
 
@@ -133,6 +135,13 @@ def _check_finite(**values) -> None:
             raise ValueError(f"{name} = {value!r} is not finite")
 
 
+def _check_positive(**values) -> None:
+    """Raise a ValueError naming the first argument that is not a finite positive number."""
+    for name, value in values.items():
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} = {value!r} must be finite and positive")
+
+
 def _edge_angles(theta, offset: float = 0.0) -> np.ndarray:
     """Stokes-angle pairs of the four measured edges for an array of angles, shape (..., 4, 2)."""
     return offset + np.asarray(theta, dtype=float)[..., None, None] * _EDGE_MULTIPLES
@@ -168,14 +177,12 @@ class QuadrilateralGeometry:
     dd_a1b2: float | None = None
 
     def __post_init__(self):
-        for name in ("d_a1b1", "d_a2b1", "d_a2b2", "d_a1b2"):
-            d = getattr(self, name)
+        for edge in EDGE_NAMES:
+            d, dd = getattr(self, f"d_{edge}"), getattr(self, f"dd_{edge}")
             if not -1e-9 <= d <= 2.0 + 1e-9:
-                raise ValueError(f"{name} = {d!r} outside [0, 2]")
-        for name in ("dd_a1b1", "dd_a2b1", "dd_a2b2", "dd_a1b2"):
-            dd = getattr(self, name)
+                raise ValueError(f"d_{edge} = {d!r} outside [0, 2]")
             if dd is not None and not 0.0 <= dd < np.inf:
-                raise ValueError(f"{name} = {dd!r} must be finite and nonnegative")
+                raise ValueError(f"dd_{edge} = {dd!r} must be finite and nonnegative")
 
     @property
     def edges(self) -> tuple:
@@ -275,8 +282,9 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
 
     Derivative-free and fully deterministic; max_violation uses it to
     refine the best point of its scan, which keeps the scan
-    bit-reproducible.
+    bit-reproducible. ``tol`` must be finite and positive.
     """
+    _check_positive(tol=tol)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
@@ -300,9 +308,13 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
 
     Returns (theta_star, v_star): the refined point, or the best grid
     point when that is higher (a peak at the edge of the scan, where the
-    refinement can only approach the bound from inside).
+    refinement can only approach the bound from inside). A scan needs
+    step > 0 and hi >= lo; lo == hi scans one point.
     """
     _check_finite(lo=lo, hi=hi, step=step)
+    _check_positive(step=step, tol=tol)
+    if hi < lo:
+        raise ValueError(f"hi = {hi!r} is below lo = {lo!r}")
     grid = np.minimum(np.arange(lo, hi + step / 2.0, step), hi)
     values = _violations(rho, grid)
     i = int(np.argmax(values))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -131,6 +132,21 @@ def test_schumacher_settings_layout():
     assert shifted[3].stokes_angle == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("offset", [0.0, 0.1, -0.25])
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 8, 0.5])
+def test_edge_table_pairs_the_schumacher_settings(theta, offset):
+    """Edge k of _edge_angles measures the settings named by EDGE_NAMES[k]."""
+    a1, a2, b1, b2 = (s.stokes_angle for s in schumacher_settings(theta, offset))
+    settings = {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
+    pairs = [(settings[edge[:2]], settings[edge[2:]]) for edge in infogeo.EDGE_NAMES]
+    assert_allclose(infogeo._edge_angles(theta, offset), pairs, rtol=0.0, atol=1e-15)
+
+
+def test_quadrilateral_fields_follow_edge_names():
+    names = [field.name for field in dataclasses.fields(QuadrilateralGeometry)]
+    assert names == [f"{prefix}_{edge}" for prefix in ("d", "dd") for edge in infogeo.EDGE_NAMES]
+
+
 def test_quadrilateral_bell_golden_values():
     quad = quadrilateral(bell_state("phi+").density_matrix(), np.pi / 8)
     assert_allclose(quad.sides, [0.466653257] * 3, atol=1e-9)
@@ -221,6 +237,41 @@ def test_violation_curve_iteration():
     assert points[0] == (0.1, 0.3, None)
     with_dv = ViolationCurve(np.array([0.1]), np.array([0.3]), np.array([0.05]))
     assert list(with_dv)[0] == (0.1, 0.3, 0.05)
+
+
+# Each scan argument that no scan can take, with the argument its error must name.
+BAD_SCANS = [
+    pytest.param("step", {"step": 0.0}, id="step-zero"),
+    pytest.param("step", {"step": -0.1}, id="step-negative"),
+    pytest.param("hi", {"lo": 0.6, "hi": 0.1}, id="hi-below-lo"),
+    pytest.param("tol", {"tol": 0.0}, id="tol-zero"),
+    pytest.param("tol", {"tol": -1.0}, id="tol-negative"),
+    pytest.param("tol", {"tol": float("nan")}, id="tol-nan"),
+    pytest.param("tol", {"tol": float("inf")}, id="tol-inf"),
+]
+
+
+@pytest.mark.parametrize("name, bad", BAD_SCANS)
+def test_max_violation_rejects_a_scan_that_is_not_a_scan(monkeypatch, name, bad):
+    """Bad scan arguments raise a ValueError naming the argument, before any Born-rule work."""
+    rho = bell_state("phi+").density_matrix()
+    monkeypatch.setattr(infogeo, "_violations", lambda *args: pytest.fail("a scan was not checked first"))
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        max_violation(rho, **bad)
+
+
+def test_max_violation_of_a_one_point_scan():
+    rho = bell_state("phi+").density_matrix()
+    assert max_violation(rho, lo=0.3, hi=0.3) == (0.3, violation(rho, 0.3))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_golden_section_min_rejects_a_tolerance_it_cannot_reach(tol):
+    def f(t):
+        pytest.fail("tol was not checked first")
+
+    with pytest.raises(ValueError, match="^tol = .* must be finite and positive$"):
+        golden_section_min(f, 0.0, 1.0, tol)
 
 
 def test_golden_section_min_quadratic():
