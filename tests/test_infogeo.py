@@ -38,6 +38,8 @@ from infobell import (
 from infobell import expsim, infogeo, states
 from infobell.infogeo import golden_section_min
 
+from conftest import random_density
+
 # Exact-model values on the eight-angle reference grid, frozen from an
 # independent high-precision evaluation of the closed-form statistics.
 BELL_GRID_V = np.array([
@@ -296,6 +298,107 @@ def test_max_violation_at_scan_edge_beats_every_grid_point(kind, lo, hi):
     assert lo <= theta_star <= hi
     assert v_star >= sweep(rho, grid).v.max()
     assert v_star == pytest.approx(violation(rho, theta_star), abs=1e-15)
+
+
+# Bracket arguments golden_section_min cannot search, with the argument its error must name.
+BAD_BRACKETS = [
+    pytest.param("hi", 1.0, 0.0, id="reversed"),
+    pytest.param("lo", float("nan"), 1.0, id="lo-nan"),
+    pytest.param("hi", 0.0, float("nan"), id="hi-nan"),
+    pytest.param("lo", -float("inf"), 1.0, id="lo-inf"),
+    pytest.param("hi", 0.0, float("inf"), id="hi-inf"),
+]
+
+
+@pytest.mark.parametrize("name, lo, hi", BAD_BRACKETS)
+def test_golden_section_min_rejects_a_bracket_before_calling_f(name, lo, hi):
+    def f(t):
+        pytest.fail("the bracket was not checked first")
+
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        golden_section_min(f, lo, hi)
+
+
+def test_searches_stop_once_the_bracket_stops_shrinking(monkeypatch):
+    """A tol below one ulp of theta ends the search instead of looping forever."""
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if len(calls) > 10_000:
+            pytest.fail("golden_section_min did not stop")
+        return (t - 0.3) ** 2
+
+    assert golden_section_min(f, 0.0, 1.0, 1e-300) == pytest.approx(0.3, abs=1e-15)
+    violations = infogeo._violations
+    calls.clear()
+
+    def counted(rho, theta):
+        calls.append(theta)
+        if len(calls) > 1_000:
+            pytest.fail("max_violation did not stop")
+        return violations(rho, theta)
+
+    monkeypatch.setattr(infogeo, "_violations", counted)
+    theta_star, _ = max_violation(bell_state("phi+").density_matrix(), step=2.5e-3, tol=1e-300)
+    assert theta_star == pytest.approx(0.3046835, abs=1e-6)
+
+
+def _refinement_bank():
+    """The four Bell states, 20 modified Werner states and 20 Ginibre mixed states."""
+    rng = np.random.default_rng(1515)
+    bank = [bell_state(kind).density_matrix() for kind in ("phi+", "phi-", "psi+", "psi-")]
+    bank += [modified_werner(lam, phase) for lam, phase in rng.uniform((0.0, 0.0), (1.0, np.pi), (20, 2))]
+    bank += [random_density(rng) for _ in range(20)]
+    return bank
+
+
+def _reference_argmax(rho, lo=0.1, hi=0.6, step=5e-5):
+    """Argmax of V by a scan of spacing 5e-5 and a golden-section search to 1e-12 about its best point."""
+    grid = np.minimum(np.arange(lo, hi + step / 2.0, step), hi)
+    i = int(np.argmax(sweep(rho, grid).v))
+    t = golden_section_min(lambda t: -violation(rho, t), grid[max(0, i - 1)], grid[min(grid.size - 1, i + 1)],
+                           1e-12)
+    return t if violation(rho, t) >= violation(rho, grid[i]) else grid[i]
+
+
+def test_max_violation_refines_to_the_peak_on_a_seeded_bank():
+    """v* is an evaluated value, never below the scan, and theta* is within tol of the argmax."""
+    tol = 1e-6
+    for rho in _refinement_bank():
+        reference = _reference_argmax(rho)
+        for step in (2.5e-3, 1e-4):
+            grid = np.minimum(np.arange(0.1, 0.6 + step / 2.0, step), 0.6)
+            theta_star, v_star = max_violation(rho, step=step, tol=tol)
+            assert v_star >= sweep(rho, grid).v.max()
+            assert v_star == pytest.approx(violation(rho, theta_star), abs=1e-15)
+            assert abs(theta_star - reference) <= tol
+
+
+def test_max_violation_refines_in_a_few_batched_calls(monkeypatch):
+    violations, calls = infogeo._violations, []
+
+    def counted(rho, theta):
+        calls.append(np.size(theta))
+        return violations(rho, theta)
+
+    monkeypatch.setattr(infogeo, "_violations", counted)
+    for rho in _refinement_bank():
+        calls.clear()
+        max_violation(rho, step=2.5e-3, tol=1e-6)
+        assert len(calls) <= 8
+
+
+def test_max_violation_bell_lands_on_the_peak():
+    """theta* is within 1e-8 of the exact peak.
+
+    The exact peak, 0.30468350878 from the closed form
+    V = D(3 theta) - 3 D(theta) with D(x) = 2 h2(cos^2(x / 2)), lies 8.8e-9
+    above the six-digit rounding boundary 0.3046835, so a theta* that
+    errs low by more than that prints 0.304683 instead of 0.304684.
+    """
+    theta_star, _ = max_violation(bell_state("phi+").density_matrix())
+    assert theta_star == pytest.approx(0.3046835, abs=1e-8)
 
 
 def test_info_area_and_volume_permutation_invariance(rng):
