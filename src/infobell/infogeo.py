@@ -325,6 +325,12 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
 # 1e-6, one BLAS thread on a 2-core x86 host): 1.92 ms at K = 8, 1.63 at
 # 16, 1.69 at 17, 1.96 at 32.
 _REFINE_POINTS = 16
+# Smallest spacing a refinement round uses, 2 sqrt(eps). V's round-off is
+# about 4e-16; at this spacing V at the best point of a peak of curvature
+# ~20 (phi+: 21.5) stands ~1e-14 above its neighbours, and rounds any
+# finer let round-off pick the best point. The vertex step through the
+# last resolved triple locates the peak better than such rounds do.
+_MIN_SPACING = 2.0**-25
 
 
 def _parabola_vertex(t: np.ndarray, v: np.ndarray) -> float | None:
@@ -346,11 +352,13 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
     then evaluates V at equally spaced interior points of the bracket in
     one batched call and shrinks the bracket to the best point seen so
     far, plus or minus one spacing. The rounds stop once the bracket is
-    no wider than ``tol``: each narrows it at least eightfold, and a
-    bracket a few ulps wide collapses onto its best point, so any
-    positive ``tol`` ends them. A last parabolic-vertex step through the
-    best point and its two nearest evaluated neighbours, clipped to the
-    bracket, is kept only if it does not lower V.
+    no wider than ``tol``, or once the next round's spacing would fall
+    below 2**-25 (about 3e-8), where V's round-off rather than its shape
+    would pick the best point; so for ``tol`` below 17 * 2**-25 (about
+    5e-7) the final bracket can be wider than ``tol``. A last
+    parabolic-vertex step through the best point and its two nearest
+    evaluated neighbours, clipped to the bracket, is kept only if it
+    does not lower V.
 
     Returns (theta_star, v_star), the best evaluated point: v_star is
     never below any grid value, and a peak on a scan bound is returned
@@ -367,6 +375,8 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
     a, b = grid[max(0, i - 1)], grid[min(grid.size - 1, i + 1)]
     while b - a > tol:
         spacing = (b - a) / (_REFINE_POINTS + 1)
+        if spacing < _MIN_SPACING:
+            break
         points = a + spacing * np.arange(1, _REFINE_POINTS + 1)
         thetas.append(points)
         values.append(_violations(rho, points))

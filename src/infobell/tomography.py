@@ -4,9 +4,11 @@ Reconstruction runs on the standard informationally complete set of 16
 coincidence modes. Linear inversion gives a fast estimate that can leave
 the physical set (negative eigenvalues at finite counts). The maximum
 likelihood step is a log-barrier Newton loop over the 16 expected mode
-counts, in which the Poisson negative log-likelihood is convex; it stops
-once the barrier's duality gap certifies the likelihood to within 1e-10
-of its maximum (or the round-off of the objective, at high counts).
+counts, in which the Poisson negative log-likelihood is convex; after
+each shrink of the barrier weight a tangent (predictor) step follows the
+central path before the Newton corrections resume. It stops once the
+barrier's duality gap certifies the likelihood to within 1e-10 of its
+maximum (or the round-off of the objective, at high counts).
 
 Circular polarization uses R = (H - iV)/sqrt(2), L = (H + iV)/sqrt(2),
 one of the two standard sign conventions; it matters for the sign of
@@ -15,6 +17,7 @@ imaginary off-diagonal elements, so it is fixed here once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +71,12 @@ _FRAME = 0.5 * (_FRAME + _FRAME.reshape(16, 4, 4).conj().transpose(0, 2, 1).resh
 _BARRIER_START = 1e-4  # first barrier weight, per count, and at least 1
 _BARRIER_SHRINK = 0.01
 _CENTRED = 1e-3  # a weight mu is centred once the squared Newton decrement <= _CENTRED * mu
+_SELF_CONCORDANT = 0.1  # a Newton step with squared decrement <= this * min(mu, 1) needs no search
 _GAP = 1e-10  # the certified likelihood gap 4 mu at the last weight, ...
 _ROUND_OFF = 16 * np.finfo(float).eps  # ... or this much per count, if larger
 _MAX_NEWTON_STEPS = 200
+_MAX_COUNT = np.iinfo(np.int64).max
+_MAX_TOTAL = 2**53  # float64 holds every count total up to here exactly
 
 # CHSH settings maximizing |S| for an ideal Bell state (Stokes angles).
 OPTIMAL_BELL_SETTINGS = (
@@ -85,19 +91,31 @@ class TomographyError(RuntimeError):
     """Tomography data cannot be processed."""
 
 
+def _check_counts(counts: list) -> None:
+    """Each count, a Python int, in 0 to 2**63 - 1; their total at most 2**53."""
+    for label, n in zip(MODE_LABELS, counts):
+        if not 0 <= n <= _MAX_COUNT:
+            raise ValueError(f"mode {label}: count {n} is outside 0 to 2**63 - 1")
+    if sum(counts) > _MAX_TOTAL:
+        raise ValueError(f"count total {sum(counts)} exceeds 2**53, beyond which float counts are inexact")
+
+
 @dataclass(frozen=True, eq=False)
 class TomoDataset:
-    """Coincidence counts for the 16 modes, aligned with MODE_LABELS."""
+    """Coincidence counts for the 16 modes, aligned with MODE_LABELS.
+
+    Each count fits int64 and their total is at most 2**53, so the float
+    arithmetic of the reconstructions holds every count exactly.
+    """
 
     counts: np.ndarray
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
-        object.__setattr__(self, "counts", counts)
         if counts.shape != (16,) or not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be 16 integers aligned with MODE_LABELS")
-        if counts.min() < 0:
-            raise ValueError("counts must be nonnegative")
+        _check_counts(counts.tolist())
+        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
 
     @classmethod
     def from_mapping(cls, mapping) -> "TomoDataset":
@@ -105,7 +123,9 @@ class TomoDataset:
         extra = sorted(set(mapping) - set(MODE_LABELS))
         if missing or extra:
             raise ValueError(f"bad mode labels; missing {missing}, unexpected {extra}")
-        return cls(np.array([int(mapping[lbl]) for lbl in MODE_LABELS], dtype=np.int64))
+        counts = [int(mapping[lbl]) for lbl in MODE_LABELS]
+        _check_counts(counts)
+        return cls(np.array(counts, dtype=np.int64))
 
     @classmethod
     def from_csv(cls, path) -> "TomoDataset":
@@ -138,7 +158,18 @@ class TomoDataset:
 
 
 def expected_counts(rho: DensityMatrix, per_basis: int) -> TomoDataset:
-    """Noise-free dataset: expected counts round(per_basis * p_i) for each mode."""
+    """Noise-free dataset: expected counts round(per_basis * p_i) for each mode.
+
+    ``per_basis`` is an integer (not a bool) from 0 to 2**53.
+    """
+    try:
+        if isinstance(per_basis, bool):
+            raise TypeError
+        per_basis = operator.index(per_basis)
+    except TypeError:
+        raise TypeError(f"per_basis = {per_basis!r} is not an integer") from None
+    if not 0 <= per_basis <= _MAX_TOTAL:
+        raise ValueError(f"per_basis = {per_basis} is outside 0 to 2**53")
     p = mode_probabilities(rho.matrix)
     return TomoDataset(np.round(per_basis * p).astype(np.int64))
 
@@ -191,12 +222,14 @@ def _barrier_derivatives(m: np.ndarray, counts: np.ndarray, mu: float, chol: np.
 
 def _newton_step(m, step, decrement, counts, mu, chol):
     """Backtrack along ``step`` until sigma stays positive definite and the
-    barrier objective falls by a quarter of the Newton prediction; None if
+    barrier objective falls by a quarter of its linear prediction, t times
+    ``decrement`` (minus the objective's slope along ``step``); None if
     no step of 1e-12 or more does. The fall is summed term by term
     (log1p, log-diagonals of the Cholesky factors) to keep its precision.
-    Where the squared decrement is at most 0.1 min(mu, 1), the objective
-    over min(mu, 1) is self-concordant and a full step provably lowers it,
-    so any positive-definite step is taken there.
+    For a Newton step whose squared decrement is at most 0.1 min(mu, 1),
+    the objective over min(mu, 1) is self-concordant and a full step
+    provably lowers it, so any positive-definite step is taken there;
+    ``mle_reconstruct`` passes a predictor step only with a larger slope.
     """
     old_log_det = np.log(chol.diagonal().real).sum()
     t = 1.0
@@ -207,7 +240,7 @@ def _newton_step(m, step, decrement, counts, mu, chol):
             moved = trial - m
             change = float((moved - counts * np.log1p(moved / m)).sum())
             change -= 2.0 * mu * (np.log(trial_chol.diagonal().real).sum() - old_log_det)
-            if change <= -0.25 * t * decrement or decrement <= 0.1 * min(mu, 1.0):
+            if change <= -0.25 * t * decrement or decrement <= _SELF_CONCORDANT * min(mu, 1.0):
                 return trial, trial_chol
         t *= 0.5
     return None
@@ -259,10 +292,25 @@ def mle_reconstruct(data: TomoDataset, target: PureState | None = None) -> Tomog
     decrement is at most 1e-3 mu, mu shrinks 100-fold, down to
     4 mu = max(1e-10, 16 eps N). At a central point 4 mu bounds how far
     the likelihood can still rise; 16 eps N is the objective's own
-    round-off. ``converged`` means that this certified stop was reached
-    within 200 Newton steps (``n_iterations``); a run that misses it is
-    returned, not raised, so the diagnostics stay inspectable. The state
-    is sigma / tr(sigma), and ``log_likelihood`` is its Poisson
+    round-off.
+
+    After each shrink to mu' a tangent predictor follows the central
+    path: with d = grad log det sigma(m), the step (mu' - mu) H^-1 d uses
+    the Hessian H already factored at mu. Near-pure states put the MLE
+    on the rank boundary, where an eigenvalue of sigma scales like mu;
+    a Newton step at mu' overshoots it about 100-fold and its line
+    search halves it down to 1/128, while the tangent moves it from
+    about c mu to c mu' in one step. The predictor goes through the same
+    line search, with slope -(g + (mu - mu') d) . step for the gradient
+    g at mu. It is skipped when minus that slope is at most 0.1
+    min(mu', 1): the search takes any positive-definite step below that
+    bound, which is safe for Newton steps alone, and so small a
+    predictor (full-rank states) would gain little.
+
+    ``converged`` means that the certified stop was reached within 200
+    steps, predictor steps included (``n_iterations``); a run that misses
+    it is returned, not raised, so the diagnostics stay inspectable. The
+    state is sigma / tr(sigma), and ``log_likelihood`` is its Poisson
     log-likelihood with the count scale profiled out.
 
     ``target`` sets the state used for the fidelity entry of the quality
@@ -291,8 +339,15 @@ def mle_reconstruct(data: TomoDataset, target: PureState | None = None) -> Tomog
             if mu <= last:
                 converged = True
                 break
-            mu = max(mu * _BARRIER_SHRINK, last)
-            continue
+            shrunk = max(mu * _BARRIER_SHRINK, last)
+            # Tangent predictor along the central path; the gradient becomes the new weight's.
+            log_det_gradient = (1.0 - counts / m - gradient) / mu
+            step = (shrunk - mu) * np.linalg.solve(hessian, log_det_gradient)
+            gradient += (mu - shrunk) * log_det_gradient
+            mu = shrunk
+            decrement = float(-gradient @ step)
+            if decrement <= _SELF_CONCORDANT * min(mu, 1.0):
+                continue
         accepted = _newton_step(m, step, decrement, counts, mu, chol)
         if accepted is None:
             break

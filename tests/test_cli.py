@@ -305,6 +305,16 @@ def test_exit_code_2_on_unknown_subcommand():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("count, message", [(2**62, "exceeds 2**53"), (2**70, "mode HH: count")])
+def test_exit_code_2_on_counts_beyond_exact_integers(tmp_path, capsys, count, message):
+    path = tmp_path / "counts.csv"
+    path.write_text("label,counts\n" + "".join(f"{lab},{count}\n" for lab in MODE_LABELS))
+    out_path = tmp_path / "result.json"
+    assert main(["tomo", "--counts", str(path), "-o", str(out_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     zero_path = tmp_path / "zero.csv"
     rows = ["label,counts"] + [f"{lab},0" for lab in MODE_LABELS]

@@ -401,6 +401,32 @@ def test_max_violation_bell_lands_on_the_peak():
     assert theta_star == pytest.approx(0.3046835, abs=1e-8)
 
 
+def test_max_violation_below_resolvable_spacing_leaves_the_peak_to_the_vertex():
+    """A tol far below V's resolution is no less accurate than the default 1e-6.
+
+    Rounds finer than 2**-25 would let V's round-off pick the best point;
+    on phi+ they once moved theta* from 5e-10 to 3.5e-9 off the exact
+    peak 0.30468350878 at tol 1e-10.
+    """
+    rho = bell_state("phi+").density_matrix()
+    peak = 0.30468350878
+    default_miss = abs(max_violation(rho, tol=1e-6)[0] - peak)
+    for tol in (1e-8, 1e-10, 1e-300):
+        assert abs(max_violation(rho, tol=tol)[0] - peak) <= default_miss
+
+
+def test_max_violation_spacing_floor_leaves_coarser_tolerances_alone(monkeypatch):
+    """For tol >= 17 * 2**-25 every round is coarser than the floor, so
+    (theta*, v*) are bit for bit those of the rounds without it."""
+    bank = _refinement_bank()
+    for tol in (1e-6, 17 * 2.0**-25):
+        with_floor = [max_violation(rho, step=step, tol=tol) for rho in bank for step in (2.5e-3, 1e-4)]
+        monkeypatch.setattr(infogeo, "_MIN_SPACING", 0.0)
+        without = [max_violation(rho, step=step, tol=tol) for rho in bank for step in (2.5e-3, 1e-4)]
+        monkeypatch.undo()
+        assert with_floor == without
+
+
 def test_info_area_and_volume_permutation_invariance(rng):
     dist3 = random_joint(rng, 3)
     area = info_area(dist3)

@@ -38,6 +38,9 @@ from conftest import random_density
 BELL = bell_state("phi+").density_matrix()
 WERNER = modified_werner(0.998, 0.225)
 PINS = json.loads((Path(__file__).parent / "data" / "solver_pins.json").read_text())
+# Drawn from modified_werner(0.971596590988624, 1.924760804691114) at 10,000 per basis.
+RANK_DEFICIENT_COUNTS = np.array([4918, 84, 4947, 78, 2453, 2460, 2429, 2548,
+                                  4783, 1646, 4919, 2595, 2454, 2461, 2554, 1629])
 
 
 def trace_distance(a, b) -> float:
@@ -95,6 +98,21 @@ def test_expected_counts_returns_dataset():
     assert isinstance(data, TomoDataset)
     assert data.counts.dtype == np.int64
     assert data.counts[MODE_LABELS.index("HH")] == 500
+    assert np.array_equal(expected_counts(BELL, np.int32(1000)).counts, data.counts)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 1e30, 2.5, True, "7"])
+def test_expected_counts_rejects_a_per_basis_that_is_not_an_integer(bad):
+    with pytest.raises(TypeError, match="^per_basis = .* is not an integer$"):
+        expected_counts(BELL, bad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [-1, 2**53 + 1, 10**30])
+def test_expected_counts_rejects_a_per_basis_out_of_range(bad):
+    with pytest.raises(ValueError, match=f"^per_basis = {bad} is outside 0 to 2\\*\\*53$"):
+        expected_counts(BELL, bad)
 
 
 def test_linear_inversion_exact_round_trip(rng):
@@ -142,6 +160,31 @@ def test_dataset_from_csv_rejects_bad_count_with_line_number(tmp_path):
         TomoDataset.from_csv(str(path))
 
 
+def _write_counts(path, count):
+    path.write_text("label,counts\n" + "".join(f"{lab},{count}\n" for lab in MODE_LABELS))
+    return str(path)
+
+
+def test_dataset_from_csv_rejects_a_total_beyond_exact_floats(tmp_path):
+    """2**62 per mode fits int64, but the total 2**66 wraps an int64 sum."""
+    with pytest.raises(ValueError, match=f"^count total {16 * 2**62} exceeds 2\\*\\*53"):
+        TomoDataset.from_csv(_write_counts(tmp_path / "big.csv", 2**62))
+    TomoDataset(np.full(16, 2**49, dtype=np.int64))  # 2**53 in all is still exact
+    with pytest.raises(ValueError, match="exceeds 2\\*\\*53"):
+        TomoDataset(np.array([2**53 - 14] + [1] * 15, dtype=np.int64))
+
+
+def test_dataset_rejects_a_count_beyond_int64_by_mode(tmp_path):
+    with pytest.raises(ValueError, match=f"^mode HH: count {2**70} is outside 0 to 2\\*\\*63 - 1$"):
+        TomoDataset.from_csv(_write_counts(tmp_path / "huge.csv", 2**70))
+    counts = np.zeros(16, dtype=np.uint64)
+    counts[5] = 2**63
+    with pytest.raises(ValueError, match=f"^mode {MODE_LABELS[5]}: count {2**63} is outside"):
+        TomoDataset(counts)
+    with pytest.raises(ValueError, match="^mode VV: count -1 is outside"):
+        TomoDataset(np.array([0, 0, -1] + [0] * 13))
+
+
 def test_dataset_from_mapping():
     mapping = {lab: 7 for lab in MODE_LABELS}
     data = TomoDataset.from_mapping(mapping)
@@ -182,11 +225,12 @@ def test_mle_passes_a_rank_deficient_stationary_point():
     """Counts drawn from modified_werner(0.971596590988624, 1.924760804691114)
     at 10,000 per basis. A Cholesky-chart optimizer stopped here at a
     rank-2 state, log-likelihood 304300.0793; the maximum has rank 3 and
-    lies 0.196 higher."""
-    counts = np.array([4918, 84, 4947, 78, 2453, 2460, 2429, 2548,
-                       4783, 1646, 4919, 2595, 2454, 2461, 2554, 1629])
-    result = mle_reconstruct(TomoDataset(counts))
+    lies 0.196 higher. The tangent predictor after each barrier shrink
+    reaches it in 18 steps; Newton steps alone took 37, their line search
+    halving them down to 1/128 on the rank boundary."""
+    result = mle_reconstruct(TomoDataset(RANK_DEFICIENT_COUNTS))
     assert result.converged
+    assert result.n_iterations <= 20
     assert result.log_likelihood >= 304300.27
     assert np.linalg.eigvalsh(result.rho_mle.matrix)[1] > 1e-3
 
@@ -237,7 +281,16 @@ def test_barrier_derivatives_match_central_differences(rng):
         assert np.array_equal(hessian, hessian.T)
 
 
+def _near_pure_werner_bank():
+    """20 Poisson datasets about modified_werner(lambda in [0.9, 1], phase in [0, pi]) at 10,000 per basis."""
+    rng = np.random.default_rng(1616)
+    return [TomoDataset(rng.poisson(expected_counts(modified_werner(lam, phase), 10_000).counts))
+            for lam, phase in rng.uniform((0.9, 0.0), (1.0, np.pi), (20, 2))]
+
+
 def test_every_newton_step_lowers_the_barrier_objective(monkeypatch):
+    """Predictor steps after each barrier shrink included: on the
+    rank-deficient counts, near-pure Werner datasets and the pins."""
     newton_step = tomography._newton_step
     falls = []
 
@@ -249,11 +302,46 @@ def test_every_newton_step_lowers_the_barrier_objective(monkeypatch):
         return accepted
 
     monkeypatch.setattr(tomography, "_newton_step", checked)
-    counts = np.array([4918, 84, 4947, 78, 2453, 2460, 2429, 2548,
-                       4783, 1646, 4919, 2595, 2454, 2461, 2554, 1629])
-    result = mle_reconstruct(TomoDataset(counts))
-    assert len(falls) == result.n_iterations
-    assert min(falls) >= -1e-9
+    bank = [TomoDataset(RANK_DEFICIENT_COUNTS)] + _near_pure_werner_bank()
+    bank += [TomoDataset(np.array(pin["counts"])) for pin in PINS["mle"]]
+    for data in bank:
+        falls.clear()
+        result = mle_reconstruct(data)
+        assert result.converged
+        assert len(falls) == result.n_iterations
+        assert min(falls) >= -1e-9
+
+
+def test_predictor_steps_stay_off_the_self_concordance_shortcut(monkeypatch):
+    """The line search takes any positive-definite step whose squared decrement
+    is at most 0.1 min(mu, 1); that bound holds for Newton steps alone. A
+    predictor step is the one searched at a weight the derivatives were not
+    evaluated at."""
+    barrier_derivatives, newton_step = tomography._barrier_derivatives, tomography._newton_step
+    evaluated_at, predictor_slopes = [], []
+
+    def derivatives(m, counts, mu, chol):
+        evaluated_at.append(mu)
+        return barrier_derivatives(m, counts, mu, chol)
+
+    def searched(m, step, decrement, counts, mu, chol):
+        if mu != evaluated_at[-1]:
+            predictor_slopes.append(decrement / min(mu, 1.0))
+        return newton_step(m, step, decrement, counts, mu, chol)
+
+    monkeypatch.setattr(tomography, "_barrier_derivatives", derivatives)
+    monkeypatch.setattr(tomography, "_newton_step", searched)
+    bank = _near_pure_werner_bank() + [TomoDataset(np.array(pin["counts"])) for pin in PINS["mle"]]
+    for data in bank:
+        assert mle_reconstruct(data).converged
+    assert len(predictor_slopes) >= 4 * len(bank)
+    assert min(predictor_slopes) > 0.1
+
+
+def test_mle_on_near_pure_states_takes_few_steps():
+    """Median 20 steps on this bank; Newton steps alone after each barrier shrink took 33.5."""
+    steps = [mle_reconstruct(data).n_iterations for data in _near_pure_werner_bank()]
+    assert np.median(steps) <= 24
 
 
 def test_mle_that_hits_the_step_cap_reports_it(monkeypatch):
