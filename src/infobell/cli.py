@@ -82,13 +82,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(path, text)
-
-
 def _json_text(payload: dict) -> str:
     """``payload`` as indented JSON under the versioned envelope.
 
@@ -101,8 +94,26 @@ def _json_text(payload: dict) -> str:
     return text + "\n"
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
-    _emit(_json_text(payload), path)
+def _output(args, payload: dict, text=None) -> None:
+    """Write a command's one result to stdout, or atomically to ``--output``.
+
+    The result is ``payload`` as JSON under ``--json`` or when the command
+    has no text form, and ``text()`` otherwise; only the chosen form is
+    formatted.
+    """
+    out = _json_text(payload) if text is None or args.json else text()
+    if args.output is None:
+        sys.stdout.write(out)
+    else:
+        _atomic_write(args.output, out)
+
+
+def _csv_text(header: str, columns, rows) -> str:
+    """A versioned CSV: the header comment, the column row, then one line of
+    cells per row of numbers, where None leaves its cell empty."""
+    lines = [header, ",".join(columns)]
+    lines += [",".join("" if x is None else _fmt(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def parse_state_spec(spec: str) -> DensityMatrix:
@@ -148,10 +159,7 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def curve_to_csv(curve: ViolationCurve) -> str:
-    lines = [CURVE_HEADER, "theta,v,dv"]
-    for theta, v, dv in curve:
-        lines.append(f"{_fmt(theta)},{_fmt(v)},{'' if dv is None else _fmt(dv)}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(CURVE_HEADER, ("theta", "v", "dv"), curve)
 
 
 def curve_from_csv(path: str) -> ViolationCurve:
@@ -194,13 +202,10 @@ def curve_from_csv(path: str) -> ViolationCurve:
 def cmd_violation(args) -> int:
     rho = parse_state_spec(args.state)
     quad = quadrilateral(rho, _finite(args.theta, "--theta"))
-    if args.json:
-        edges = dict(zip(_EDGE_COLUMNS, quad.edges))
-        _emit_json({"theta": args.theta, "edges": edges, "v": quad.violation}, args.output)
-    else:
-        lines = [f"{name} = {_fmt(value)}" for name, value in zip(_EDGE_COLUMNS, quad.edges)]
-        lines.append(f"v = {_fmt(quad.violation)}")
-        _emit("\n".join(lines) + "\n", args.output)
+    edges = dict(zip(_EDGE_COLUMNS, quad.edges))
+    lines = {**edges, "v": quad.violation}
+    _output(args, {"theta": args.theta, "edges": edges, "v": quad.violation},
+            lambda: "".join(f"{name} = {_fmt(value)}\n" for name, value in lines.items()))
     return 0
 
 
@@ -215,53 +220,37 @@ def _sweep_thetas(args) -> np.ndarray:
 def cmd_sweep(args) -> int:
     rho = parse_state_spec(args.state)
     curve = sweep(rho, _sweep_thetas(args))
-    if args.json:
-        _emit_json({"points": [{"theta": t, "v": v, "dv": dv} for t, v, dv in curve]}, args.output)
-    else:
-        _emit(curve_to_csv(curve), args.output)
+    points = [{"theta": t, "v": v, "dv": dv} for t, v, dv in curve]
+    _output(args, {"points": points}, lambda: curve_to_csv(curve))
     return 0
 
 
 def run_rows_to_csv(rows) -> str:
-    lines = [RUN_HEADER, "theta," + ",".join(_EDGE_COLUMNS) + ",v,dv"]
-    for theta, quad in rows:
-        cells = [_fmt(theta)]
-        cells += [_fmt(d) for d in quad.edges]
-        cells.append(_fmt(quad.violation))
-        dv = quad.violation_uncertainty
-        cells.append("" if dv is None else _fmt(dv))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv_text(RUN_HEADER, ("theta", *_EDGE_COLUMNS, "v", "dv"),
+                     ((theta, *quad.edges, quad.violation, quad.violation_uncertainty) for theta, quad in rows))
 
 
 def cmd_simulate(args) -> int:
     config = SimulationConfig.load(args.config)
     rows = simulate_sweep(config.state(), config.thetas, config.counts_per_mode, config.noise())
-    if args.json:
-        payload = {
-            "runs": [
-                {
-                    "theta": theta,
-                    "edges": dict(zip(_EDGE_COLUMNS, quad.edges)),
-                    "edge_uncertainties": {
-                        f"dd_{edge}": dd for edge, dd in zip(EDGE_NAMES, quad.uncertainties)
-                    },
-                    "v": quad.violation,
-                    "dv": quad.violation_uncertainty,
-                }
-                for theta, quad in rows
-            ],
+    runs = [
+        {
+            "theta": theta,
+            "edges": dict(zip(_EDGE_COLUMNS, quad.edges)),
+            "edge_uncertainties": {f"dd_{edge}": dd for edge, dd in zip(EDGE_NAMES, quad.uncertainties)},
+            "v": quad.violation,
+            "dv": quad.violation_uncertainty,
         }
-        _emit_json(payload, args.output)
-    else:
-        _emit(run_rows_to_csv(rows), args.output)
+        for theta, quad in rows
+    ]
+    _output(args, {"runs": runs}, lambda: run_rows_to_csv(rows))
     return 0
 
 
 def cmd_tomo(args) -> int:
     data = TomoDataset.from_csv(args.counts)
     result = mle_reconstruct(data)
-    _emit_json(result.to_json_dict(), args.output)
+    _output(args, result.to_json_dict())
     if not result.converged:
         print("warning: likelihood maximization did not converge", file=sys.stderr)
         return 3
@@ -282,40 +271,29 @@ def cmd_chsh(args) -> int:
     else:
         rho = parse_state_spec(args.state)
     value = chsh(rho, *_chsh_settings(args))
-    if args.json:
-        _emit_json({"s": value}, args.output)
-    else:
-        _emit(f"s = {_fmt(value)}\n", args.output)
+    _output(args, {"s": value}, lambda: f"s = {_fmt(value)}\n")
     return 0
 
 
 def cmd_fit(args) -> int:
     curve = curve_from_csv(args.curve)
     fit = fit_werner(curve, weighted=args.weighted)
-    _emit_json(fit.to_json_dict(), args.output)
+    _output(args, fit.to_json_dict())
     return 0
 
 
 def reactivity_rows_to_csv(rows) -> str:
-    lines = [REACTIVITY_HEADER, "lambda,area,volume,reactivity"]
-    for lam, result in rows:
-        lines.append(
-            f"{_fmt(lam)},{_fmt(result.mean_area)},{_fmt(result.mean_volume)},{_fmt(result.reactivity)}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text(REACTIVITY_HEADER, ("lambda", "area", "volume", "reactivity"),
+                     ((lam, r.mean_area, r.mean_volume, r.reactivity) for lam, r in rows))
 
 
 def cmd_reactivity(args) -> int:
-    lambdas = _parse_floats(args.lambdas)
-    rows = []
-    for lam in lambdas:
-        state = modified_werner(lam, args.phase, n_qubits=4)
-        rows.append((lam, reactivity(state, args.samples, args.seed)))
-    if args.json:
-        payload = [{"lambda": lam, **result.to_json_dict()} for lam, result in rows]
-        _emit_json({"rows": payload}, args.output)
-    else:
-        _emit(reactivity_rows_to_csv(rows), args.output)
+    rows = [
+        (lam, reactivity(modified_werner(lam, args.phase, n_qubits=4), args.samples, args.seed))
+        for lam in _parse_floats(args.lambdas)
+    ]
+    payload = [{"lambda": lam, **result.to_json_dict()} for lam, result in rows]
+    _output(args, {"rows": payload}, lambda: reactivity_rows_to_csv(rows))
     return 0
 
 

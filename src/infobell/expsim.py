@@ -24,7 +24,7 @@ import numpy as np
 
 from .infogeo import (QuadrilateralGeometry, _check_finite, _edge_angles, _info_distances, _key_entries,
                       _key_entry, _streams, stream_rng)
-from .states import DensityMatrix, JointDistribution, _born_tables, modified_werner
+from .states import DensityMatrix, JointDistribution, _born_tables, _integer, modified_werner
 
 __all__ = [
     "DEFAULT_ACCIDENTAL_MEAN",
@@ -46,6 +46,7 @@ DEFAULT_ACCIDENTAL_MEAN = 6.0
 DEFAULT_ANGLE_SIGMA = 0.0030
 
 _ANGLE_STEP = 1e-5
+_MAX_TRIALS = np.iinfo(np.int64).max
 _COUNT_STEP_FRACTION = 1e-3
 
 # Angle offsets of the model evaluations behind one edge: the edge itself,
@@ -113,6 +114,14 @@ class CoincidenceRecord:
             raise ValueError("total_trials must equal the count sum")
 
 
+def _trials(value, name: str) -> int:
+    """A count of trials as a Python int from 1 to 2**63 - 1 (see states._integer)."""
+    n = _integer(value, name)
+    if not 1 <= n <= _MAX_TRIALS:
+        raise ValueError(f"{name} = {n} is outside 1 to 2**63 - 1")
+    return n
+
+
 def _draw_counts(p: np.ndarray, n_trials: int, rng: np.random.Generator) -> np.ndarray:
     """Multinomial 2x2 coincidence counts from one outcome table."""
     p = p.ravel()
@@ -142,13 +151,12 @@ def sample_counts(dist: JointDistribution, n_trials: int, seed: int,
     """
     if dist.n_parties != 2:
         raise ValueError("sample_counts needs a two-party distribution")
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    n_trials = _trials(n_trials, "n_trials")
     return CoincidenceRecord(
         settings=None if settings is None else tuple(settings),
         counts=_draw_counts(dist.probs, n_trials, stream_rng(seed, _STREAM_SAMPLE, *stream)),
         accidental_estimate=np.zeros((2, 2)),
-        total_trials=int(n_trials),
+        total_trials=n_trials,
     )
 
 
@@ -207,8 +215,6 @@ def _model_edges(rho: DensityMatrix, theta, counts_per_mode: int, noise: NoiseCo
 
     One Born-rule and one entropy pass cover every edge and stencil point.
     """
-    if counts_per_mode < 1:
-        raise ValueError("counts_per_mode must be at least 1")
     tables = _born_tables(rho, _edge_angles(theta)[..., None, :] + _ANGLE_STENCIL)
     d = _info_distances(tables)
     edge_tables = tables[..., 0, :, :]
@@ -225,7 +231,7 @@ def propagate_error(rho_model: DensityMatrix, theta: float, counts_per_mode: int
     counts -> infinity every uncertainty goes to zero.
     """
     _check_finite(theta=theta)
-    _, d, dd = _model_edges(rho_model, theta, counts_per_mode, noise)
+    _, d, dd = _model_edges(rho_model, theta, _trials(counts_per_mode, "counts_per_mode"), noise)
     return QuadrilateralGeometry(*map(float, d), *map(float, dd))
 
 
@@ -258,10 +264,12 @@ def simulate_schumacher_run(rho: DensityMatrix, theta: float, counts_per_mode: i
     a fixed seed. The attached uncertainties are the model-propagated
     ones (they depend on the model and noise settings, not on the
     realized counts, mirroring how error bars are assigned from expected
-    count levels). ``theta`` must be finite and ``stream`` entries
-    non-negative integers.
+    count levels). ``theta`` must be finite, ``counts_per_mode`` an
+    integer from 1 to 2**63 - 1 and ``stream`` entries non-negative
+    integers.
     """
     _check_finite(theta=theta)
+    counts_per_mode = _trials(counts_per_mode, "counts_per_mode")
     d, dd = _simulate(rho, float(theta), counts_per_mode, noise, _key_entries(stream))
     return QuadrilateralGeometry(*map(float, d), *map(float, dd))
 
@@ -278,6 +286,7 @@ def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
     """
     thetas = [float(t) for t in thetas]
     _check_finite(thetas=thetas)
+    counts_per_mode = _trials(counts_per_mode, "counts_per_mode")
     if not thetas:
         return []
     d, dd = _simulate(rho, np.array(thetas), counts_per_mode, noise, ())

@@ -167,7 +167,8 @@ def _curve_derivatives(lam: float, c: float, th: np.ndarray):
 
 @lru_cache(maxsize=4)
 def _coarse_grid(thetas: tuple):
-    """Model curves over the coarse (lam, phase) grid, cached per theta grid.
+    """Model curves over the coarse (lam, phase) grid and their unit-weight
+    norms sum_t c_t^2, cached per theta grid.
 
     The model depends on the phase only through cos(phase), so phases
     on [0, pi) cover every curve the full circle gives.
@@ -175,31 +176,30 @@ def _coarse_grid(thetas: tuple):
     lam_grid = np.arange(0.0, 1.0 + LAMBDA_STEP / 2.0, LAMBDA_STEP)
     phase_grid = np.arange(0.0, np.pi, PHASE_STEP)
     curves = model_curve(lam_grid[:, None], phase_grid[None, :], np.array(thetas))
-    return lam_grid, phase_grid, curves
+    norms = _add_grid_norms(np.zeros(curves.shape[:2]), curves, np.ones(len(thetas)))
+    return lam_grid, phase_grid, curves, norms
 
 
-@lru_cache(maxsize=4)
-def _grid_norms(thetas: tuple, weights: tuple):
-    """sum_t w_t c_t^2 of every coarse grid curve, shape (lam, phase).
-
-    Cached per weights, so only repeated weights hit the cache: the unit
-    weights of every unweighted fit do, the 1/dv^2 weights of a weighted
-    fit in general do not, and each such fit pays one blockwise pass.
-    """
-    curves = _coarse_grid(thetas)[2]
-    flat = curves.reshape(-1, len(weights))
-    w = np.array(weights)
-    norms = np.empty(len(flat))
-    for rows in _row_blocks(len(flat), w.size):
-        norms[rows] = np.square(flat[rows]) @ w
-    return norms.reshape(curves.shape[:2])
+def _add_grid_norms(total, curves, weights):
+    """Add sum_t w_t c_t^2 of every grid curve to ``total``, shape (lam, phase),
+    one block at a time, in place; returns ``total``."""
+    flat, out = curves.reshape(-1, weights.size), total.reshape(-1)
+    for rows in _row_blocks(len(flat), weights.size):
+        out[rows] += np.square(flat[rows]) @ weights
+    return total
 
 
-def _grid_start(thetas: tuple, v_obs, weights) -> tuple:
+def _grid_start(thetas: tuple, v_obs, weights=None) -> tuple:
     """(lam, phase) indices of the coarse grid cell of least sum w (c - v)^2,
-    taken as N - 2 c.(w v) with the cached norms N. Ties go to the first cell."""
-    objective = _coarse_grid(thetas)[2] @ (-2.0 * weights * v_obs)
-    objective += _grid_norms(thetas, tuple(weights.tolist()))
+    taken as N - 2 c.(w v) with the norms N. ``weights`` None means unit
+    weights, whose norms are cached with the grid; the norms of other
+    weights are added on each call. Ties go to the first cell."""
+    _, _, curves, norms = _coarse_grid(thetas)
+    if weights is None:
+        objective = curves @ (-2.0 * v_obs)
+        objective += norms
+    else:
+        objective = _add_grid_norms(curves @ (-2.0 * weights * v_obs), curves, weights)
     return np.unravel_index(int(np.argmin(objective)), objective.shape)
 
 
@@ -210,9 +210,10 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
     [0, pi)) picks the start; grid ties resolve to the smallest
     (lam, phase) pair. The grid objective sum_t w_t (c_t - v_t)^2 of a
     grid curve c is taken as N - 2 c.(w v), dropping the constant
-    sum_t w_t v_t^2: the curves and their weighted norms
-    N = sum_t w_t c_t^2 are cached per theta grid and weights, so a call
-    costs one matrix-vector product over the grid. A bounded, damped
+    sum_t w_t v_t^2: the curves and their unit-weight norms
+    N = sum_t c_t^2 are cached per theta grid, so an unweighted call
+    costs one matrix-vector product over the grid, and a weighted one
+    a second pass for its own N. A bounded, damped
     Newton iteration then refines (lam, c = cos phase) on [0, 1] x [-1, 1]
     with the analytic derivatives of model_curve (see _damped_newton). It
     accepts only steps that do not raise the objective, so the fit is
@@ -239,8 +240,8 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
         weights = np.ones_like(v_obs)
 
     key = tuple(float(t) for t in thetas)
-    lam_grid, phase_grid, _ = _coarse_grid(key)
-    i, j = _grid_start(key, v_obs, weights)
+    lam_grid, phase_grid = _coarse_grid(key)[:2]
+    i, j = _grid_start(key, v_obs, weights if weighted else None)
     start_c = np.cos(phase_grid[j]) if lam_grid[i] > 0.0 else 1.0
     lam, c = _damped_newton(np.array([lam_grid[i], start_c]), thetas, v_obs, weights)
     phase = float(np.arccos(c)) if lam > 0.0 else 0.0

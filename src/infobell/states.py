@@ -56,6 +56,17 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int through operator.index; a bool or a
+    non-integer, 350.0 included, is a TypeError that names ``name``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} = {value!r} is not an integer") from None
+
+
 def _stokes(setting) -> float:
     """The Stokes angle of a MeasurementSetting, or of a bare angle in radians checked as one."""
     if not isinstance(setting, MeasurementSetting):
@@ -276,6 +287,7 @@ def modified_werner(lam: float, phase: float, n_qubits: int = 2) -> DensityMatri
         raise ValueError(f"lambda = {lam!r} outside [0, 1]")
     if not math.isfinite(phase):
         raise ValueError(f"phase = {phase!r} is not finite")
+    n_qubits = _integer(n_qubits, "n_qubits")
     dim = 2 ** n_qubits
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0 / np.sqrt(2.0)

@@ -17,7 +17,6 @@ imaginary off-diagonal elements, so it is fixed here once.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .states import (
     MeasurementSetting,
     PureState,
     _born_tables,
+    _integer,
     _stokes,
     bell_state,
     entanglement_report,
@@ -119,11 +119,12 @@ class TomoDataset:
 
     @classmethod
     def from_mapping(cls, mapping) -> "TomoDataset":
+        """Counts from a mapping of every mode label to an integer (not a bool)."""
         missing = [lbl for lbl in MODE_LABELS if lbl not in mapping]
         extra = sorted(set(mapping) - set(MODE_LABELS))
         if missing or extra:
             raise ValueError(f"bad mode labels; missing {missing}, unexpected {extra}")
-        counts = [int(mapping[lbl]) for lbl in MODE_LABELS]
+        counts = [_integer(mapping[lbl], f"mode {lbl}: count") for lbl in MODE_LABELS]
         _check_counts(counts)
         return cls(np.array(counts, dtype=np.int64))
 
@@ -162,12 +163,7 @@ def expected_counts(rho: DensityMatrix, per_basis: int) -> TomoDataset:
 
     ``per_basis`` is an integer (not a bool) from 0 to 2**53.
     """
-    try:
-        if isinstance(per_basis, bool):
-            raise TypeError
-        per_basis = operator.index(per_basis)
-    except TypeError:
-        raise TypeError(f"per_basis = {per_basis!r} is not an integer") from None
+    per_basis = _integer(per_basis, "per_basis")
     if not 0 <= per_basis <= _MAX_TOTAL:
         raise ValueError(f"per_basis = {per_basis} is outside 0 to 2**53")
     p = mode_probabilities(rho.matrix)

@@ -27,7 +27,7 @@ from infobell import cli
 from infobell.cli import (
     NonFiniteOutputError,
     _atomic_write,
-    _emit_json,
+    _json_text,
     curve_from_csv,
     curve_to_csv,
     main,
@@ -338,7 +338,7 @@ def test_exit_code_3_when_every_bin_clamps(tmp_path, capsys):
 def test_non_finite_json_output_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NonFiniteOutputError):
-            _emit_json({"values": [1.0, {"x": bad}]}, None)
+            _json_text({"values": [1.0, {"x": bad}]})
     assert capsys.readouterr().out == ""
 
     monkeypatch.setattr(cli, "chsh", lambda *args: float("nan"))
@@ -420,7 +420,9 @@ def test_reactivity_with_a_negative_seed_exits_2(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--counts", "0"], ["--samples", "0"]])
+@pytest.mark.parametrize("flag", [
+    ["--seed", "-1"], ["--counts", "0"], ["--samples", "0"], ["--counts", str(10**20)],
+])
 def test_failed_reproduce_writes_nothing(tmp_path, capsys, flag):
     outdir = tmp_path / "demo"
     argv = ["reproduce", "--output", str(outdir), "--seed", "3", "--samples", "20"]
@@ -460,8 +462,40 @@ def test_atomic_write_leaves_no_debris(tmp_path):
 
 
 def test_output_files_match_stdout(tmp_path, capsys):
-    assert main(["sweep", "--state", "bell", "--reference-grid"]) == 0
-    stdout_text = capsys.readouterr().out
-    path = tmp_path / "curve.csv"
-    assert main(["sweep", "--state", "bell", "--reference-grid", "-o", str(path)]) == 0
-    assert path.read_text() == stdout_text
+    """Every single-output command writes the same bytes to -o as to stdout, in each format."""
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text(expected_counts(modified_werner(0.998, 0.225), 10000).to_csv())
+    run_path = tmp_path / "run.csv"
+    assert main(["simulate", "--config", write_config(tmp_path), "-o", str(run_path)]) == 0
+    with_formats = [
+        ["violation", "--state", "bell", "--theta", "0.3"],
+        ["sweep", "--state", "bell", "--reference-grid"],
+        ["sweep", "--state", "bell", "--range", "0.1:0.5:0.1"],
+        ["simulate", "--config", write_config(tmp_path)],
+        ["chsh", "--state", "bell", "--optimal"],
+        ["chsh", "--counts", str(counts_path), "--optimal"],
+        ["reactivity", "--lambdas", "0.2,0.6", "--samples", "40", "--seed", "3"],
+    ]
+    argvs = [argv + fmt for argv in with_formats for fmt in ([], ["--json"])]
+    argvs += [["tomo", "--counts", str(counts_path)], ["fit", "--curve", str(run_path)],
+              ["fit", "--curve", str(run_path), "--weighted"]]
+    for argv in argvs:
+        assert main(argv) == 0
+        stdout_text = capsys.readouterr().out
+        path = tmp_path / "out.txt"
+        assert main(argv + ["-o", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text() == stdout_text, argv
+        if argv[-1] == "--json" or argv[0] in ("tomo", "fit"):
+            assert json.loads(stdout_text)["format_version"] == 1
+        path.unlink()
+
+
+def test_each_format_formats_only_itself(monkeypatch, capsys):
+    """A text run never builds the JSON text and a --json run never the text form,
+    so a non-finite result fails with the message of the format asked for."""
+    monkeypatch.setattr(cli, "chsh", lambda *args: float("nan"))
+    assert main(["chsh", "--state", "bell", "--optimal"]) == 3
+    assert "non-finite value in text output" in capsys.readouterr().err
+    assert main(["chsh", "--state", "bell", "--optimal", "--json"]) == 3
+    assert "non-finite value in JSON output" in capsys.readouterr().err

@@ -472,3 +472,24 @@ def test_simulated_sweep_raises_when_every_bin_clamps():
         simulate_sweep(WERNER, (theta,), 1, CLAMPED_NOISE)
     with pytest.raises(EstimationError):
         simulate_sweep(WERNER, REFERENCE_THETAS, 1, CLAMPED_NOISE)
+
+
+COUNT_ENTRIES = {
+    "sample_counts": ("n_trials", lambda n: sample_counts(bell_dist(), n, seed=1)),
+    "propagate_error": ("counts_per_mode", lambda n: propagate_error(WERNER, 0.3, n, QUIET)),
+    "simulate_schumacher_run": ("counts_per_mode", lambda n: simulate_schumacher_run(WERNER, 0.3, n, QUIET)),
+    "simulate_sweep": ("counts_per_mode", lambda n: simulate_sweep(WERNER, [0.3], n, QUIET)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+@pytest.mark.parametrize("count, error", [
+    (350.9, TypeError), (350.0, TypeError), (True, TypeError), (float("nan"), TypeError), ("350", TypeError),
+    (0, ValueError), (-3, ValueError), (2**63, ValueError), (10**20, ValueError),
+])
+def test_counts_are_checked_where_they_enter(entry, count, error):
+    """A count is an integer from 1 to 2**63 - 1 and not a bool; the error names the argument."""
+    name, call = COUNT_ENTRIES[entry]
+    with pytest.raises(error, match=f"^{name} = "):
+        call(count)
+    assert repr(call(np.int64(350))) == repr(call(350))

@@ -19,6 +19,7 @@ from infobell import (
     modified_werner,
     sweep,
 )
+from infobell import fitting
 from infobell.fitting import (
     _LN2,
     _Q_FLOOR,
@@ -27,7 +28,7 @@ from infobell.fitting import (
     _binary_entropy,
     _coarse_grid,
     _curve_derivatives,
-    _grid_norms,
+    _add_grid_norms,
     _grid_start,
 )
 
@@ -157,7 +158,7 @@ def test_fit_does_not_load_scipy():
 
 
 def test_grid_steps_match_documented_resolution():
-    lam_grid, phase_grid, _ = _coarse_grid(tuple(float(t) for t in THETAS))
+    lam_grid, phase_grid = _coarse_grid(tuple(float(t) for t in THETAS))[:2]
     assert lam_grid[1] - lam_grid[0] == pytest.approx(LAMBDA_STEP)
     assert phase_grid[1] - phase_grid[0] == pytest.approx(PHASE_STEP)
     assert lam_grid[0] == 0.0 and lam_grid[-1] == pytest.approx(1.0)
@@ -218,19 +219,36 @@ def test_fit_at_zero_lambda_reports_phase_zero():
 
 def test_coarse_grid_matches_model_curve_and_cached_norms():
     key = tuple(float(t) for t in THETAS)
-    lam_grid, phase_grid, curves = _coarse_grid(key)
+    lam_grid, phase_grid, curves, unit_norms = _coarse_grid(key)
     for rows in np.array_split(np.arange(lam_grid.size), 4):
         direct = model_curve(lam_grid[rows, None], phase_grid[None, :], THETAS)
         assert np.array_equal(curves[rows], direct)
+    zeros = np.zeros(curves.shape[:2])
+    assert np.array_equal(unit_norms, _add_grid_norms(zeros.copy(), curves, np.ones_like(THETAS)))
     for weights in (np.ones_like(THETAS), np.random.default_rng(4).uniform(0.5, 2e4, THETAS.size)):
-        assert_allclose(_grid_norms(key, tuple(weights)), (curves**2) @ weights, rtol=1e-12, atol=0)
+        assert_allclose(_add_grid_norms(zeros.copy(), curves, weights), (curves**2) @ weights, rtol=1e-12, atol=0)
+
+
+def test_weighted_fits_leave_the_unweighted_norms_cached(monkeypatch):
+    """Weighted fits compute their own norms; an unweighted fit after any
+    number of them takes the unit-weight norms cached with the grid."""
+    curve = ViolationCurve(THETAS, model_curve(0.9, 0.4, THETAS), np.full(THETAS.size, 0.01))
+    unweighted = fit_werner(curve)
+    passes = []
+    monkeypatch.setattr(fitting, "_add_grid_norms", lambda *args: passes.append(1) or _add_grid_norms(*args))
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        fit_werner(ViolationCurve(THETAS, curve.v, rng.uniform(0.005, 0.02, THETAS.size)), weighted=True)
+    assert len(passes) == 6
+    again = fit_werner(curve)
+    assert len(passes) == 6
+    assert (again.lam, again.phase) == (unweighted.lam, unweighted.phase)
 
 
 def test_cold_grid_build_allocates_little_beyond_its_result():
     """model_curve evaluates the grid in blocks of points, not in full-size temporaries."""
     key = tuple(float(t) for t in THETAS)
-    curves = _coarse_grid(key)[2]
-    norms = _grid_norms(key, tuple(np.ones_like(THETAS)))
+    curves, norms = _coarse_grid(key)[2:]
     tracemalloc.start()
     try:
         _coarse_grid.__wrapped__(key)
@@ -289,6 +307,6 @@ def test_grid_start_is_the_brute_force_grid_minimum():
         lam, phase, sigma = rng.uniform(0.0, 1.0), rng.uniform(0.0, np.pi), rng.uniform(0.005, 0.1)
         v = model_curve(lam, phase, THETAS) + rng.normal(0.0, sigma, THETAS.size)
         dv = rng.uniform(0.5, 1.5, THETAS.size) * sigma
-        for weights in (np.ones_like(THETAS), 1.0 / dv**2):
-            direct = np.square(curves - v) @ weights
+        for weights in (None, 1.0 / dv**2):
+            direct = np.square(curves - v) @ (np.ones_like(THETAS) if weights is None else weights)
             assert direct[_grid_start(key, v, weights)] <= direct.min() + 1e-12

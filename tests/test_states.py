@@ -200,6 +200,14 @@ def test_modified_werner_rejects_non_finite_phase():
             modified_werner(0.9, bad)
 
 
+@pytest.mark.parametrize("n_qubits", [2.5, 2.0, "2", True])
+def test_modified_werner_needs_an_integer_qubit_count(n_qubits):
+    with pytest.raises(TypeError, match=f"^n_qubits = {n_qubits!r} is not an integer$"):
+        modified_werner(0.9, 0.1, n_qubits=n_qubits)
+    rho = modified_werner(0.9, 0.1, n_qubits=np.int64(3))
+    assert type(rho.n_qubits) is int and rho.matrix.shape == (8, 8)
+
+
 def test_modified_werner_four_qubit_ghz_limit():
     rho = modified_werner(1.0, 0.0, n_qubits=4)
     ghz = np.zeros(16)

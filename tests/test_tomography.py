@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,17 @@ def test_dataset_from_mapping():
     assert (data.counts == 7).all()
     with pytest.raises(ValueError):
         TomoDataset.from_mapping({lab: 7 for lab in MODE_LABELS[:-1]})
+
+
+@pytest.mark.parametrize("value", [12.7, 12.0, "12", True, np.float64(12.0)])
+def test_dataset_from_mapping_refuses_non_integer_counts(value):
+    """Each count passes operator.index and is not a bool, so nothing is truncated; the error names the mode."""
+    mapping = {lab: 7 for lab in MODE_LABELS}
+    mapping["HV"] = value
+    with pytest.raises(TypeError, match=re.escape(f"mode HV: count = {value!r} is not an integer")):
+        TomoDataset.from_mapping(mapping)
+    mapping["HV"] = np.int32(12)
+    assert TomoDataset.from_mapping(mapping).counts[MODE_LABELS.index("HV")] == 12
 
 
 def test_mle_output_is_always_physical(rng):
