@@ -1,7 +1,8 @@
 """Least-squares fit of the two-parameter mixed-state model to a violation curve.
 
 The model family is modified_werner(lam, phase); its violation curve has
-a closed form (see model_curve) that makes the coarse grid stage cheap.
+a closed form (see model_curve) that makes the grid search for the start
+cheap.
 The generic Born-rule route through infogeo.violation remains the
 definition; tests keep the two in lockstep.
 """
@@ -45,9 +46,18 @@ _SIGN = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
 # Values per temporary array of a blockwise pass (see _row_blocks). At
 # 64 KB a temporary stays below glibc's default 128 KB mmap
 # threshold, so successive blocks reuse heap memory instead of faulting
-# in fresh pages; in a fresh process, 512 KB blocks built the coarse
-# grid about 1.7 times slower.
+# in fresh pages; in a fresh process, 512 KB blocks built a grid of
+# model curves about 1.7 times slower.
 _BLOCK_VALUES = 1 << 13
+# Grid cells per side of the fine and the coarse blocks of the start
+# search (a coarse block is _COARSE_BLOCKS x _COARSE_BLOCKS fine ones),
+# the padding of each block's V range, far above the round-off of an
+# edge sum, and the relative slack of the pruning test, far above the
+# round-off of a lower bound.
+_FINE_CELLS = 4
+_COARSE_BLOCKS = 4
+_RANGE_PAD = 1e-12
+_PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,12 +141,20 @@ def model_curve(lam, phase, thetas):
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     lam, cph = np.broadcast_arrays(np.asarray(lam, dtype=float), np.cos(np.asarray(phase, dtype=float)))
     shape = lam.shape + th.shape
-    lam, cph = lam.reshape(-1, 1, 1), cph.reshape(-1, 1, 1)
-    cc, ss = _edge_table(th)
+    lam, cph = lam.reshape(-1), cph.reshape(-1)
+    edges = _edge_table(th)
     curves = np.empty((len(lam), th.size))
     for rows in _row_blocks(len(lam), 4 * th.size):
-        curves[rows] = _edge_sum((1.0 + lam[rows] * (cc + cph[rows] * ss)) / 2.0)
+        curves[rows] = _curves(lam[rows], cph[rows], edges)
     return curves.reshape(shape)
+
+
+def _curves(lam, c, edges):
+    """model_curve at the points (lam[k], c[k] = cos phase), 1-d arrays, on
+    the theta grid of the edge table ``edges``; shape (k, n)."""
+    cc, ss = edges
+    lam, c = lam[:, None, None], c[:, None, None]
+    return _edge_sum((1.0 + lam * (cc + c * ss)) / 2.0)
 
 
 def _curve_derivatives(lam: float, c: float, th: np.ndarray):
@@ -165,57 +183,174 @@ def _curve_derivatives(lam: float, c: float, th: np.ndarray):
     return curve, jacobian, hessian
 
 
-@lru_cache(maxsize=4)
-def _coarse_grid(thetas: tuple):
-    """Model curves over the coarse (lam, phase) grid and their unit-weight
-    norms sum_t c_t^2, cached per theta grid.
+@dataclass(frozen=True, eq=False)
+class _StartGrid:
+    """The (lam, phase) grid of the fit's start, with bounds on the model
+    curves over blocks of its cells.
 
-    The model depends on the phase only through cos(phase), so phases
-    on [0, pi) cover every curve the full circle gives.
+    ``fine`` and ``coarse`` hold the (centre, half-width) of each theta's
+    V over every block of _FINE_CELLS and of _FINE_CELLS * _COARSE_BLOCKS
+    cells a side, each of shape (block rows, block columns, n); a last
+    block row or column may hold fewer cells.
     """
-    lam_grid = np.arange(0.0, 1.0 + LAMBDA_STEP / 2.0, LAMBDA_STEP)
-    phase_grid = np.arange(0.0, np.pi, PHASE_STEP)
-    curves = model_curve(lam_grid[:, None], phase_grid[None, :], np.array(thetas))
-    norms = _add_grid_norms(np.zeros(curves.shape[:2]), curves, np.ones(len(thetas)))
-    return lam_grid, phase_grid, curves, norms
+
+    lam: np.ndarray
+    phase: np.ndarray
+    cos: np.ndarray
+    edges: tuple
+    fine: tuple
+    coarse: tuple
 
 
-def _add_grid_norms(total, curves, weights):
-    """Add sum_t w_t c_t^2 of every grid curve to ``total``, shape (lam, phase),
-    one block at a time, in place; returns ``total``."""
-    flat, out = curves.reshape(-1, weights.size), total.reshape(-1)
-    for rows in _row_blocks(len(flat), weights.size):
-        out[rows] += np.square(flat[rows]) @ weights
-    return total
+@lru_cache(maxsize=4)
+def _start_grid(thetas: tuple) -> _StartGrid:
+    """The start grid of a theta grid, cached per theta grid.
+
+    The model depends on the phase only through c = cos(phase), so phases
+    on [0, pi) cover every curve the full circle gives. An edge's q =
+    (1 + lam (cc + c ss))/2 is bilinear in (lam, c), and c falls with the
+    phase, so q's range over a block is that over its four corner cells.
+    Each edge's range follows from its q range (see _edge_range), and V's
+    range is the sum of the signed edges' ranges, padded by _RANGE_PAD
+    for round-off. The fine bounds are built a few block rows at a time,
+    so no temporary spans the grid, and each coarse range is the hull of
+    its fine ranges.
+    """
+    lam = np.arange(0.0, 1.0 + LAMBDA_STEP / 2.0, LAMBDA_STEP)
+    phase = np.arange(0.0, np.pi, PHASE_STEP)
+    cos = np.cos(phase)
+    edges = _edge_table(np.array(thetas))
+    cc, ss = edges
+    # K = cc + c ss of every edge over each block of columns, from its first
+    # and last column, each of shape (block columns, 4, n).
+    first, last = _block_ends(cos.size)
+    k_first, k_last = cc + cos[first, None, None] * ss, cc + cos[last, None, None] * ss
+    k_lo, k_hi = np.minimum(k_first, k_last), np.maximum(k_first, k_last)
+    first, last = _block_ends(lam.size)
+    lo = np.empty((first.size, k_lo.shape[0], len(thetas)))
+    hi = np.empty_like(lo)
+    for rows in _row_blocks(first.size, k_lo.size):
+        # lam >= 0, so lam K is least at the block's first or last row at
+        # K's least value, and greatest at one of them at K's greatest.
+        lam_a, lam_b = lam[first[rows], None, None, None], lam[last[rows], None, None, None]
+        q_lo = (1.0 + np.minimum(lam_a * k_lo, lam_b * k_lo)) / 2.0
+        q_hi = (1.0 + np.maximum(lam_a * k_hi, lam_b * k_hi)) / 2.0
+        least, most = _edge_range(q_lo, q_hi)
+        lo[rows] = (_SIGN * np.where(_SIGN > 0.0, least, most)).sum(axis=-2)
+        hi[rows] = (_SIGN * np.where(_SIGN > 0.0, most, least)).sum(axis=-2)
+    starts = [np.arange(0, size, _COARSE_BLOCKS) for size in lo.shape[:2]]
+    coarse = tuple(hull.reduceat(hull.reduceat(a, starts[0], axis=0), starts[1], axis=1)
+                   for hull, a in ((np.minimum, lo), (np.maximum, hi)))
+    for low, high in ((lo, hi), coarse):
+        # In place, (low, high) becomes (centre, half-width + pad).
+        high -= low
+        high *= 0.5
+        low += high
+        high += _RANGE_PAD
+    return _StartGrid(lam, phase, cos, edges, (lo, hi), coarse)
 
 
-def _grid_start(thetas: tuple, v_obs, weights=None) -> tuple:
-    """(lam, phase) indices of the coarse grid cell of least sum w (c - v)^2,
-    taken as N - 2 c.(w v) with the norms N. ``weights`` None means unit
-    weights, whose norms are cached with the grid; the norms of other
-    weights are added on each call. Ties go to the first cell."""
-    _, _, curves, norms = _coarse_grid(thetas)
-    if weights is None:
-        objective = curves @ (-2.0 * v_obs)
-        objective += norms
-    else:
-        objective = _add_grid_norms(curves @ (-2.0 * weights * v_obs), curves, weights)
-    return np.unravel_index(int(np.argmin(objective)), objective.shape)
+def _edge_range(q_lo, q_hi):
+    """Least and greatest edge 2 H2(q) over q in [q_lo, q_hi], elementwise.
+    H2 is concave with its maximum 1 at q = 1/2, so the least is at an
+    end, and so is the greatest unless the range holds 1/2."""
+    h_lo, h_hi = _binary_entropy(q_lo), _binary_entropy(q_hi)
+    most = np.where((q_lo <= 0.5) & (q_hi >= 0.5), 1.0, np.maximum(h_lo, h_hi))
+    return 2.0 * np.minimum(h_lo, h_hi), 2.0 * most
+
+
+def _block_ends(cells: int):
+    """Indices of the first and last cell of each block of _FINE_CELLS
+    consecutive cells out of ``cells``; the last block may be shorter."""
+    first = np.arange(0, cells, _FINE_CELLS)
+    return first, np.minimum(first + _FINE_CELLS - 1, cells - 1)
+
+
+def _members(rows, cols, side: int, shape: tuple):
+    """Row and column indices of the cells of the blocks (rows[k], cols[k])
+    of side x side cells of a grid of ``shape``, block by block and in C
+    order within a block; cells beyond the grid are left out."""
+    d_row, d_col = np.divmod(np.arange(side * side), side)
+    i = (rows[:, None] * side + d_row).ravel()
+    j = (cols[:, None] * side + d_col).ravel()
+    inside = (i < shape[0]) & (j < shape[1])
+    return i[inside], j[inside]
+
+
+def _lower_bound(bounds, v_obs, weights):
+    """sum_t w_t max(|v_t - centre_t| - half_t, 0)^2 of each block of
+    ``bounds`` = (centre, half-width): no cell of the block has a smaller
+    objective."""
+    centre, half = bounds
+    gap = np.abs(v_obs - centre)
+    gap -= half
+    np.maximum(gap, 0.0, out=gap)
+    return np.square(gap) @ weights
+
+
+def _best_cell(grid: _StartGrid, rows, cols, v_obs, weights) -> tuple:
+    """(objective, flat index) of the first cell in C order of least
+    objective sum_t w_t (c_t - v_t)^2 among the cells of the fine blocks
+    (rows[k], cols[k]). Each objective is a row sum of its own, so equal
+    curves give equal objectives wherever they lie in the grid."""
+    i, j = _members(rows, cols, _FINE_CELLS, (grid.lam.size, grid.cos.size))
+    curves = _curves(grid.lam[i], grid.cos[j], grid.edges)
+    objective = (np.square(curves - v_obs) * weights).sum(axis=1)
+    least = objective.min()
+    return float(least), int((i * grid.cos.size + j)[objective == least].min())
+
+
+def _grid_start(thetas: tuple, v_obs, weights) -> tuple:
+    """(lam, phase) indices of the start grid cell of least objective
+    sum_t w_t (c_t - v_t)^2; ties go to the first cell in C order.
+
+    A branch and bound over the block bounds of _start_grid returns the
+    same cell as a scan of every cell. No cell of a fine block has an
+    objective above the block's upper bound sum_t w_t (|v_t - centre_t|
+    + half_t)^2. The least upper bound over the fine blocks of the coarse
+    block of least lower bound thus caps the minimum, and only the coarse
+    blocks whose lower bound does not exceed it can hold it. Their fine
+    blocks are evaluated exactly in order of their lower bound, a chunk
+    at a time, each chunk lowering the incumbent, until the next bound
+    exceeds it. Every comparison with a cap allows a relative slack of
+    _PRUNE_SLACK.
+    """
+    grid = _start_grid(thetas)
+    coarse = _lower_bound(grid.coarse, v_obs, weights)
+
+    def fine_blocks(coarse_rows, coarse_cols):
+        rows, cols = _members(coarse_rows, coarse_cols, _COARSE_BLOCKS, grid.fine[0].shape)
+        return rows, cols, [a[rows, cols] for a in grid.fine]
+
+    centre, half = fine_blocks(*np.unravel_index([np.argmin(coarse)], coarse.shape))[2]
+    upper = float((np.square(np.abs(v_obs - centre) + half) @ weights).min())
+    rows, cols, bounds = fine_blocks(*np.nonzero(coarse <= upper * (1.0 + _PRUNE_SLACK)))
+    lower = _lower_bound(bounds, v_obs, weights)
+    order = np.argsort(lower, kind="stable")
+    rows, cols, lower = rows[order], cols[order], lower[order]
+    chunk = max(1, _BLOCK_VALUES // (_FINE_CELLS**2 * grid.edges[0].size))
+    best, start = (np.inf, 0), 0
+    while True:
+        stop = min(start + chunk, int(np.searchsorted(lower, best[0] * (1.0 + _PRUNE_SLACK), side="right")))
+        if stop <= start:
+            return np.unravel_index(best[1], (grid.lam.size, grid.cos.size))
+        best = min(best, _best_cell(grid, rows[start:stop], cols[start:stop], v_obs, weights))
+        start = stop
 
 
 def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
     """Least-squares (lam, phase) fit of the mixed-state model.
 
-    A coarse grid search (lam step 0.002 on [0, 1], phase step 0.01 on
-    [0, pi)) picks the start; grid ties resolve to the smallest
-    (lam, phase) pair. The grid objective sum_t w_t (c_t - v_t)^2 of a
-    grid curve c is taken as N - 2 c.(w v), dropping the constant
-    sum_t w_t v_t^2: the curves and their unit-weight norms
-    N = sum_t c_t^2 are cached per theta grid, so an unweighted call
-    costs one matrix-vector product over the grid, and a weighted one
-    a second pass for its own N. A bounded, damped
-    Newton iteration then refines (lam, c = cos phase) on [0, 1] x [-1, 1]
-    with the analytic derivatives of model_curve (see _damped_newton). It
+    A grid search (lam step 0.002 on [0, 1], phase step 0.01 on [0, pi))
+    picks the start: the grid cell of least sum_t w_t (c_t - v_t)^2, ties
+    going to the smallest (lam, phase) pair. It is a branch and bound
+    (see _grid_start) over bounds on the model curves of 4 x 4 and
+    16 x 16 blocks of cells, cached per theta grid: it evaluates only
+    the cells whose block a lower bound cannot rule out, and returns the
+    same cell as a scan of every cell. Unit and 1/dv^2 weights take the
+    same path. A bounded, damped Newton iteration then refines
+    (lam, c = cos phase) on [0, 1] x [-1, 1] with the analytic
+    derivatives of model_curve (see _damped_newton). It
     accepts only steps that do not raise the objective, so the fit is
     never worse than its grid start, and it stops once a step moves both
     parameters by less than 1e-8. A fit on a bound reports the bound
@@ -223,8 +358,9 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
     reported phase is arccos c, in [0, pi]; at lam = 0 every phase gives
     the same curve, and both the start and the fit then take phase 0.
     Deterministic. Unweighted by default; ``weighted=True`` applies
-    1/dv^2 weights (requires uncertainties on the curve). residual_sum
-    is always the unweighted sum of squares.
+    1/dv^2 weights (requires uncertainties on the curve, each with
+    1/dv^2 a finite positive float, so dv from about 1e-154 to 1e154).
+    residual_sum is always the unweighted sum of squares.
     """
     if len(observed) < 2:
         raise ValueError("need at least two curve points to fit")
@@ -235,15 +371,20 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
             raise ValueError("weighted fit requires a curve with uncertainties")
         if observed.dv.min() <= 0.0:
             raise ValueError("weighted fit requires strictly positive uncertainties")
-        weights = 1.0 / np.square(observed.dv)
+        with np.errstate(divide="ignore", over="ignore"):
+            weights = 1.0 / np.square(observed.dv)
+        usable = np.isfinite(weights) & (weights > 0.0)
+        if not usable.all():
+            bad = float(observed.dv[~usable][0])
+            raise ValueError(f"weighted fit requires 1/dv^2 finite and positive, got dv = {bad!r}")
     else:
         weights = np.ones_like(v_obs)
 
     key = tuple(float(t) for t in thetas)
-    lam_grid, phase_grid = _coarse_grid(key)[:2]
-    i, j = _grid_start(key, v_obs, weights if weighted else None)
-    start_c = np.cos(phase_grid[j]) if lam_grid[i] > 0.0 else 1.0
-    lam, c = _damped_newton(np.array([lam_grid[i], start_c]), thetas, v_obs, weights)
+    grid = _start_grid(key)
+    i, j = _grid_start(key, v_obs, weights)
+    start_c = np.cos(grid.phase[j]) if grid.lam[i] > 0.0 else 1.0
+    lam, c = _damped_newton(np.array([grid.lam[i], start_c]), thetas, v_obs, weights)
     phase = float(np.arccos(c)) if lam > 0.0 else 0.0
     residuals = model_curve(lam, phase, thetas) - v_obs
     return WernerFit(

@@ -231,6 +231,16 @@ def test_exit_code_2_on_non_finite_inputs(tmp_path, capsys):
     assert "range '0:inf:0.1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tiny, rest", [("1e-170", "0.01"), ("1e200", "1e200")])
+def test_weighted_fit_with_a_weight_beyond_float_range_exits_2(tmp_path, capsys, tiny, rest):
+    """1/dv^2 overflows at dv = 1e-170 and underflows at dv = 1e200."""
+    curve_path = tmp_path / "curve.csv"
+    curve_path.write_text(f"theta,v,dv\n0.2,0.4,{tiny}\n0.3,0.5,{rest}\n0.4,0.3,{rest}\n")
+    assert main(["fit", "--curve", str(curve_path), "--weighted"]) == 2
+    assert "dv = " in capsys.readouterr().err
+    assert main(["fit", "--curve", str(curve_path)]) == 0
+
+
 def test_exit_code_2_on_non_finite_config_and_state(tmp_path, capsys):
     config_path = tmp_path / "nan.json"
     config_path.write_text(json.dumps({**CONFIG, "accidental_mean": float("nan")}))

@@ -26,14 +26,40 @@ from infobell.fitting import (
     LAMBDA_STEP,
     PHASE_STEP,
     _binary_entropy,
-    _coarse_grid,
     _curve_derivatives,
-    _add_grid_norms,
+    _curves,
+    _edge_range,
     _grid_start,
+    _start_grid,
 )
 
 THETAS = np.array(REFERENCE_THETAS)
+KEY = tuple(float(t) for t in THETAS)
 PINS = json.loads((Path(__file__).parent / "data" / "solver_pins.json").read_text())
+
+
+def grid_curves(thetas):
+    """model_curve over every cell of the start grid of ``thetas``."""
+    grid = _start_grid(tuple(float(t) for t in thetas))
+    return model_curve(grid.lam[:, None], grid.phase[None, :], thetas)
+
+
+@pytest.fixture(scope="module")
+def by_theta():
+    """grid_curves(THETAS), built once, theta axis first."""
+    return np.ascontiguousarray(np.moveaxis(grid_curves(THETAS), -1, 0))
+
+
+def brute_force(by_theta, v, weights):
+    """The grid objective sum_t w_t (c_t - v_t)^2 of every start grid cell,
+    one theta at a time, so equal curves get equal objectives."""
+    total, term = np.zeros(by_theta.shape[1:]), np.empty(by_theta.shape[1:])
+    for c, v_t, w_t in zip(by_theta, v, weights):
+        np.subtract(c, v_t, out=term)
+        np.square(term, out=term)
+        term *= w_t
+        total += term
+    return total
 
 
 def curve_for(lam, phase, thetas=THETAS):
@@ -158,10 +184,11 @@ def test_fit_does_not_load_scipy():
 
 
 def test_grid_steps_match_documented_resolution():
-    lam_grid, phase_grid = _coarse_grid(tuple(float(t) for t in THETAS))[:2]
-    assert lam_grid[1] - lam_grid[0] == pytest.approx(LAMBDA_STEP)
-    assert phase_grid[1] - phase_grid[0] == pytest.approx(PHASE_STEP)
-    assert lam_grid[0] == 0.0 and lam_grid[-1] == pytest.approx(1.0)
+    grid = _start_grid(KEY)
+    assert grid.lam[1] - grid.lam[0] == pytest.approx(LAMBDA_STEP)
+    assert grid.phase[1] - grid.phase[0] == pytest.approx(PHASE_STEP)
+    assert grid.lam[0] == 0.0 and grid.lam[-1] == pytest.approx(1.0)
+    assert grid.phase[0] == 0.0 and grid.phase[-1] < np.pi < grid.phase[-1] + PHASE_STEP
 
 
 def test_weighted_fit_requires_uncertainties():
@@ -171,6 +198,18 @@ def test_weighted_fit_requires_uncertainties():
     bad = ViolationCurve(THETAS, curve.v, np.zeros_like(THETAS))
     with pytest.raises(ValueError):
         fit_werner(bad, weighted=True)
+
+
+@pytest.mark.parametrize("dv", [np.r_[1e-170, np.full(THETAS.size - 1, 0.01)],
+                                np.full(THETAS.size, 1e200)],
+                         ids=["weight-overflows", "weights-underflow"])
+def test_weighted_fit_rejects_a_weight_that_is_not_finite_and_positive(dv):
+    """1/dv^2 = inf would turn every grid objective into inf, and 1/dv^2 = 0
+    into 0, so the fit would start and stay at lam = 0 whatever the curve."""
+    curve = ViolationCurve(THETAS, model_curve(0.95, 0.3, THETAS), dv)
+    with pytest.raises(ValueError, match="dv"):
+        fit_werner(curve, weighted=True)
+    assert fit_werner(curve).lam == pytest.approx(0.95, abs=1e-6)
 
 
 def test_weighted_fit_downweights_noisy_points():
@@ -217,45 +256,74 @@ def test_fit_at_zero_lambda_reports_phase_zero():
     assert fit.phase == 0.0
 
 
-def test_coarse_grid_matches_model_curve_and_cached_norms():
-    key = tuple(float(t) for t in THETAS)
-    lam_grid, phase_grid, curves, unit_norms = _coarse_grid(key)
-    for rows in np.array_split(np.arange(lam_grid.size), 4):
-        direct = model_curve(lam_grid[rows, None], phase_grid[None, :], THETAS)
-        assert np.array_equal(curves[rows], direct)
-    zeros = np.zeros(curves.shape[:2])
-    assert np.array_equal(unit_norms, _add_grid_norms(zeros.copy(), curves, np.ones_like(THETAS)))
-    for weights in (np.ones_like(THETAS), np.random.default_rng(4).uniform(0.5, 2e4, THETAS.size)):
-        assert_allclose(_add_grid_norms(zeros.copy(), curves, weights), (curves**2) @ weights, rtol=1e-12, atol=0)
+def test_start_grid_cells_match_model_curve(by_theta):
+    """The search evaluates a cell with the closed form, bit for bit as
+    model_curve gives it over the whole grid."""
+    grid = _start_grid(KEY)
+    assert np.array_equal(grid.cos, np.cos(grid.phase))
+    curves = np.moveaxis(by_theta, 0, -1)
+    for rows in np.array_split(np.arange(grid.lam.size), 16):
+        i, j = (a.ravel() for a in np.meshgrid(rows, np.arange(grid.phase.size), indexing="ij"))
+        cells = _curves(grid.lam[i], grid.cos[j], grid.edges)
+        assert np.array_equal(cells, curves[rows].reshape(-1, THETAS.size))
 
 
-def test_weighted_fits_leave_the_unweighted_norms_cached(monkeypatch):
-    """Weighted fits compute their own norms; an unweighted fit after any
-    number of them takes the unit-weight norms cached with the grid."""
+@pytest.mark.parametrize("thetas", [THETAS, np.sort(np.random.default_rng(31).uniform(0.0, np.pi / 2, 5))],
+                         ids=["reference", "random-five"])
+def test_block_bounds_contain_every_cell(thetas):
+    """Every cell's V at every theta lies inside the (centre, half-width)
+    of its fine block and of its coarse block."""
+    grid = _start_grid(tuple(float(t) for t in thetas))
+    curves = grid_curves(thetas)
+    for (centre, half), side in ((grid.fine, fitting._FINE_CELLS),
+                                 (grid.coarse, fitting._FINE_CELLS * fitting._COARSE_BLOCKS)):
+        assert centre.shape == half.shape == (-(-grid.lam.size // side), -(-grid.phase.size // side), thetas.size)
+        block_rows, block_cols = np.arange(grid.lam.size) // side, np.arange(grid.phase.size) // side
+        inside = np.abs(curves - centre[block_rows][:, block_cols]) <= half[block_rows][:, block_cols]
+        assert inside.all()
+
+
+def test_edge_range_bounds_the_edge_over_its_q_range():
+    """Every 2 H2(q) on a dense sample of [q_lo, q_hi] lies in the range,
+    whose ends are attained: at an end of [q_lo, q_hi], or at q = 1/2."""
+    rng = np.random.default_rng(41)
+    ends = np.sort(rng.uniform(0.0, 1.0, (2, 400)), axis=0)
+    ends[:, :50] = np.sort(0.5 + rng.uniform(-0.01, 0.01, (2, 50)), axis=0)
+    ends[:, 50:60] = [[0.0, 0.3, 0.5, 0.5, 0.7, 0.0, 1.0, 0.2, 0.5, 0.0],
+                      [0.0, 0.3, 0.5, 0.9, 1.0, 1.0, 1.0, 0.5, 1.0, 0.5]]
+    least, most = _edge_range(*ends)
+    edges = 2.0 * _binary_entropy(ends[0] + np.linspace(0.0, 1.0, 2001)[:, None] * (ends[1] - ends[0]))
+    assert np.all(edges >= least - 1e-15) and np.all(edges <= most + 1e-15)
+    assert np.allclose(edges.min(axis=0), least, rtol=0.0, atol=1e-15)
+    assert np.allclose(edges.max(axis=0), most, rtol=0.0, atol=1e-6)
+
+
+def test_weighted_and_unweighted_fits_share_one_start_grid():
+    """Weights enter only the search, so fits of any weights on one theta
+    grid build its start grid once."""
     curve = ViolationCurve(THETAS, model_curve(0.9, 0.4, THETAS), np.full(THETAS.size, 0.01))
     unweighted = fit_werner(curve)
-    passes = []
-    monkeypatch.setattr(fitting, "_add_grid_norms", lambda *args: passes.append(1) or _add_grid_norms(*args))
+    misses = _start_grid.cache_info().misses
     rng = np.random.default_rng(8)
     for _ in range(6):
         fit_werner(ViolationCurve(THETAS, curve.v, rng.uniform(0.005, 0.02, THETAS.size)), weighted=True)
-    assert len(passes) == 6
     again = fit_werner(curve)
-    assert len(passes) == 6
+    assert _start_grid.cache_info().misses == misses
     assert (again.lam, again.phase) == (unweighted.lam, unweighted.phase)
 
 
-def test_cold_grid_build_allocates_little_beyond_its_result():
-    """model_curve evaluates the grid in blocks of points, not in full-size temporaries."""
-    key = tuple(float(t) for t in THETAS)
-    curves, norms = _coarse_grid(key)[2:]
+def test_start_grid_build_allocates_little_beyond_its_result():
+    """The block bounds are built a few block rows at a time, not in
+    full-grid temporaries."""
+    grid = _start_grid(KEY)
+    result = sum(a.nbytes for a in (grid.lam, grid.phase, grid.cos, *grid.edges, *grid.fine, *grid.coarse))
     tracemalloc.start()
     try:
-        _coarse_grid.__wrapped__(key)
+        _start_grid.__wrapped__(KEY)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= curves.nbytes + norms.nbytes + 8e6
+    assert peak <= result + 3e6
 
 
 def per_edge_reference(lam, c, th):
@@ -297,16 +365,28 @@ def test_edge_table_matches_the_per_edge_loop_bit_for_bit():
     assert np.array_equal(model_curve(lams[:, None], phases[None, :], THETAS), grid)
 
 
-def test_grid_start_is_the_brute_force_grid_minimum():
+def test_grid_start_is_the_brute_force_grid_minimum(by_theta):
     """The start cell's direct objective sum w (c - v)^2 is the grid minimum,
     weighted and unweighted, on a seeded bank of noisy curves."""
-    key = tuple(float(t) for t in THETAS)
-    curves = _coarse_grid(key)[2]
     rng = np.random.default_rng(29)
     for _ in range(300):
         lam, phase, sigma = rng.uniform(0.0, 1.0), rng.uniform(0.0, np.pi), rng.uniform(0.005, 0.1)
         v = model_curve(lam, phase, THETAS) + rng.normal(0.0, sigma, THETAS.size)
         dv = rng.uniform(0.5, 1.5, THETAS.size) * sigma
-        for weights in (None, 1.0 / dv**2):
-            direct = np.square(curves - v) @ (np.ones_like(THETAS) if weights is None else weights)
-            assert direct[_grid_start(key, v, weights)] <= direct.min() + 1e-12
+        for weights in (np.ones_like(THETAS), 1.0 / dv**2):
+            direct = brute_force(by_theta, v, weights)
+            assert direct[_grid_start(KEY, v, weights)] <= direct.min() + 1e-12
+
+
+def test_grid_start_ties_go_to_the_first_cell(by_theta):
+    """Every cell of the lam = 0 row has the same curve; when that row holds
+    the grid minimum, the start is its first cell, (0, 0)."""
+    rng = np.random.default_rng(5)
+    on_row_zero = 0
+    for _ in range(20):
+        v = model_curve(0.0, 0.0, THETAS) + rng.normal(0.0, 0.05, THETAS.size)
+        direct = brute_force(by_theta, v, np.ones_like(THETAS))
+        if direct[0].min() == direct.min():
+            on_row_zero += 1
+            assert _grid_start(KEY, v, np.ones_like(THETAS)) == (0, 0)
+    assert on_row_zero >= 5
