@@ -16,6 +16,7 @@ below 1e-15 are treated as exact zeros.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DensityMatrix, JointDistribution, MeasurementSetting, _born, _born_tables,
-                     _pauli_coefficients)
+                     _checked_probabilities, _pauli_coefficients)
 
 __all__ = [
     "REFERENCE_THETAS",
@@ -73,23 +74,67 @@ def _info_distances(p: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, d)
 
 
-def _contents(p: np.ndarray, n: int) -> np.ndarray:
-    """Information content of the n-party tables in the trailing n axes, bits^(n-1).
+@functools.lru_cache(maxsize=None)
+def _drop_one_map(n: int) -> np.ndarray:
+    """Read-only 0/1 matrix (2**n, n * 2**(n-1)) whose block i sums party i out of a flat n-party table.
 
-    The sum over parties of the product of the other parties' conditional
-    entropies H(X_j | rest), each clamped at zero: the area for n = 3,
-    the volume for n = 4.
+    Each marginal cell is the sum of two table cells, so a matrix product
+    gives it bit for bit as ``p.sum(axis=i)`` does.
     """
-    h_all = _entropies(p, n)
-    h = np.stack([h_all - _entropies(p.sum(axis=i - n), n - 1) for i in range(n)], axis=-1)
-    h = np.clip(h, 0.0, None)
-    return sum(np.prod(np.delete(h, i, axis=-1), axis=-1) for i in range(n))
+    cells = np.eye(2**n).reshape((2,) * n + (2**n,))
+    drop = np.concatenate([cells.sum(axis=i).reshape(-1, 2**n).T for i in range(n)], axis=1)
+    drop.flags.writeable = False
+    return drop
+
+
+def _drop_one(flat: np.ndarray, n: int):
+    """The n drop-one marginals of flat n-party tables (..., 2**n) and their entropies.
+
+    Returns the marginals, shape (..., n, 2**(n-1)), row i with party i
+    summed out, and their entropies, shape (..., n), from one x log2 x pass.
+    """
+    marginals = (flat @ _drop_one_map(n)).reshape(flat.shape[:-1] + (n, 2 ** (n - 1)))
+    return marginals, _entropies(marginals, 1)
+
+
+def _content(h_all, h_rest: np.ndarray) -> np.ndarray:
+    """Sum over parties of the product of the other parties' H(X_j | rest), bits^(n-1).
+
+    H(X_j | rest) = h_all - h_rest[..., j], clamped at zero; n is the last
+    axis of ``h_rest``. The products and their sum run in party order.
+    """
+    n = h_rest.shape[-1]
+    h = np.clip(np.expand_dims(h_all, -1) - h_rest, 0.0, None)
+    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    return h[..., others].prod(axis=-1).sum(axis=-1)
+
+
+def _contents(p: np.ndarray, n: int) -> np.ndarray:
+    """Information content of the binary n-party tables in the trailing n axes, bits^(n-1).
+
+    The elementary symmetric polynomial e_(n-1) of the conditional
+    entropies H(X_j | rest), each clamped at zero: the area for n = 3,
+    the volume for n = 4, and defined the same way for any n >= 2. The
+    drop-one marginals come from one product with a cached 0/1 map and
+    their entropies from one pass, bit for bit what summing out each
+    party in turn gives.
+    """
+    flat = p.reshape(p.shape[: p.ndim - n] + (2**n,))
+    return _content(_entropies(flat, 1), _drop_one(flat, n)[1])
 
 
 def shannon_entropy(dist) -> float:
-    """Shannon entropy in bits of a distribution or bare probability table."""
-    p = dist.probs if isinstance(dist, JointDistribution) else np.asarray(dist, dtype=float)
-    return float(_entropies(p, p.ndim))
+    """Shannon entropy in bits of a distribution or bare probability table.
+
+    A bare table needs at least one axis, finite entries of at least
+    -1e-12 and a sum within 1e-10 of one, the checks of JointDistribution.
+    """
+    if isinstance(dist, JointDistribution):
+        return float(_entropies(dist.probs, dist.n_parties))
+    p = np.asarray(dist, dtype=float)
+    if p.ndim < 1 or p.size == 0:
+        raise ValueError(f"probability table {dist!r} needs at least one axis and one entry")
+    return float(_entropies(_checked_probabilities(p), p.ndim))
 
 
 def conditional_entropy(dist: JointDistribution, given) -> float:
@@ -608,13 +653,17 @@ class ReactivityResult:
     seed: int
 
     def __post_init__(self):
-        if self.mean_area < 0.0 or self.mean_volume < 0.0:
-            raise ValueError("mean area and volume must be nonnegative")
+        for name in ("mean_area", "mean_volume"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} = {value!r} must be finite and nonnegative")
+        if not self.n_samples >= 1:
+            raise ValueError(f"n_samples = {self.n_samples!r} must be at least 1")
         if self.mean_volume > 0.0:
             expected = self.mean_area / self.mean_volume
-            if abs(self.reactivity - expected) > 1e-12 * max(1.0, abs(expected)):
+            if not abs(self.reactivity - expected) <= 1e-12 * max(1.0, abs(expected)):
                 raise ValueError("reactivity must equal mean_area / mean_volume")
-        elif np.isfinite(self.reactivity):
+        elif self.reactivity != np.inf:
             raise ValueError("zero mean volume must be flagged as infinite reactivity")
 
     @property
@@ -637,8 +686,11 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
 
     For each sample one random projective basis per qubit is drawn, the
     16-outcome distribution computed, the four three-party face areas
-    averaged, and the four-party volume evaluated. Means are taken over
-    samples first and the ratio last. The sample-i stream depends only on
+    averaged, and the four-party volume evaluated. The faces are the
+    volume's drop-one marginals: one product with the cached drop-one map
+    gives them and their entropies serve the volume; one more drop-one
+    pass over the faces gives the areas. Means are taken over samples
+    first and the ratio last. The sample-i stream depends only on
     (seed, i), so the result is independent of evaluation order and
     repeats bit-identically for a fixed seed. ``n_samples`` and ``seed``
     may be any integer type; the result holds them as Python ints.
@@ -652,9 +704,9 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     for zi, rng in zip(z, _streams(seed, (), (n_samples,))):
         rng.standard_normal(out=zi)
     p = np.clip(_born(_random_blochs(z), _pauli_coefficients(rho.matrix)), 0.0, None).reshape(-1, 16)
-    p = (p / p.sum(axis=-1, keepdims=True)).reshape(-1, 2, 2, 2, 2)
-    faces = np.stack([p.sum(axis=k) for k in range(1, 5)], axis=1)
-    mean_area = float(_contents(faces, 3).mean(axis=-1).mean())
-    mean_volume = float(_contents(p, 4).mean())
+    p /= p.sum(axis=-1, keepdims=True)
+    faces, h_faces = _drop_one(p, 4)
+    mean_area = float(_content(h_faces, _drop_one(faces, 3)[1]).mean(axis=-1).mean())
+    mean_volume = float(_content(_entropies(p, 1), h_faces).mean())
     ratio = mean_area / mean_volume if mean_volume > 0.0 else float("inf")
     return ReactivityResult(mean_area, mean_volume, ratio, n_samples, seed)

@@ -180,6 +180,23 @@ class DensityMatrix:
         return cls(payload["n_qubits"], mat)
 
 
+def _checked_probabilities(p: np.ndarray) -> np.ndarray:
+    """The table ``p`` clamped at zero, once its entries are checked.
+
+    Raises a ValueError naming the value unless every entry is at least
+    PROBABILITY_FLOOR (NaN and -inf fail) and the clamped table sums to 1
+    within TRACE_TOL (+inf fails).
+    """
+    low = float(p.min())
+    if not low >= PROBABILITY_FLOOR:
+        raise ValueError(f"negative or non-finite probability {low!r}")
+    p = np.clip(p, 0.0, None)
+    total = float(p.sum())
+    if not abs(total - 1.0) <= TRACE_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    return p
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Probability table over binary outcome tuples, one axis per party.
@@ -196,12 +213,7 @@ class JointDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim < 1 or p.shape != (2,) * p.ndim:
             raise ValueError("probability table must have one binary axis per party")
-        if not p.min() >= PROBABILITY_FLOOR:
-            raise ValueError(f"negative or non-finite probability {p.min()!r}")
-        p = np.clip(p, 0.0, None)
-        if not abs(p.sum() - 1.0) <= TRACE_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _checked_probabilities(p))
 
     @property
     def n_parties(self) -> int:

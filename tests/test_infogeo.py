@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +73,25 @@ def test_shannon_entropy_known_values():
 def test_shannon_entropy_ignores_sub_threshold_mass():
     assert shannon_entropy(np.array([1.0, 1e-16])) == 0.0
     assert shannon_entropy(np.array([1.0, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize("table, message", [
+    ([np.nan, 0.5], "non-finite probability nan"),
+    ([-np.inf, 0.5], "non-finite probability -inf"),
+    ([np.inf, 0.5], "sum to inf"),
+    ([3.0, 3.0], "sum to 6.0"),
+    ([1.5, -0.5], "negative or non-finite probability -0.5"),
+    (5.0, "5.0 needs at least one axis"),
+    ([], "needs at least one axis and one entry"),
+])
+def test_shannon_entropy_rejects_a_bare_table_that_is_not_a_distribution(table, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        shannon_entropy(table)
+
+
+def test_shannon_entropy_accepts_the_joint_distribution_tolerances():
+    assert shannon_entropy([0.5 + 5e-11, 0.5, -1e-12]) == pytest.approx(1.0, abs=1e-9)
+    assert shannon_entropy(JointDistribution(np.array([0.5, 0.5 + 5e-11]))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_joint_and_conditional_entropy_consistency(rng):
@@ -589,6 +612,28 @@ def test_reactivity_result_validates_ratio():
         )
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((np.nan, np.nan, np.nan, 1, 0), "mean_area = nan"),
+    ((np.inf, 1.0, np.inf, 1, 0), "mean_area = inf"),
+    ((1.0, np.inf, 0.0, 1, 0), "mean_volume = inf"),
+    ((1.0, -0.5, -2.0, 1, 0), "mean_volume = -0.5"),
+    ((3.0, 4.0, 0.75, -5, 0), "n_samples = -5"),
+    ((3.0, 4.0, 0.75, 0, 0), "n_samples = 0"),
+    ((3.0, 4.0, np.nan, 10, 0), "must equal mean_area / mean_volume"),
+    ((1.0, 0.0, np.nan, 10, 0), "infinite reactivity"),
+    ((1.0, 0.0, -np.inf, 10, 0), "infinite reactivity"),
+])
+def test_reactivity_result_rejects_non_finite_or_negative_fields(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ReactivityResult(*fields)
+
+
+def test_reactivity_result_flags_zero_volume_as_infinite():
+    result = ReactivityResult(1.0, 0.0, np.inf, 1, 0)
+    assert result.volume_degenerate
+    assert ReactivityResult(0.0, 0.0, np.inf, 1, 0).to_json_dict()["volume_degenerate"]
+
+
 def test_reactivity_takes_any_integer_type():
     rho = modified_werner(0.5, 0.0, n_qubits=4)
     assert reactivity(rho, True, 1) == reactivity(rho, 1, 1)
@@ -633,6 +678,86 @@ def test_contents_are_the_elementary_symmetric_polynomials(rng):
         assert infogeo._contents(correlated, n) == 0.0
         assert infogeo._contents(np.full((2,) * n, 0.5**n), n) == pytest.approx(n, abs=1e-14)
 
+
+def _reference_contents(p, n):
+    """The per-party loop that the drop-one kernel replaced: one marginal per ``sum``, one product per ``delete``."""
+    h_all = infogeo._entropies(p, n)
+    h = np.stack([h_all - infogeo._entropies(p.sum(axis=i - n), n - 1) for i in range(n)], axis=-1)
+    h = np.clip(h, 0.0, None)
+    return sum(np.prod(np.delete(h, i, axis=-1), axis=-1) for i in range(n))
+
+
+def _reference_reactivity(rho, n_samples, seed):
+    """(mean_area, mean_volume) with one stream_rng per sample and the stacked-face tail."""
+    z = np.stack([stream_rng(seed, i).standard_normal((4, 4)) for i in range(n_samples)])
+    p = np.clip(states._born(infogeo._random_blochs(z), states._pauli_coefficients(rho.matrix)), 0.0, None)
+    p = p.reshape(-1, 16)
+    p = (p / p.sum(axis=-1, keepdims=True)).reshape(-1, 2, 2, 2, 2)
+    faces = np.stack([p.sum(axis=k) for k in range(1, 5)], axis=1)
+    return float(_reference_contents(faces, 3).mean(axis=-1).mean()), float(_reference_contents(p, 4).mean())
+
+
+def _dirichlet_bank(n, seed):
+    """Seeded n-party tables, sparse and dense, with exact zeros and entries below the 1e-15 cutoff."""
+    rng = np.random.default_rng(seed)
+    bank = np.concatenate([rng.dirichlet(np.full(2**n, alpha), size=200) for alpha in (0.05, 0.5, 2.0)])
+    bank[::5, 0] = 0.0
+    bank[1::5, -1] = 4e-16
+    bank[2::5, 1:3] = 1e-17
+    return (bank / bank.sum(axis=-1, keepdims=True)).reshape((-1,) + (2,) * n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_contents_match_the_per_party_loop_bit_for_bit(n):
+    tables = _dirichlet_bank(n, 40 + n)
+    assert np.array_equal(infogeo._contents(tables, n), _reference_contents(tables, n))
+    content = info_area if n == 3 else info_volume
+    assert [content(JointDistribution(t)) for t in tables[:60]] == [
+        float(_reference_contents(t, n)) for t in tables[:60]]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("phase", [0.0, 0.7])
+def test_reactivity_matches_the_stacked_face_tail_bit_for_bit(lam, phase):
+    rho = modified_werner(lam, phase, n_qubits=4)
+    for n_samples, seed in ((1, 0), (13, 5), (2000, 7), (500, 2**40)):
+        area, volume = _reference_reactivity(rho, n_samples, seed)
+        result = reactivity(rho, n_samples, seed)
+        assert (result.mean_area, result.mean_volume) == (area, volume)
+        assert result.reactivity == area / volume
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_contents_of_any_n_are_e_n_minus_1_of_the_conditional_entropies(n):
+    rng = np.random.default_rng(60 + n)
+    tables = rng.dirichlet(np.full(2**n, 0.3), size=20).reshape((-1,) + (2,) * n)
+    contents = infogeo._contents(tables, n)
+    assert contents.shape == (20,)
+    for p, content in zip(tables, contents):
+        dist = JointDistribution(p)
+        h = [max(0.0, conditional_entropy(dist, tuple(j for j in range(n) if j != i))) for i in range(n)]
+        e = sum(np.prod([h[j] for j in range(n) if j != i]) for i in range(n))
+        assert content == pytest.approx(e, abs=1e-13)
+
+
+def test_import_builds_no_drop_one_map():
+    code = "import infobell\nprint(infobell.infogeo._drop_one_map.cache_info().currsize)\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "0"
+
+
+def test_drop_one_maps_are_built_once_per_n(rng):
+    rho = modified_werner(0.5, 0.0, n_qubits=4)
+    reactivity(rho, 3, 0)
+    info_area(random_joint(rng, 3))
+    misses = infogeo._drop_one_map.cache_info().misses
+    for seed in range(4):
+        reactivity(rho, 10, seed)
+        info_area(random_joint(rng, 3))
+        info_volume(random_joint(rng, 4))
+    assert infogeo._drop_one_map.cache_info().misses == misses
+    assert not infogeo._drop_one_map(3).flags.writeable
 
 def test_reactivity_builds_its_bases_in_one_call(monkeypatch):
     calls = {"_random_blochs": 0, "_stream_keys": 0, "stream_rng": 0}

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -310,9 +311,11 @@ def test_pauli_coefficients_are_the_pauli_traces(rng):
 def test_joint_distribution_validates_tables():
     dist = JointDistribution(np.array([[0.5, -1e-13], [0.25, 0.25 + 1e-13]]))
     assert dist.probs.min() == 0.0
-    for bad in ([[0.6, -0.1], [0.25, 0.25]], [[0.5, 0.5], [0.5, 0.5]],
-                [[np.nan, 0.5], [0.25, 0.25]], [[np.inf, 0.0], [0.0, 0.0]]):
-        with pytest.raises(ValueError):
+    for bad, message in (([[0.6, -0.1], [0.25, 0.25]], "probability -0.1"),
+                         ([[0.5, 0.5], [0.5, 0.5]], "sum to 2.0, not 1"),
+                         ([[np.nan, 0.5], [0.25, 0.25]], "probability nan"),
+                         ([[np.inf, 0.0], [0.0, 0.0]], "sum to inf, not 1")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             JointDistribution(np.array(bad))
 
 
