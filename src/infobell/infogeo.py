@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DensityMatrix, JointDistribution, MeasurementSetting, _born, _born_tables,
-                     _checked_probabilities, _pauli_coefficients)
+                     _checked_probabilities, _integer)
 
 __all__ = [
     "REFERENCE_THETAS",
@@ -69,9 +69,22 @@ def _entropies(p: np.ndarray, n_axes: int) -> np.ndarray:
 
 
 def _info_distances(p: np.ndarray) -> np.ndarray:
-    """D = 2 H(A,B) - H(A) - H(B), clamped at zero, for tables of shape (..., 2, 2)."""
-    d = 2.0 * _entropies(p, 2) - _entropies(p.sum(axis=-1), 1) - _entropies(p.sum(axis=-2), 1)
-    return np.maximum(0.0, d)
+    """D = 2 H(A,B) - H(A) - H(B), clamped at zero, for tables of shape (..., 2, 2).
+
+    One cell-wise pass: rows 0-3 of ``x`` hold each table's cells, rows
+    4-7 its marginal cells x0+x1, x2+x3, x0+x2, x1+x3, and one x log2 x
+    pass covers all eight. The rows are summed in the order in which
+    ``_entropies``' ``.sum(axis=-1)`` adds fewer than eight cells, left to
+    right, so D is bit for bit 2 H(p) - H(p.sum(-1)) - H(p.sum(-2)).
+    """
+    batch = p.shape[:-2]
+    x = np.empty((8, math.prod(batch)))
+    x[:4] = p.reshape(-1, 4).T
+    np.add(x[0:4:2], x[1:4:2], out=x[4:6])
+    np.add(x[0:2], x[2:4], out=x[6:8])
+    t = x * np.log2(np.where(x > _ZERO_CUTOFF, x, 1.0))
+    h_ab, h_a, h_b = -(t[0] + t[1] + t[2] + t[3]), -(t[4] + t[5]), -(t[6] + t[7])
+    return np.maximum(0.0, (2.0 * h_ab - h_a - h_b).reshape(batch))
 
 
 @functools.lru_cache(maxsize=None)
@@ -657,8 +670,11 @@ class ReactivityResult:
             value = getattr(self, name)
             if not 0.0 <= value < np.inf:
                 raise ValueError(f"{name} = {value!r} must be finite and nonnegative")
-        if not self.n_samples >= 1:
-            raise ValueError(f"n_samples = {self.n_samples!r} must be at least 1")
+        n_samples = _integer(self.n_samples, "n_samples")
+        if n_samples < 1:
+            raise ValueError(f"n_samples = {n_samples!r} must be at least 1")
+        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "seed", _key_entry(_integer(self.seed, "seed"), "seed"))
         if self.mean_volume > 0.0:
             expected = self.mean_area / self.mean_volume
             if not abs(self.reactivity - expected) <= 1e-12 * max(1.0, abs(expected)):
@@ -703,7 +719,7 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     z = np.empty((n_samples, 4, 4))
     for zi, rng in zip(z, _streams(seed, (), (n_samples,))):
         rng.standard_normal(out=zi)
-    p = np.clip(_born(_random_blochs(z), _pauli_coefficients(rho.matrix)), 0.0, None).reshape(-1, 16)
+    p = np.clip(_born(_random_blochs(z), rho.pauli_coefficients), 0.0, None).reshape(-1, 16)
     p /= p.sum(axis=-1, keepdims=True)
     faces, h_faces = _drop_one(p, 4)
     mean_area = float(_content(h_faces, _drop_one(faces, 3)[1]).mean(axis=-1).mean())

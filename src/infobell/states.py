@@ -20,6 +20,7 @@ O(n 4**n) real operations and no 2**n x 2**n product ket is built.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -134,7 +135,9 @@ class DensityMatrix:
     int; the matrix must be finite, Hermitian and of trace one to 1e-10,
     with smallest eigenvalue at least -1e-12. Every instance in
     circulation is then a valid state, and its exact outcome tables are
-    valid probability tables up to round-off.
+    valid probability tables up to round-off. That check and the cached
+    ``pauli_coefficients`` both hold only while the matrix is not
+    mutated after construction; build a new instance for a new matrix.
     """
 
     n_qubits: int
@@ -154,15 +157,23 @@ class DensityMatrix:
             raise ValueError("matrix has non-finite entries")
         if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian")
-        tr = np.trace(mat)
+        tr = complex(np.trace(mat))
         if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
-            raise ValueError(f"trace {tr!r} is not 1")
-        if np.linalg.eigvalsh(mat)[0] < PROBABILITY_FLOOR:
-            raise ValueError("matrix has a negative eigenvalue beyond tolerance")
+            raise ValueError(f"trace {tr if tr.imag else tr.real!r} is not 1")
+        low = float(np.linalg.eigvalsh(mat)[0])
+        if low < PROBABILITY_FLOOR:
+            raise ValueError(f"matrix has a negative eigenvalue {low!r} beyond tolerance")
 
     @property
     def dim(self) -> int:
         return 2 ** self.n_qubits
+
+    @functools.cached_property
+    def pauli_coefficients(self) -> np.ndarray:
+        """Read-only Pauli coefficients R of the state, shape (4,)*n, computed on first use."""
+        coefficients = _pauli_coefficients(self.matrix)
+        coefficients.flags.writeable = False
+        return coefficients
 
     def purity(self) -> float:
         return float(np.vdot(self.matrix, self.matrix).real)
@@ -369,8 +380,10 @@ def _born_tables(rho: DensityMatrix, stokes) -> np.ndarray:
     the tables need no further check.
     """
     stokes = np.asarray(stokes, dtype=float)
-    blochs = np.stack([np.sin(stokes), np.zeros_like(stokes), np.cos(stokes)], axis=-1)
-    return np.clip(_born(blochs, _pauli_coefficients(rho.matrix)), 0.0, None)
+    blochs = np.zeros(stokes.shape + (3,))
+    np.sin(stokes, out=blochs[..., 0])
+    np.cos(stokes, out=blochs[..., 2])
+    return np.clip(_born(blochs, rho.pauli_coefficients), 0.0, None)
 
 
 def joint_probabilities(rho: DensityMatrix, settings) -> JointDistribution:

@@ -40,6 +40,7 @@ from infobell import (
     violation,
 )
 from infobell import expsim, infogeo, states
+from infobell import OPTIMAL_BELL_SETTINGS, chsh, visibility
 from infobell.infogeo import golden_section_min
 
 from conftest import random_density
@@ -146,6 +147,65 @@ def test_classical_triangle_inequality(seed):
     assert report.max_triangle_excess <= 1e-9
     assert report.max_symmetry_residual <= 1e-12
     assert report.min_distance >= -1e-12
+
+
+def _reference_info_distances(p):
+    """The per-marginal formula that the cell-wise pass replaced."""
+    d = 2.0 * infogeo._entropies(p, 2) - infogeo._entropies(p.sum(axis=-1), 1) - infogeo._entropies(p.sum(axis=-2), 1)
+    return np.maximum(0.0, d)
+
+
+def _two_party_bank(seed):
+    """Seeded (..., 2, 2) tables, sparse and dense, with exact zeros, entries below the 1e-15
+    cutoff, deterministic, perfectly correlated and uniform rows."""
+    rng = np.random.default_rng(seed)
+    bank = np.concatenate([rng.dirichlet(np.full(4, alpha), size=600) for alpha in (0.05, 0.5, 2.0)])
+    bank[::5, 0] = 0.0
+    bank[1::5, -1] = 4e-16
+    bank[2::5, 1:3] = 1e-17
+    bank = bank / bank.sum(axis=-1, keepdims=True)
+    bank[:3] = [[1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.5], [0.25, 0.25, 0.25, 0.25]]
+    return bank.reshape(-1, 2, 2)
+
+
+def test_info_distances_match_the_per_marginal_formula_bit_for_bit():
+    tables = _two_party_bank(21)
+    for p in (tables, tables[::3], np.swapaxes(tables, -1, -2), tables.reshape(-1, 4, 2, 2)[:, ::2],
+              tables.reshape(30, -1, 2, 2).transpose(1, 0, 2, 3), tables[7], tables[:0], tables[:0].reshape(0, 5, 2, 2)):
+        got, expected = infogeo._info_distances(p), _reference_info_distances(p)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert [info_distance(JointDistribution(p)) for p in tables[:60]] == [
+        float(_reference_info_distances(p)) for p in tables[:60]]
+
+
+def test_each_state_computes_its_pauli_coefficients_once(monkeypatch):
+    calls = []
+    original = states._pauli_coefficients
+    monkeypatch.setattr(states, "_pauli_coefficients", lambda matrix: calls.append(matrix) or original(matrix))
+    rho = random_density(np.random.default_rng(5))
+    max_violation(rho, step=2.5e-3)
+    quadrilateral(rho, np.pi / 8)
+    chsh(rho, *OPTIMAL_BELL_SETTINGS)
+    visibility(rho, "HV")
+    visibility(rho, "DA")
+    assert len(calls) == 1
+    twin = DensityMatrix(2, rho.matrix)
+    assert quadrilateral(twin, np.pi / 8) == quadrilateral(rho, np.pi / 8)
+    assert len(calls) == 2 and twin.pauli_coefficients is not rho.pauli_coefficients
+    assert np.array_equal(twin.pauli_coefficients, states._pauli_coefficients(rho.matrix))
+    assert not rho.pauli_coefficients.flags.writeable
+
+
+def test_import_computes_no_pauli_coefficients():
+    code = ("import sys\ncalls = []\n"
+            "sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name)"
+            " if event == 'call' and frame.f_code.co_name == '_pauli_coefficients' else None)\n"
+            "import infobell\nsys.setprofile(None)\nprint(len(calls))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "0"
 
 
 def test_schumacher_settings_layout():
@@ -626,6 +686,24 @@ def test_reactivity_result_validates_ratio():
 def test_reactivity_result_rejects_non_finite_or_negative_fields(fields, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         ReactivityResult(*fields)
+
+
+@pytest.mark.parametrize("n_samples, seed, error, message", [
+    (10, -3, ValueError, "seed = -3 is negative"),
+    (10, 2.5, TypeError, "seed = 2.5 is not an integer"),
+    (10, True, TypeError, "seed = True is not an integer"),
+    (True, 0, TypeError, "n_samples = True is not an integer"),
+    (10.0, 0, TypeError, "n_samples = 10.0 is not an integer"),
+])
+def test_reactivity_result_takes_integer_counts_and_seeds(n_samples, seed, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        ReactivityResult(3.0, 4.0, 0.75, n_samples, seed)
+
+
+def test_reactivity_result_holds_python_ints():
+    result = ReactivityResult(3.0, 4.0, 0.75, np.int64(10), np.uint8(2))
+    assert type(result.n_samples) is int and type(result.seed) is int
+    assert result == ReactivityResult(3.0, 4.0, 0.75, 10, 2)
 
 
 def test_reactivity_result_flags_zero_volume_as_infinite():

@@ -107,6 +107,15 @@ def test_density_matrix_rejects_eigenvalues_below_the_table_floor():
     DensityMatrix(2, np.diag([0.5 + 5e-13, 0.5, 0.0, -5e-13]))
 
 
+@pytest.mark.parametrize("matrix, message", [
+    (np.eye(4) / 2, "trace 2.0 is not 1"),
+    (np.diag([1.1, -0.1, 0.0, 0.0]), "negative eigenvalue -0.1 beyond tolerance"),
+])
+def test_density_matrix_messages_print_plain_numbers(matrix, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DensityMatrix(2, matrix)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_density_matrix_rejects_non_finite_entries(bad):
     for i, j in ((0, 0), (0, 1)):
