@@ -241,15 +241,20 @@ def _simulate(rho: DensityMatrix, thetas: np.ndarray, counts_per_mode: int,
 
     ``thetas`` is a 0-d angle (one run) or a 1-d array (a sweep). Edge k of
     the angle at index i draws its counts on (_STREAM_SAMPLE, *stream, *i, k)
-    and its accidentals on (_STREAM_ACCIDENTAL, *stream, *i, k).
+    and its accidentals on (_STREAM_ACCIDENTAL, *stream, *i, k). All tables
+    are normalised in one pass, each row as _draw_counts normalises it, and
+    each draw writes one row of a single count array.
     """
     tables, _, dd = _model_edges(rho, thetas, counts_per_mode, noise)
     shape = tables.shape[:-2]
-    samples = _streams(noise.seed, (_STREAM_SAMPLE, *stream), shape)
-    counts = np.stack([_draw_counts(p, counts_per_mode, rng) for p, rng in zip(tables.reshape(-1, 2, 2), samples)])
+    pvals = tables.reshape(-1, 4)
+    pvals = pvals / pvals.sum(axis=-1, keepdims=True)
+    counts = np.empty(pvals.shape, dtype=np.int64)
+    for row, p, rng in zip(counts, pvals, _streams(noise.seed, (_STREAM_SAMPLE, *stream), shape)):
+        row[:] = rng.multinomial(counts_per_mode, p)
     if noise.accidental_mean != 0.0:
-        accidentals = _streams(noise.seed, (_STREAM_ACCIDENTAL, *stream), shape)
-        counts += np.stack([_draw_accidentals(noise, rng) for rng in accidentals])
+        for row, rng in zip(counts, _streams(noise.seed, (_STREAM_ACCIDENTAL, *stream), shape)):
+            row += rng.poisson(noise.accidental_mean, size=4)
     return _info_distances(_estimated_tables(counts.reshape(tables.shape), noise.accidental_mean)), dd
 
 

@@ -106,8 +106,16 @@ def _drop_one(flat: np.ndarray, n: int):
     Returns the marginals, shape (..., n, 2**(n-1)), row i with party i
     summed out, and their entropies, shape (..., n), from one x log2 x pass.
     """
-    marginals = (flat @ _drop_one_map(n)).reshape(flat.shape[:-1] + (n, 2 ** (n - 1)))
+    marginals = (flat.reshape(-1, 2**n) @ _drop_one_map(n)).reshape(flat.shape[:-1] + (n, 2 ** (n - 1)))
     return marginals, _entropies(marginals, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _others(n: int) -> np.ndarray:
+    """Read-only index array (n, n - 1) whose row i lists the parties other than i, in order."""
+    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    others.flags.writeable = False
+    return others
 
 
 def _content(h_all, h_rest: np.ndarray) -> np.ndarray:
@@ -116,10 +124,8 @@ def _content(h_all, h_rest: np.ndarray) -> np.ndarray:
     H(X_j | rest) = h_all - h_rest[..., j], clamped at zero; n is the last
     axis of ``h_rest``. The products and their sum run in party order.
     """
-    n = h_rest.shape[-1]
     h = np.clip(np.expand_dims(h_all, -1) - h_rest, 0.0, None)
-    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
-    return h[..., others].prod(axis=-1).sum(axis=-1)
+    return h[..., _others(h_rest.shape[-1])].prod(axis=-1).sum(axis=-1)
 
 
 def _contents(p: np.ndarray, n: int) -> np.ndarray:
@@ -563,44 +569,49 @@ def _words(value) -> list:
     return words
 
 
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """SeedSequence's running hash constants c_0 = init, ..., c_n with c_(k+1) = c_k * mult mod 2**32,
+    as an (n + 1, 1) uint32 column: hash k xors its value with c_k and multiplies it by c_(k+1)."""
+    consts = [init]
+    for _ in range(n):
+        consts.append((consts[-1] * mult) & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
 def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
-    """Philox keys (m, 2) uint64 of m entropy rows of 32-bit words, shape (m, n_words).
+    """Philox keys (m, 2) uint64 of m entropies given word-major, words[j, r] the j-th 32-bit word of entropy r.
 
     Row r gives SeedSequence(entropy).generate_state(2, np.uint64) for the
-    entropy whose words are words[r]. Arrays of uint32 wrap silently; the
-    running hash constant is a Python int masked to 32 bits.
+    entropy whose words are words[:, r]; ``words`` has at least four rows,
+    zero rows padding a shorter entropy as SeedSequence pads its pool. The
+    pool is one (4, m) uint32 array. Each mixing stage hashes its source
+    word once per destination, with consecutive hash constants, and mixes
+    all destination rows in one step: a stage's destinations never include
+    its source, so they are independent. Arrays of uint32 wrap silently.
     """
-    const = _INIT_A
+    n_words = words.shape[0]
+    const = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * n_words)
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = (const * _MULT_A) & _MASK32
-        value = value * const
+    def hashmix(value, c):
+        """Hash row j of ``value`` with c[j] and c[j + 1], one row per hash of the stage."""
+        value = (value ^ c[:-1]) * c[1:]
         return value ^ (value >> 16)
 
     def mix(x, y):
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ (result >> 16)
 
-    m, n_words = words.shape
-    zeros = np.zeros(m, dtype=np.uint32)
-    pool = [hashmix(words[:, i] if i < n_words else zeros) for i in range(_POOL_SIZE)]
+    pool = hashmix(words[:_POOL_SIZE], const[:_POOL_SIZE + 1])
+    k = _POOL_SIZE
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], const[k:k + _POOL_SIZE]))
+        k += _POOL_SIZE - 1
     for src in range(_POOL_SIZE, n_words):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+        pool = mix(pool, hashmix(words[src], const[k:k + _POOL_SIZE + 1]))
+        k += _POOL_SIZE
 
-    const = _INIT_B
-    state = []
-    for value in pool:
-        value = value ^ const
-        const = (const * _MULT_B) & _MASK32
-        value = value * const
-        state.append((value ^ (value >> 16)).astype(np.uint64))
+    state = hashmix(pool, _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)).astype(np.uint64)
     return np.stack([state[0] | (state[1] << np.uint64(32)), state[2] | (state[3] << np.uint64(32))], axis=-1)
 
 
@@ -611,28 +622,38 @@ def _stream_keys(seed: int, prefix: tuple, shape: tuple) -> np.ndarray:
     index gives exactly the key that stream_rng(seed, *prefix, *index)
     seeds its Philox with, computed for all indices in one vectorised pass
     of SeedSequence's hash: the seed and the prefix entries are constant
-    32-bit word planes, and each index axis is one plane (no array has
-    2**32 rows).
+    32-bit word rows, and each index axis is one row (no array has 2**32
+    rows).
     """
     n = math.prod(shape)
-    planes = [np.full(n, word, dtype=np.uint32) for entry in (seed, *prefix) for word in _words(entry)]
-    planes += [axis.ravel().astype(np.uint32) for axis in np.indices(shape)]
-    return _seed_sequence_keys(np.stack(planes, axis=-1)).reshape(*shape, 2)
+    head = [word for entry in (seed, *prefix) for word in _words(entry)]
+    words = np.zeros((max(_POOL_SIZE, len(head) + len(shape)), n), dtype=np.uint32)
+    words[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    words[len(head):len(head) + len(shape)] = np.indices(shape).reshape(len(shape), n)
+    return _seed_sequence_keys(words).reshape(*shape, 2)
 
 
 def _streams(seed: int, prefix: tuple, shape: tuple):
     """Yield, for each index of ``shape`` in C order, a Generator that draws what
     stream_rng(seed, *prefix, *index) draws.
 
-    One Philox bit generator is re-keyed in place for every index, with its
-    counter and buffer reset to zero, so each yielded Generator is valid
-    only until the next one is requested.
+    One Philox bit generator is re-keyed in place for every index, by
+    setting it to one state dict of plain Python ints in which only the
+    key changes: a zero counter, an empty buffer (position 4, so the next
+    draw computes a fresh block) and no buffered 32-bit half, exactly the
+    state a newly seeded Philox starts in. The setter reads every field
+    and never writes the dict. Plain ints make a re-key more than twice
+    as cheap as the arrays of ``bitgen.state``, which the setter reads
+    entry by entry as numpy scalars. Each yielded Generator is valid only
+    until the next one is requested.
     """
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
-    state = bitgen.state
-    for key in _stream_keys(seed, prefix, shape).reshape(-1, 2):
-        state["state"]["key"] = key
+    philox = {"counter": [0, 0, 0, 0], "key": [0, 0]}
+    state = {"bit_generator": "Philox", "state": philox, "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for key in _stream_keys(seed, prefix, shape).reshape(-1, 2).tolist():
+        philox["key"] = key
         bitgen.state = state
         yield rng
 
@@ -644,10 +665,21 @@ def _random_blochs(z: np.ndarray) -> np.ndarray:
     has Bloch vector (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2); its orthogonal
     partner, the basis's other outcome, has the opposite vector. Shape (..., 3).
     """
-    z0, z1, z2, z3 = np.moveaxis(z, -1, 0)
+    z0, z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2], z[..., 3]
     r = np.stack([2.0 * (z0 * z2 + z1 * z3), 2.0 * (z0 * z3 - z1 * z2),
                   z0 * z0 + z1 * z1 - z2 * z2 - z3 * z3], axis=-1)
     return r / (z * z).sum(axis=-1, keepdims=True)
+
+
+def _sample_count_and_seed(n_samples, seed) -> tuple:
+    """(n_samples, seed) as Python ints: an integer of at least 1 and a non-negative integer.
+
+    A bool, a float or a negative value raises, naming the field.
+    """
+    n_samples = _integer(n_samples, "n_samples")
+    if n_samples < 1:
+        raise ValueError(f"n_samples = {n_samples!r} must be at least 1")
+    return n_samples, _key_entry(_integer(seed, "seed"), "seed")
 
 
 @dataclass(frozen=True)
@@ -670,11 +702,9 @@ class ReactivityResult:
             value = getattr(self, name)
             if not 0.0 <= value < np.inf:
                 raise ValueError(f"{name} = {value!r} must be finite and nonnegative")
-        n_samples = _integer(self.n_samples, "n_samples")
-        if n_samples < 1:
-            raise ValueError(f"n_samples = {n_samples!r} must be at least 1")
+        n_samples, seed = _sample_count_and_seed(self.n_samples, self.seed)
         object.__setattr__(self, "n_samples", n_samples)
-        object.__setattr__(self, "seed", _key_entry(_integer(self.seed, "seed"), "seed"))
+        object.__setattr__(self, "seed", seed)
         if self.mean_volume > 0.0:
             expected = self.mean_area / self.mean_volume
             if not abs(self.reactivity - expected) <= 1e-12 * max(1.0, abs(expected)):
@@ -708,18 +738,19 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     pass over the faces gives the areas. Means are taken over samples
     first and the ratio last. The sample-i stream depends only on
     (seed, i), so the result is independent of evaluation order and
-    repeats bit-identically for a fixed seed. ``n_samples`` and ``seed``
-    may be any integer type; the result holds them as Python ints.
+    repeats bit-identically for a fixed seed. ``n_samples`` (at least 1)
+    and ``seed`` (non-negative) may be any integer type but bool, and are
+    checked as ReactivityResult checks them, before any work; the result
+    holds them as Python ints.
     """
-    n_samples, seed = operator.index(n_samples), _key_entry(seed, "seed")
+    n_samples, seed = _sample_count_and_seed(n_samples, seed)
     if rho.n_qubits != 4:
         raise ValueError("reactivity is implemented for 4-qubit states")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     z = np.empty((n_samples, 4, 4))
     for zi, rng in zip(z, _streams(seed, (), (n_samples,))):
         rng.standard_normal(out=zi)
-    p = np.clip(_born(_random_blochs(z), rho.pauli_coefficients), 0.0, None).reshape(-1, 16)
+    p = _born(_random_blochs(z), rho.pauli_coefficients).reshape(-1, 16)
+    np.maximum(p, 0.0, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     faces, h_faces = _drop_one(p, 4)
     mean_area = float(_content(h_faces, _drop_one(faces, 3)[1]).mean(axis=-1).mean())

@@ -135,9 +135,10 @@ class DensityMatrix:
     int; the matrix must be finite, Hermitian and of trace one to 1e-10,
     with smallest eigenvalue at least -1e-12. Every instance in
     circulation is then a valid state, and its exact outcome tables are
-    valid probability tables up to round-off. That check and the cached
-    ``pauli_coefficients`` both hold only while the matrix is not
-    mutated after construction; build a new instance for a new matrix.
+    valid probability tables up to round-off. The instance holds its own
+    read-only copy of the matrix, so neither that check nor the cached
+    ``pauli_coefficients`` can go stale; build a new instance for a new
+    matrix.
     """
 
     n_qubits: int
@@ -147,7 +148,8 @@ class DensityMatrix:
         n = operator.index(self.n_qubits)
         if n < 1:
             raise ValueError("n_qubits must be at least 1")
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
+        mat.flags.writeable = False
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", mat)
         dim = 2**n

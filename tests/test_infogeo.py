@@ -554,13 +554,13 @@ def _seed_sequence_reference(seed, prefix, shape):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", KEY_SEEDS)
-@pytest.mark.parametrize("n_entries", [0, 1, 2, 3, 4, 7])
+@pytest.mark.parametrize("n_entries", [0, 1, 2, 3, 4, 7, 8, 9])
 def test_stream_keys_match_seed_sequence(seed, n_entries):
     """Keys of a prefix of n_entries entries, over empty, 1-d, 2-d and 3-d index shapes.
 
     More than four words of entropy (a big seed with a prefix and an index, or
-    7 entries) run SeedSequence's extra mixing loop; the 32-bit hash wraps
-    without a RuntimeWarning.
+    7 to 9 entries) run SeedSequence's extra mixing loop, 8 and 9 entries at
+    least twice; the 32-bit hash wraps without a RuntimeWarning.
     """
     prefix = tuple(np.random.default_rng([n_entries, 5]).integers(0, 1000, size=n_entries).tolist())
     for shape in KEY_SHAPES:
@@ -578,6 +578,50 @@ def test_stream_keys_of_entries_of_several_words():
                 assert np.array_equal(infogeo._stream_keys(seed, prefix, shape),
                                       _seed_sequence_reference(seed, prefix, shape))
     assert infogeo._stream_keys(9, (2**70,), (2, 0)).shape == (2, 0, 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_seed_sequence_keys_of_all_ones_words_and_of_no_rows():
+    """Words of 2**32 - 1 hash as SeedSequence hashes them, in any position; m = 0 gives no keys."""
+    rng = np.random.default_rng(17)
+    for n_words in (4, 5, 8, 9, 12):
+        for m in (0, 1, 6):
+            words = rng.integers(0, 2**32, size=(n_words, m), dtype=np.uint32)
+            words[rng.random((n_words, m)) < 0.4] = 2**32 - 1
+            if m:
+                words[:, 0] = 2**32 - 1
+            keys = infogeo._seed_sequence_keys(words)
+            assert keys.shape == (m, 2) and keys.dtype == np.uint64
+            reference = [np.random.SeedSequence(column.tolist()).generate_state(2, np.uint64)
+                         for column in words.T]
+            assert np.array_equal(keys, np.reshape(reference, (m, 2)))
+    for n_entries in (0, 1, 3, 4, 8, 9):
+        prefix = (2**32 - 1,) * n_entries
+        for shape in ((0,), (3,), (2, 2)):
+            assert np.array_equal(infogeo._stream_keys(2**64 - 1, prefix, shape),
+                                  _seed_sequence_reference(2**64 - 1, prefix, shape))
+
+
+# Draws that leave a Philox stream mid-block or holding a buffered 32-bit half.
+PARTIAL_DRAWS = [
+    lambda rng: None,
+    lambda rng: rng.integers(2**32, dtype=np.uint32),
+    lambda rng: rng.random(dtype=np.float32),
+    lambda rng: rng.standard_normal(3),
+    lambda rng: rng.integers(2**32, dtype=np.uint32, size=5),
+]
+
+
+@pytest.mark.parametrize("partial", PARTIAL_DRAWS)
+def test_streams_reset_every_field_of_the_state_between_keys(partial):
+    """A stream left mid-block or with a buffered half does not leak into the next one."""
+    shape = (3,)
+    for index, rng in zip(np.ndindex(shape), infogeo._streams(11, (2,), shape)):
+        reference = stream_rng(11, 2, *index)
+        assert rng.integers(2**32, dtype=np.uint32) == reference.integers(2**32, dtype=np.uint32)
+        assert np.array_equal(rng.random(5), reference.random(5))
+        assert rng.random(dtype=np.float32) == reference.random(dtype=np.float32)
+        partial(rng)
 
 
 def test_streams_draw_what_stream_rng_draws():
@@ -714,13 +758,30 @@ def test_reactivity_result_flags_zero_volume_as_infinite():
 
 def test_reactivity_takes_any_integer_type():
     rho = modified_werner(0.5, 0.0, n_qubits=4)
-    assert reactivity(rho, True, 1) == reactivity(rho, 1, 1)
+    assert reactivity(rho, np.int8(1), 1) == reactivity(rho, 1, 1)
     result = reactivity(rho, np.int64(3), np.uint8(1))
     assert result == reactivity(rho, 3, 1)
     assert type(result.n_samples) is int and type(result.seed) is int
     json.dumps(result.to_json_dict())
     with pytest.raises(TypeError):
         reactivity(rho, 3.0, 1)
+
+
+@pytest.mark.parametrize("n_samples, seed, error, message", [
+    (True, 0, TypeError, "n_samples = True is not an integer"),
+    (3.0, 0, TypeError, "n_samples = 3.0 is not an integer"),
+    (-2, 0, ValueError, "n_samples = -2 must be at least 1"),
+    (0, 0, ValueError, "n_samples = 0 must be at least 1"),
+    (3, True, TypeError, "seed = True is not an integer"),
+    (3, 1.0, TypeError, "seed = 1.0 is not an integer"),
+    (3, -1, ValueError, "seed = -1 is negative"),
+])
+def test_reactivity_gates_its_sample_count_and_seed(n_samples, seed, error, message):
+    """The entry point refuses what ReactivityResult refuses, naming the field, before any draw."""
+    with pytest.raises(error, match=re.escape(message)):
+        reactivity(modified_werner(0.5, 0.0, n_qubits=4), n_samples, seed)
+    with pytest.raises(error, match=re.escape(message)):
+        ReactivityResult(3.0, 4.0, 0.75, n_samples, seed)
 
 
 def test_reactivity_requires_four_qubits():
@@ -819,23 +880,26 @@ def test_contents_of_any_n_are_e_n_minus_1_of_the_conditional_entropies(n):
 
 
 def test_import_builds_no_drop_one_map():
-    code = "import infobell\nprint(infobell.infogeo._drop_one_map.cache_info().currsize)\n"
+    """Nor any other cache of infogeo's kernels."""
+    code = ("import infobell\nfrom infobell.infogeo import _drop_one_map, _others\n"
+            "print(_drop_one_map.cache_info().currsize, _others.cache_info().currsize)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_drop_one_maps_are_built_once_per_n(rng):
     rho = modified_werner(0.5, 0.0, n_qubits=4)
     reactivity(rho, 3, 0)
     info_area(random_joint(rng, 3))
-    misses = infogeo._drop_one_map.cache_info().misses
+    misses = infogeo._drop_one_map.cache_info().misses, infogeo._others.cache_info().misses
     for seed in range(4):
         reactivity(rho, 10, seed)
         info_area(random_joint(rng, 3))
         info_volume(random_joint(rng, 4))
-    assert infogeo._drop_one_map.cache_info().misses == misses
+    assert (infogeo._drop_one_map.cache_info().misses, infogeo._others.cache_info().misses) == misses
     assert not infogeo._drop_one_map(3).flags.writeable
+    assert not infogeo._others(4).flags.writeable
 
 def test_reactivity_builds_its_bases_in_one_call(monkeypatch):
     calls = {"_random_blochs": 0, "_stream_keys": 0, "stream_rng": 0}

@@ -136,6 +136,21 @@ def test_density_matrix_holds_n_qubits_as_a_python_int():
         DensityMatrix.from_json_dict({**payload, "n_qubits": 2.9})
 
 
+def test_density_matrix_holds_a_read_only_copy_of_the_callers_matrix():
+    """Mutating the caller's array, before or after the coefficients are cached, changes neither."""
+    m = np.eye(4, dtype=complex) / 4
+    rho, cached = DensityMatrix(2, m), DensityMatrix(2, m)
+    cached.pauli_coefficients
+    m[0, 0] = 5
+    reference = DensityMatrix(2, np.eye(4) / 4)
+    for state in (rho, cached):
+        assert np.array_equal(state.matrix, reference.matrix)
+        assert np.array_equal(state.pauli_coefficients, reference.pauli_coefficients)
+        assert not state.matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rho.matrix[0, 0] = 5
+
+
 def _state_with_eigenvalue(rng, eigenvalue, stokes):
     """A random state whose eigenvalue ``eigenvalue`` belongs to the product
     state that analyzers at the Stokes angles ``stokes`` all pass."""
