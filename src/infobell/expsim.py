@@ -128,11 +128,6 @@ def _draw_counts(p: np.ndarray, n_trials: int, rng: np.random.Generator) -> np.n
     return rng.multinomial(n_trials, p / p.sum()).reshape(2, 2)
 
 
-def _draw_accidentals(noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
-    """Poisson(accidental_mean) spurious counts for the four bins of one table."""
-    return rng.poisson(noise.accidental_mean, size=(2, 2))
-
-
 def _estimated_tables(counts: np.ndarray, accidental) -> np.ndarray:
     """Accidental-subtracted estimates max(0, N - acc), renormalized, for (..., 2, 2) counts."""
     est = np.clip(counts - accidental, 0.0, None)
@@ -169,7 +164,8 @@ def add_accidentals(record: CoincidenceRecord, noise: NoiseConfig,
     """
     if noise.accidental_mean == 0.0:
         return record
-    counts = record.counts + _draw_accidentals(noise, stream_rng(noise.seed, _STREAM_ACCIDENTAL, *stream))
+    rng = stream_rng(noise.seed, _STREAM_ACCIDENTAL, *stream)
+    counts = record.counts + rng.poisson(noise.accidental_mean, size=(2, 2))
     return CoincidenceRecord(
         settings=record.settings,
         counts=counts,

@@ -43,12 +43,18 @@ _Q_FLOOR = 1e-15
 # the float sum over edges, and so the fitted numbers to the last digit.
 _MULTIPLES = _EDGE_MULTIPLES[[3, 0, 1, 2]]
 _SIGN = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
-# Values per temporary array of a blockwise pass (see _row_blocks). At
-# 64 KB a temporary stays below glibc's default 128 KB mmap
-# threshold, so successive blocks reuse heap memory instead of faulting
-# in fresh pages; in a fresh process, 512 KB blocks built a grid of
-# model curves about 1.7 times slower.
+# Values per temporary array of a blockwise pass: model_curve's blocks of
+# (lam, phase) points, the block rows of the bound build (see _row_blocks)
+# and the chunks of cells of the start search. At 64 KB a temporary stays
+# below glibc's default 128 KB mmap threshold, so successive blocks reuse
+# heap memory instead of faulting in fresh pages.
 _BLOCK_VALUES = 1 << 13
+# The axes of the start grid: lam on [0, 1], the phase on [0, pi) and
+# c = cos phase. The model depends on the phase only through c, so these
+# phases cover every curve the full circle gives.
+_GRID_LAM = np.arange(0.0, 1.0 + LAMBDA_STEP / 2.0, LAMBDA_STEP)
+_GRID_PHASE = np.arange(0.0, np.pi, PHASE_STEP)
+_GRID_COS = np.cos(_GRID_PHASE)
 # Grid cells per side of the fine and the coarse blocks of the start
 # search (a coarse block is _COARSE_BLOCKS x _COARSE_BLOCKS fine ones),
 # the padding of each block's V range, far above the round-off of an
@@ -157,9 +163,9 @@ def _curves(lam, c, edges):
     return _edge_sum((1.0 + lam * (cc + c * ss)) / 2.0)
 
 
-def _curve_derivatives(lam: float, c: float, th: np.ndarray):
+def _curve_derivatives(lam: float, c: float, edges):
     """model_curve at (lam, phase = arccos c) with its first and second
-    derivatives by (lam, c).
+    derivatives by (lam, c), on the theta grid of the edge table ``edges``.
 
     An edge is 2 H2(q) with q = (1 + lam K)/2, K linear in c. With
     L = log2((1 - q)/q) = H2'(q) and L' = -1/(ln 2 q (1 - q)), its
@@ -168,7 +174,7 @@ def _curve_derivatives(lam: float, c: float, th: np.ndarray):
     q is kept a hair inside (0, 1) for L and L' only, so both stay finite
     on a pure state. Returns arrays of shapes (n,), (n, 2) and (n, 2, 2).
     """
-    cc, s = _edge_table(th)
+    cc, s = edges
     k = cc + c * s
     q = (1.0 + lam * k) / 2.0
     curve = _edge_sum(q)
@@ -176,7 +182,7 @@ def _curve_derivatives(lam: float, c: float, th: np.ndarray):
     slope = _SIGN * np.log((1.0 - q) / q) / _LN2
     bend = -_SIGN / (2.0 * _LN2 * q * (1.0 - q))
     jacobian = np.stack(((k * slope).sum(axis=0), (lam * s * slope).sum(axis=0)), axis=-1)
-    hessian = np.empty((th.size, 2, 2))
+    hessian = np.empty((cc.shape[1], 2, 2))
     hessian[:, 0, 0] = (k * k * bend).sum(axis=0)
     hessian[:, 0, 1] = hessian[:, 1, 0] = (s * slope + lam * s * k * bend).sum(axis=0)
     hessian[:, 1, 1] = (lam * lam * s * s * bend).sum(axis=0)
@@ -185,8 +191,8 @@ def _curve_derivatives(lam: float, c: float, th: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class _StartGrid:
-    """The (lam, phase) grid of the fit's start, with bounds on the model
-    curves over blocks of its cells.
+    """What a fit on one theta grid reads: its edge table, and bounds on
+    the model curves over blocks of cells of the start grid.
 
     ``fine`` and ``coarse`` hold the (centre, half-width) of each theta's
     V over every block of _FINE_CELLS and of _FINE_CELLS * _COARSE_BLOCKS
@@ -194,9 +200,6 @@ class _StartGrid:
     block row or column may hold fewer cells.
     """
 
-    lam: np.ndarray
-    phase: np.ndarray
-    cos: np.ndarray
     edges: tuple
     fine: tuple
     coarse: tuple
@@ -204,35 +207,30 @@ class _StartGrid:
 
 @lru_cache(maxsize=4)
 def _start_grid(thetas: tuple) -> _StartGrid:
-    """The start grid of a theta grid, cached per theta grid.
+    """The edge table and block bounds of a theta grid, cached per theta grid.
 
-    The model depends on the phase only through c = cos(phase), so phases
-    on [0, pi) cover every curve the full circle gives. An edge's q =
-    (1 + lam (cc + c ss))/2 is bilinear in (lam, c), and c falls with the
-    phase, so q's range over a block is that over its four corner cells.
-    Each edge's range follows from its q range (see _edge_range), and V's
-    range is the sum of the signed edges' ranges, padded by _RANGE_PAD
-    for round-off. The fine bounds are built a few block rows at a time,
-    so no temporary spans the grid, and each coarse range is the hull of
-    its fine ranges.
+    An edge's q = (1 + lam (cc + c ss))/2 is bilinear in (lam, c), and c
+    falls with the phase, so q's range over a block is that over its four
+    corner cells. Each edge's range follows from its q range (see
+    _edge_range), and V's range is the sum of the signed edges' ranges,
+    padded by _RANGE_PAD for round-off. The fine bounds are built a few
+    block rows at a time, so no temporary spans the grid, and each coarse
+    range is the hull of its fine ranges.
     """
-    lam = np.arange(0.0, 1.0 + LAMBDA_STEP / 2.0, LAMBDA_STEP)
-    phase = np.arange(0.0, np.pi, PHASE_STEP)
-    cos = np.cos(phase)
     edges = _edge_table(np.array(thetas))
     cc, ss = edges
     # K = cc + c ss of every edge over each block of columns, from its first
     # and last column, each of shape (block columns, 4, n).
-    first, last = _block_ends(cos.size)
-    k_first, k_last = cc + cos[first, None, None] * ss, cc + cos[last, None, None] * ss
+    first, last = _block_ends(_GRID_COS.size)
+    k_first, k_last = cc + _GRID_COS[first, None, None] * ss, cc + _GRID_COS[last, None, None] * ss
     k_lo, k_hi = np.minimum(k_first, k_last), np.maximum(k_first, k_last)
-    first, last = _block_ends(lam.size)
+    first, last = _block_ends(_GRID_LAM.size)
     lo = np.empty((first.size, k_lo.shape[0], len(thetas)))
     hi = np.empty_like(lo)
     for rows in _row_blocks(first.size, k_lo.size):
         # lam >= 0, so lam K is least at the block's first or last row at
         # K's least value, and greatest at one of them at K's greatest.
-        lam_a, lam_b = lam[first[rows], None, None, None], lam[last[rows], None, None, None]
+        lam_a, lam_b = _GRID_LAM[first[rows], None, None, None], _GRID_LAM[last[rows], None, None, None]
         q_lo = (1.0 + np.minimum(lam_a * k_lo, lam_b * k_lo)) / 2.0
         q_hi = (1.0 + np.maximum(lam_a * k_hi, lam_b * k_hi)) / 2.0
         least, most = _edge_range(q_lo, q_hi)
@@ -247,7 +245,7 @@ def _start_grid(thetas: tuple) -> _StartGrid:
         high *= 0.5
         low += high
         high += _RANGE_PAD
-    return _StartGrid(lam, phase, cos, edges, (lo, hi), coarse)
+    return _StartGrid(edges, (lo, hi), coarse)
 
 
 def _edge_range(q_lo, q_hi):
@@ -293,11 +291,11 @@ def _best_cell(grid: _StartGrid, rows, cols, v_obs, weights) -> tuple:
     objective sum_t w_t (c_t - v_t)^2 among the cells of the fine blocks
     (rows[k], cols[k]). Each objective is a row sum of its own, so equal
     curves give equal objectives wherever they lie in the grid."""
-    i, j = _members(rows, cols, _FINE_CELLS, (grid.lam.size, grid.cos.size))
-    curves = _curves(grid.lam[i], grid.cos[j], grid.edges)
+    i, j = _members(rows, cols, _FINE_CELLS, (_GRID_LAM.size, _GRID_COS.size))
+    curves = _curves(_GRID_LAM[i], _GRID_COS[j], grid.edges)
     objective = (np.square(curves - v_obs) * weights).sum(axis=1)
     least = objective.min()
-    return float(least), int((i * grid.cos.size + j)[objective == least].min())
+    return float(least), int((i * _GRID_COS.size + j)[objective == least].min())
 
 
 def _grid_start(thetas: tuple, v_obs, weights) -> tuple:
@@ -333,7 +331,7 @@ def _grid_start(thetas: tuple, v_obs, weights) -> tuple:
     while True:
         stop = min(start + chunk, int(np.searchsorted(lower, best[0] * (1.0 + _PRUNE_SLACK), side="right")))
         if stop <= start:
-            return np.unravel_index(best[1], (grid.lam.size, grid.cos.size))
+            return np.unravel_index(best[1], (_GRID_LAM.size, _GRID_COS.size))
         best = min(best, _best_cell(grid, rows[start:stop], cols[start:stop], v_obs, weights))
         start = stop
 
@@ -345,12 +343,13 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
     picks the start: the grid cell of least sum_t w_t (c_t - v_t)^2, ties
     going to the smallest (lam, phase) pair. It is a branch and bound
     (see _grid_start) over bounds on the model curves of 4 x 4 and
-    16 x 16 blocks of cells, cached per theta grid: it evaluates only
-    the cells whose block a lower bound cannot rule out, and returns the
-    same cell as a scan of every cell. Unit and 1/dv^2 weights take the
-    same path. A bounded, damped Newton iteration then refines
-    (lam, c = cos phase) on [0, 1] x [-1, 1] with the analytic
-    derivatives of model_curve (see _damped_newton). It
+    16 x 16 blocks of cells, cached per theta grid with the grid's edge
+    table: it evaluates only the cells whose block a lower bound cannot
+    rule out, and returns the same cell as a scan of every cell. Unit and
+    1/dv^2 weights take the same path. A bounded, damped Newton iteration
+    then refines (lam, c = cos phase) on [0, 1] x [-1, 1] with the
+    analytic derivatives of model_curve (see _damped_newton), and the
+    residuals are model_curve's, both read from the same cached table. It
     accepts only steps that do not raise the objective, so the fit is
     never worse than its grid start, and it stops once a step moves both
     parameters by less than 1e-8. A fit on a bound reports the bound
@@ -364,7 +363,6 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
     """
     if len(observed) < 2:
         raise ValueError("need at least two curve points to fit")
-    thetas = observed.thetas
     v_obs = observed.v
     if weighted:
         if observed.dv is None:
@@ -380,13 +378,13 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
     else:
         weights = np.ones_like(v_obs)
 
-    key = tuple(float(t) for t in thetas)
-    grid = _start_grid(key)
+    key = tuple(float(t) for t in observed.thetas)
+    edges = _start_grid(key).edges
     i, j = _grid_start(key, v_obs, weights)
-    start_c = np.cos(grid.phase[j]) if grid.lam[i] > 0.0 else 1.0
-    lam, c = _damped_newton(np.array([grid.lam[i], start_c]), thetas, v_obs, weights)
+    start = np.array([_GRID_LAM[i], _GRID_COS[j] if i > 0 else 1.0])
+    lam, c = _damped_newton(start, edges, v_obs, weights)
     phase = float(np.arccos(c)) if lam > 0.0 else 0.0
-    residuals = model_curve(lam, phase, thetas) - v_obs
+    residuals = _curves(np.array([lam]), np.array([np.cos(phase)]), edges)[0] - v_obs
     return WernerFit(
         lam=lam,
         phase=phase,
@@ -395,8 +393,9 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
     )
 
 
-def _damped_newton(x, thetas, v_obs, weights):
-    """Minimize f = sum(w r^2) over (lam, c) in [0, 1] x [-1, 1], starting from x.
+def _damped_newton(x, edges, v_obs, weights):
+    """Minimize f = sum(w r^2) over (lam, c) in [0, 1] x [-1, 1], starting
+    from x, on the theta grid of the edge table ``edges``.
 
     A parameter on a bound whose gradient points out of the box is held
     there for the step; the others take a Levenberg-Marquardt step,
@@ -409,7 +408,7 @@ def _damped_newton(x, thetas, v_obs, weights):
     is then the minimum to within that). Returns (lam, c) as floats.
     """
     def evaluate(point):
-        curve, jacobian, second = _curve_derivatives(point[0], point[1], thetas)
+        curve, jacobian, second = _curve_derivatives(point[0], point[1], edges)
         r = curve - v_obs
         wr = weights * r
         gauss_newton = (jacobian.T * weights) @ jacobian

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -522,11 +521,9 @@ def info_volume(dist: JointDistribution) -> float:
 
 
 def _key_entry(value, name: str) -> int:
-    """One entry of a stream key as a non-negative Python int."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"stream key entry {name} = {value!r} is not an integer") from None
+    """One entry of a stream key as a non-negative Python int (see
+    states._integer: a bool is not one)."""
+    value = _integer(value, f"stream key entry {name}")
     if value < 0:
         raise ValueError(f"stream key entry {name} = {value} is negative")
     return value
@@ -679,7 +676,7 @@ def _sample_count_and_seed(n_samples, seed) -> tuple:
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError(f"n_samples = {n_samples!r} must be at least 1")
-    return n_samples, _key_entry(_integer(seed, "seed"), "seed")
+    return n_samples, _key_entry(seed, "seed")
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        n = operator.index(self.n_qubits)
+        n = _integer(self.n_qubits, "n_qubits")
         if n < 1:
             raise ValueError("n_qubits must be at least 1")
         mat = np.array(self.matrix, dtype=complex)

@@ -225,6 +225,10 @@ def test_noise_config_seed_is_a_python_int():
         NoiseConfig(seed=1.5)
     with pytest.raises(ConfigError, match="not an integer"):
         SimulationConfig(lam=0.9, phase=0.0, thetas=(0.3,), counts_per_mode=350, seed=1.5)
+    with pytest.raises(TypeError, match=r"^stream key entry seed = True is not an integer$"):
+        NoiseConfig(seed=True)
+    with pytest.raises(ConfigError, match=r"seed = True is not an integer$"):
+        SimulationConfig(lam=0.9, phase=0.0, thetas=(0.3,), counts_per_mode=350, seed=True)
 
 
 def test_simulated_run_checks_its_stream_before_any_work(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,6 +22,9 @@ from infobell import (
 )
 from infobell import fitting
 from infobell.fitting import (
+    _GRID_COS,
+    _GRID_LAM,
+    _GRID_PHASE,
     _LN2,
     _Q_FLOOR,
     LAMBDA_STEP,
@@ -29,6 +33,7 @@ from infobell.fitting import (
     _curve_derivatives,
     _curves,
     _edge_range,
+    _edge_table,
     _grid_start,
     _start_grid,
 )
@@ -39,9 +44,8 @@ PINS = json.loads((Path(__file__).parent / "data" / "solver_pins.json").read_tex
 
 
 def grid_curves(thetas):
-    """model_curve over every cell of the start grid of ``thetas``."""
-    grid = _start_grid(tuple(float(t) for t in thetas))
-    return model_curve(grid.lam[:, None], grid.phase[None, :], thetas)
+    """model_curve over every cell of the start grid on ``thetas``."""
+    return model_curve(_GRID_LAM[:, None], _GRID_PHASE[None, :], thetas)
 
 
 @pytest.fixture(scope="module")
@@ -152,11 +156,11 @@ def test_fit_derivatives_match_central_differences(lam, c):
     outside the parameter box, where the closed form still holds.
     """
     h = 1e-6
-    curve, jacobian, hessian = _curve_derivatives(lam, c, THETAS)
+    curve, jacobian, hessian = _curve_derivatives(lam, c, _edge_table(THETAS))
     assert_allclose(curve, model_curve(lam, np.arccos(c), THETAS), atol=1e-12)
     for axis, step in enumerate((np.array([h, 0.0]), np.array([0.0, h]))):
-        up = _curve_derivatives(lam + step[0], c + step[1], THETAS)
-        down = _curve_derivatives(lam - step[0], c - step[1], THETAS)
+        up = _curve_derivatives(lam + step[0], c + step[1], _edge_table(THETAS))
+        down = _curve_derivatives(lam - step[0], c - step[1], _edge_table(THETAS))
         assert_allclose(jacobian[:, axis], (up[0] - down[0]) / (2 * h), rtol=1e-6, atol=1e-8)
         assert_allclose(hessian[:, :, axis], (up[1] - down[1]) / (2 * h), rtol=1e-6, atol=1e-6)
     if 0.0 < c < 1.0:
@@ -184,11 +188,10 @@ def test_fit_does_not_load_scipy():
 
 
 def test_grid_steps_match_documented_resolution():
-    grid = _start_grid(KEY)
-    assert grid.lam[1] - grid.lam[0] == pytest.approx(LAMBDA_STEP)
-    assert grid.phase[1] - grid.phase[0] == pytest.approx(PHASE_STEP)
-    assert grid.lam[0] == 0.0 and grid.lam[-1] == pytest.approx(1.0)
-    assert grid.phase[0] == 0.0 and grid.phase[-1] < np.pi < grid.phase[-1] + PHASE_STEP
+    assert _GRID_LAM[1] - _GRID_LAM[0] == pytest.approx(LAMBDA_STEP)
+    assert _GRID_PHASE[1] - _GRID_PHASE[0] == pytest.approx(PHASE_STEP)
+    assert _GRID_LAM[0] == 0.0 and _GRID_LAM[-1] == pytest.approx(1.0)
+    assert _GRID_PHASE[0] == 0.0 and _GRID_PHASE[-1] < np.pi < _GRID_PHASE[-1] + PHASE_STEP
 
 
 def test_weighted_fit_requires_uncertainties():
@@ -259,12 +262,12 @@ def test_fit_at_zero_lambda_reports_phase_zero():
 def test_start_grid_cells_match_model_curve(by_theta):
     """The search evaluates a cell with the closed form, bit for bit as
     model_curve gives it over the whole grid."""
-    grid = _start_grid(KEY)
-    assert np.array_equal(grid.cos, np.cos(grid.phase))
+    edges = _start_grid(KEY).edges
+    assert np.array_equal(_GRID_COS, np.cos(_GRID_PHASE))
     curves = np.moveaxis(by_theta, 0, -1)
-    for rows in np.array_split(np.arange(grid.lam.size), 16):
-        i, j = (a.ravel() for a in np.meshgrid(rows, np.arange(grid.phase.size), indexing="ij"))
-        cells = _curves(grid.lam[i], grid.cos[j], grid.edges)
+    for rows in np.array_split(np.arange(_GRID_LAM.size), 16):
+        i, j = (a.ravel() for a in np.meshgrid(rows, np.arange(_GRID_PHASE.size), indexing="ij"))
+        cells = _curves(_GRID_LAM[i], _GRID_COS[j], edges)
         assert np.array_equal(cells, curves[rows].reshape(-1, THETAS.size))
 
 
@@ -277,8 +280,8 @@ def test_block_bounds_contain_every_cell(thetas):
     curves = grid_curves(thetas)
     for (centre, half), side in ((grid.fine, fitting._FINE_CELLS),
                                  (grid.coarse, fitting._FINE_CELLS * fitting._COARSE_BLOCKS)):
-        assert centre.shape == half.shape == (-(-grid.lam.size // side), -(-grid.phase.size // side), thetas.size)
-        block_rows, block_cols = np.arange(grid.lam.size) // side, np.arange(grid.phase.size) // side
+        assert centre.shape == half.shape == (-(-_GRID_LAM.size // side), -(-_GRID_PHASE.size // side), thetas.size)
+        block_rows, block_cols = np.arange(_GRID_LAM.size) // side, np.arange(_GRID_PHASE.size) // side
         inside = np.abs(curves - centre[block_rows][:, block_cols]) <= half[block_rows][:, block_cols]
         assert inside.all()
 
@@ -312,11 +315,38 @@ def test_weighted_and_unweighted_fits_share_one_start_grid():
     assert (again.lam, again.phase) == (unweighted.lam, unweighted.phase)
 
 
+def test_warm_fit_builds_no_edge_table(monkeypatch):
+    """The start search, the Newton steps and the residuals all read the
+    theta grid's cached edge table, and the cache entry holds nothing
+    that does not depend on the thetas."""
+    curve = ViolationCurve(THETAS, model_curve(0.93, 1.2, THETAS) + 0.01, np.full(THETAS.size, 0.01))
+    fit_werner(curve)
+    assert [f.name for f in dataclasses.fields(_start_grid(KEY))] == ["edges", "fine", "coarse"]
+    calls = []
+    monkeypatch.setattr(fitting, "_edge_table", lambda th: calls.append(th) or _edge_table(th))
+    for weighted in (False, True):
+        fit_werner(curve, weighted=weighted)
+    assert len(calls) <= 1
+
+
+def test_fit_residuals_are_model_curve_bit_for_bit():
+    """The residuals read from the cached edge table are model_curve's at
+    the reported (lam, phase), weighted and unweighted."""
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        lam, phase, sigma = rng.uniform(0.0, 1.0), rng.uniform(0.0, 2 * np.pi), rng.uniform(0.002, 0.05)
+        curve = ViolationCurve(THETAS, model_curve(lam, phase, THETAS) + rng.normal(0.0, sigma, THETAS.size),
+                               np.full(THETAS.size, sigma))
+        for weighted in (False, True):
+            fit = fit_werner(curve, weighted=weighted)
+            assert np.array_equal(fit.per_point_residuals, model_curve(fit.lam, fit.phase, THETAS) - curve.v)
+
+
 def test_start_grid_build_allocates_little_beyond_its_result():
     """The block bounds are built a few block rows at a time, not in
     full-grid temporaries."""
     grid = _start_grid(KEY)
-    result = sum(a.nbytes for a in (grid.lam, grid.phase, grid.cos, *grid.edges, *grid.fine, *grid.coarse))
+    result = sum(a.nbytes for a in (*grid.edges, *grid.fine, *grid.coarse))
     tracemalloc.start()
     try:
         _start_grid.__wrapped__(KEY)
@@ -355,7 +385,7 @@ def test_edge_table_matches_the_per_edge_loop_bit_for_bit():
     rng = np.random.default_rng(17)
     lams, cs = rng.uniform(0.0, 1.0, 300), rng.uniform(-1.0, 1.0, 300)
     for lam, c in zip(np.concatenate([lams, [0.0, 1.0, 1.0]]), np.concatenate([cs, [0.4, 1.0, -1.0]])):
-        for got, want in zip(_curve_derivatives(lam, c, THETAS), per_edge_reference(lam, c, THETAS)):
+        for got, want in zip(_curve_derivatives(lam, c, _edge_table(THETAS)), per_edge_reference(lam, c, THETAS)):
             assert np.array_equal(got, want)
         phase = np.arccos(c)
         assert np.array_equal(model_curve(lam, phase, THETAS),

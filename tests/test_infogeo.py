@@ -653,12 +653,16 @@ def test_stream_key_entries_are_non_negative_integers(make_key):
         make_key(-1, 2)
     with pytest.raises(TypeError, match=r"seed = 5\.0 is not an integer"):
         make_key(5.0, 2)
+    with pytest.raises(TypeError, match=r"^stream key entry seed = True is not an integer$"):
+        make_key(True, 2)
     if make_key is KEYED_ENTRY_POINTS[2]:
         return
     with pytest.raises(ValueError, match=r"\[1\] = -3 is negative"):
         make_key(5, -3)
     with pytest.raises(TypeError, match=r"\[1\] = .*1\.5.* is not an integer"):
         make_key(5, 1.5)
+    with pytest.raises(TypeError, match=r"^stream key entry stream\[1\] = False is not an integer$"):
+        make_key(5, False)
 
 
 def test_sweep_of_no_angles_is_an_empty_curve():

@@ -134,6 +134,10 @@ def test_density_matrix_holds_n_qubits_as_a_python_int():
         DensityMatrix(2.0, np.eye(4) / 4)
     with pytest.raises(TypeError):
         DensityMatrix.from_json_dict({**payload, "n_qubits": 2.9})
+    with pytest.raises(TypeError, match=r"^n_qubits = True is not an integer$"):
+        DensityMatrix(True, np.eye(2) / 2)
+    with pytest.raises(TypeError, match=r"^n_qubits = True is not an integer$"):
+        DensityMatrix.from_json_dict({**DensityMatrix(1, np.eye(2) / 2).to_json_dict(), "n_qubits": True})
 
 
 def test_density_matrix_holds_a_read_only_copy_of_the_callers_matrix():

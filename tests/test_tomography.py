@@ -116,6 +116,15 @@ def test_expected_counts_rejects_a_per_basis_out_of_range(bad):
         expected_counts(BELL, bad)
 
 
+def test_expected_counts_total_overflows_before_per_basis_does():
+    """The 16 mode probabilities sum to more than 1 (4.5 for a Bell state),
+    so a per_basis inside its own gate can still push the count total
+    past 2**53."""
+    with pytest.raises(ValueError, match=r"^count total \d+ exceeds 2\*\*53"):
+        expected_counts(BELL, 2**51)
+    assert int(expected_counts(BELL, 2**53 // 7).counts.sum()) <= 2**53
+
+
 def test_linear_inversion_exact_round_trip(rng):
     rho = random_density(rng)
     data = expected_counts(rho, 10**7)
