@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infogeo import (QuadrilateralGeometry, _check_finite, _edge_angles, _info_distances, _key_entries,
-                      _key_entry, _streams, stream_rng)
-from .states import DensityMatrix, JointDistribution, _born_tables, _integer, modified_werner
+from .infogeo import (QuadrilateralGeometry, _check_finite, _check_nonnegative, _edge_angles, _info_distances,
+                      _key_entries, _key_entry, _streams, stream_rng)
+from .states import _INT64_MAX, DensityMatrix, JointDistribution, _born_tables, _integer, modified_werner
 
 __all__ = [
     "DEFAULT_ACCIDENTAL_MEAN",
@@ -46,7 +46,6 @@ DEFAULT_ACCIDENTAL_MEAN = 6.0
 DEFAULT_ANGLE_SIGMA = 0.0030
 
 _ANGLE_STEP = 1e-5
-_MAX_TRIALS = np.iinfo(np.int64).max
 _COUNT_STEP_FRACTION = 1e-3
 
 # Angle offsets of the model evaluations behind one edge: the edge itself,
@@ -77,10 +76,7 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.accidental_mean < np.inf:
-            raise ValueError(f"accidental_mean = {self.accidental_mean!r} must be finite and nonnegative")
-        if not 0.0 <= self.angle_sigma < np.inf:
-            raise ValueError(f"angle_sigma = {self.angle_sigma!r} must be finite and nonnegative")
+        _check_nonnegative(accidental_mean=self.accidental_mean, angle_sigma=self.angle_sigma)
         object.__setattr__(self, "seed", _key_entry(self.seed, "seed"))
 
 
@@ -91,7 +87,7 @@ class CoincidenceRecord:
     counts[i, j] is the number of coincidences with party A in outcome i
     and party B in outcome j (0 = pass, 1 = block); accidental_estimate
     holds the expected spurious coincidences per bin, finite and
-    nonnegative. total_trials always equals the current count sum.
+    nonnegative. total_trials, a Python int, equals the count sum.
     """
 
     settings: tuple | None
@@ -110,16 +106,10 @@ class CoincidenceRecord:
             raise ValueError("counts must be integers")
         if counts.min() < 0 or not (np.isfinite(acc).all() and acc.min() >= 0.0):
             raise ValueError("counts must be nonnegative and accidental estimates finite and nonnegative")
-        if int(counts.sum()) != self.total_trials:
-            raise ValueError("total_trials must equal the count sum")
-
-
-def _trials(value, name: str) -> int:
-    """A count of trials as a Python int from 1 to 2**63 - 1 (see states._integer)."""
-    n = _integer(value, name)
-    if not 1 <= n <= _MAX_TRIALS:
-        raise ValueError(f"{name} = {n} is outside 1 to 2**63 - 1")
-    return n
+        total = _integer(self.total_trials, "total_trials", 0, _INT64_MAX)
+        object.__setattr__(self, "total_trials", total)
+        if int(counts.sum()) != total:
+            raise ValueError(f"total_trials = {total} must equal the count sum {counts.sum()}")
 
 
 def _draw_counts(p: np.ndarray, n_trials: int, rng: np.random.Generator) -> np.ndarray:
@@ -146,7 +136,7 @@ def sample_counts(dist: JointDistribution, n_trials: int, seed: int,
     """
     if dist.n_parties != 2:
         raise ValueError("sample_counts needs a two-party distribution")
-    n_trials = _trials(n_trials, "n_trials")
+    n_trials = _integer(n_trials, "n_trials", 1, _INT64_MAX)
     return CoincidenceRecord(
         settings=None if settings is None else tuple(settings),
         counts=_draw_counts(dist.probs, n_trials, stream_rng(seed, _STREAM_SAMPLE, *stream)),
@@ -227,7 +217,8 @@ def propagate_error(rho_model: DensityMatrix, theta: float, counts_per_mode: int
     counts -> infinity every uncertainty goes to zero.
     """
     _check_finite(theta=theta)
-    _, d, dd = _model_edges(rho_model, theta, _trials(counts_per_mode, "counts_per_mode"), noise)
+    counts_per_mode = _integer(counts_per_mode, "counts_per_mode", 1, _INT64_MAX)
+    _, d, dd = _model_edges(rho_model, theta, counts_per_mode, noise)
     return QuadrilateralGeometry(*map(float, d), *map(float, dd))
 
 
@@ -270,7 +261,7 @@ def simulate_schumacher_run(rho: DensityMatrix, theta: float, counts_per_mode: i
     integers.
     """
     _check_finite(theta=theta)
-    counts_per_mode = _trials(counts_per_mode, "counts_per_mode")
+    counts_per_mode = _integer(counts_per_mode, "counts_per_mode", 1, _INT64_MAX)
     d, dd = _simulate(rho, float(theta), counts_per_mode, noise, _key_entries(stream))
     return QuadrilateralGeometry(*map(float, d), *map(float, dd))
 
@@ -287,7 +278,7 @@ def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
     """
     thetas = [float(t) for t in thetas]
     _check_finite(thetas=thetas)
-    counts_per_mode = _trials(counts_per_mode, "counts_per_mode")
+    counts_per_mode = _integer(counts_per_mode, "counts_per_mode", 1, _INT64_MAX)
     if not thetas:
         return []
     d, dd = _simulate(rho, np.array(thetas), counts_per_mode, noise, ())
@@ -328,9 +319,9 @@ class SimulationConfig:
             raise ConfigError("thetas must be finite")
         if any(b <= a for a, b in zip(self.thetas, self.thetas[1:])):
             raise ConfigError("thetas must be strictly increasing")
-        if self.counts_per_mode < 1:
-            raise ConfigError("counts_per_mode must be at least 1")
         try:
+            object.__setattr__(self, "counts_per_mode",
+                               _integer(self.counts_per_mode, "counts_per_mode", 1, _INT64_MAX))
             self.state()
             self.noise()
         except (TypeError, ValueError) as exc:

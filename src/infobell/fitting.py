@@ -367,8 +367,6 @@ def fit_werner(observed: ViolationCurve, weighted: bool = False) -> WernerFit:
     if weighted:
         if observed.dv is None:
             raise ValueError("weighted fit requires a curve with uncertainties")
-        if observed.dv.min() <= 0.0:
-            raise ValueError("weighted fit requires strictly positive uncertainties")
         with np.errstate(divide="ignore", over="ignore"):
             weights = 1.0 / np.square(observed.dv)
         usable = np.isfinite(weights) & (weights > 0.0)

@@ -156,9 +156,8 @@ def shannon_entropy(dist) -> float:
 
 
 def conditional_entropy(dist: JointDistribution, given) -> float:
-    """H(rest | given) = H(all) - H(given); ``given`` is a party index or tuple."""
-    g = (given,) if isinstance(given, int) else tuple(given)
-    return shannon_entropy(dist) - shannon_entropy(dist.marginal(g))
+    """H(rest | given) = H(all) - H(given); ``given`` is a party index or tuple (see marginal)."""
+    return shannon_entropy(dist) - shannon_entropy(dist.marginal(given))
 
 
 def info_distance(dist: JointDistribution) -> float:
@@ -205,6 +204,13 @@ def _check_positive(**values) -> None:
             raise ValueError(f"{name} = {value!r} must be finite and positive")
 
 
+def _check_nonnegative(**values) -> None:
+    """Raise a ValueError naming the first argument that is not a finite nonnegative number."""
+    for name, value in values.items():
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} = {value!r} must be finite and nonnegative")
+
+
 def _edge_angles(theta, offset: float = 0.0) -> np.ndarray:
     """Stokes-angle pairs of the four measured edges for an array of angles, shape (..., 4, 2)."""
     return offset + np.asarray(theta, dtype=float)[..., None, None] * _EDGE_MULTIPLES
@@ -244,8 +250,8 @@ class QuadrilateralGeometry:
             d, dd = getattr(self, f"d_{edge}"), getattr(self, f"dd_{edge}")
             if not -1e-9 <= d <= 2.0 + 1e-9:
                 raise ValueError(f"d_{edge} = {d!r} outside [0, 2]")
-            if dd is not None and not 0.0 <= dd < np.inf:
-                raise ValueError(f"dd_{edge} = {dd!r} must be finite and nonnegative")
+            if dd is not None:
+                _check_nonnegative(**{f"dd_{edge}": dd})
 
     @property
     def edges(self) -> tuple:
@@ -521,12 +527,8 @@ def info_volume(dist: JointDistribution) -> float:
 
 
 def _key_entry(value, name: str) -> int:
-    """One entry of a stream key as a non-negative Python int (see
-    states._integer: a bool is not one)."""
-    value = _integer(value, f"stream key entry {name}")
-    if value < 0:
-        raise ValueError(f"stream key entry {name} = {value} is negative")
-    return value
+    """One entry of a stream key as a non-negative Python int (see states._integer)."""
+    return _integer(value, f"stream key entry {name}", 0)
 
 
 def _key_entries(stream) -> tuple:
@@ -668,17 +670,6 @@ def _random_blochs(z: np.ndarray) -> np.ndarray:
     return r / (z * z).sum(axis=-1, keepdims=True)
 
 
-def _sample_count_and_seed(n_samples, seed) -> tuple:
-    """(n_samples, seed) as Python ints: an integer of at least 1 and a non-negative integer.
-
-    A bool, a float or a negative value raises, naming the field.
-    """
-    n_samples = _integer(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ValueError(f"n_samples = {n_samples!r} must be at least 1")
-    return n_samples, _key_entry(seed, "seed")
-
-
 @dataclass(frozen=True)
 class ReactivityResult:
     """Monte Carlo means of information area and volume, and their ratio.
@@ -695,13 +686,9 @@ class ReactivityResult:
     seed: int
 
     def __post_init__(self):
-        for name in ("mean_area", "mean_volume"):
-            value = getattr(self, name)
-            if not 0.0 <= value < np.inf:
-                raise ValueError(f"{name} = {value!r} must be finite and nonnegative")
-        n_samples, seed = _sample_count_and_seed(self.n_samples, self.seed)
-        object.__setattr__(self, "n_samples", n_samples)
-        object.__setattr__(self, "seed", seed)
+        _check_nonnegative(mean_area=self.mean_area, mean_volume=self.mean_volume)
+        object.__setattr__(self, "n_samples", _integer(self.n_samples, "n_samples", 1))
+        object.__setattr__(self, "seed", _key_entry(self.seed, "seed"))
         if self.mean_volume > 0.0:
             expected = self.mean_area / self.mean_volume
             if not abs(self.reactivity - expected) <= 1e-12 * max(1.0, abs(expected)):
@@ -740,7 +727,7 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     checked as ReactivityResult checks them, before any work; the result
     holds them as Python ints.
     """
-    n_samples, seed = _sample_count_and_seed(n_samples, seed)
+    n_samples, seed = _integer(n_samples, "n_samples", 1), _key_entry(seed, "seed")
     if rho.n_qubits != 4:
         raise ValueError("reactivity is implemented for 4-qubit states")
     z = np.empty((n_samples, 4, 4))

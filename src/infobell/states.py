@@ -57,15 +57,49 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int through operator.index; a bool or a
-    non-integer, 350.0 included, is a TypeError that names ``name``."""
+_INT64_MAX = 2**63 - 1  # the one integer ceiling: every count must fit numpy's int64
+
+
+def _bound(b: int) -> str:
+    """An integer bound as text, with 2**k and 2**k - 1 written so from k = 32 on."""
+    for power, tail in ((b, ""), (b + 1, " - 1")):
+        if power >= 2**32 and not power & (power - 1):
+            return f"2**{power.bit_length() - 1}{tail}"
+    return str(b)
+
+
+def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a Python int through operator.index, within the inclusive bounds lo and hi.
+
+    A bool or a non-integer, 350.0 included, is a TypeError "{name} =
+    {value!r} is not an integer". Below ``lo`` or above ``hi`` is a
+    ValueError "{name} = {value} must be from {lo} to {hi}", or "must be
+    at least {lo}" when ``hi`` is None; ``hi`` is only given with ``lo``.
+    """
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} = {value!r} is not an integer") from None
+    if lo is not None and not (lo <= n and (hi is None or n <= hi)):
+        allowed = f"at least {lo}" if hi is None else f"from {lo} to {_bound(hi)}"
+        raise ValueError(f"{name} = {n} must be {allowed}")
+    return n
+
+
+def _parties(selection, n: int) -> tuple:
+    """One party index or an iterable of them as a tuple of Python ints, in the order given.
+
+    Each index goes through _integer with bounds 0 and n - 1; an empty
+    selection or a repeated index is a ValueError. Every error names the selection.
+    """
+    name = f"party selection {selection!r}"
+    items = selection if np.iterable(selection) else (selection,)
+    keep = tuple(_integer(k, f"{name}: index", 0, n - 1) for k in items)
+    if not keep or len(set(keep)) != len(keep):
+        raise ValueError(f"{name} must name at least one index, each once")
+    return keep
 
 
 def _stokes(setting) -> float:
@@ -145,9 +179,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        n = _integer(self.n_qubits, "n_qubits")
-        if n < 1:
-            raise ValueError("n_qubits must be at least 1")
+        n = _integer(self.n_qubits, "n_qubits", 1)
         mat = np.array(self.matrix, dtype=complex)
         mat.flags.writeable = False
         object.__setattr__(self, "n_qubits", n)
@@ -234,11 +266,8 @@ class JointDistribution:
 
     def marginal(self, parties) -> "JointDistribution":
         """Marginal over the named parties, in the order given."""
-        keep = (parties,) if isinstance(parties, int) else tuple(parties)
-        axes = range(self.probs.ndim)
-        if not keep or len(set(keep)) != len(keep) or any(a not in axes for a in keep):
-            raise ValueError(f"invalid party selection {parties!r}")
-        rest = tuple(a for a in axes if a not in keep)
+        keep = _parties(parties, self.probs.ndim)
+        rest = tuple(a for a in range(self.probs.ndim) if a not in keep)
         arr = np.transpose(self.probs, keep + rest)
         if rest:
             arr = arr.reshape(arr.shape[: len(keep)] + (-1,)).sum(axis=-1)
@@ -312,7 +341,7 @@ def modified_werner(lam: float, phase: float, n_qubits: int = 2) -> DensityMatri
         raise ValueError(f"lambda = {lam!r} outside [0, 1]")
     if not math.isfinite(phase):
         raise ValueError(f"phase = {phase!r} is not finite")
-    n_qubits = _integer(n_qubits, "n_qubits")
+    n_qubits = _integer(n_qubits, "n_qubits", 1)
     dim = 2 ** n_qubits
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0 / np.sqrt(2.0)
@@ -404,10 +433,8 @@ def joint_probabilities(rho: DensityMatrix, settings) -> JointDistribution:
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the qubits named in ``keep`` (0-based, kept in index order)."""
-    keep = (keep,) if isinstance(keep, int) else tuple(keep)
     n = rho.n_qubits
-    if not keep or len(set(keep)) != len(keep) or any(not 0 <= k < n for k in keep):
-        raise ValueError(f"invalid subsystem selection {keep!r} for {n} qubit(s)")
+    keep = _parties(keep, n)
     order = sorted(keep) + [i for i in range(n) if i not in keep]
     k = len(keep)
     tensor = rho.matrix.reshape((2,) * (2 * n)).transpose(order + [n + i for i in order])

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (
+    _INT64_MAX,
     DensityMatrix,
     EntanglementReport,
     MeasurementSetting,
@@ -75,7 +76,6 @@ _SELF_CONCORDANT = 0.1  # a Newton step with squared decrement <= this * min(mu,
 _GAP = 1e-10  # the certified likelihood gap 4 mu at the last weight, ...
 _ROUND_OFF = 16 * np.finfo(float).eps  # ... or this much per count, if larger
 _MAX_NEWTON_STEPS = 200
-_MAX_COUNT = np.iinfo(np.int64).max
 _MAX_TOTAL = 2**53  # float64 holds every count total up to here exactly
 
 # CHSH settings maximizing |S| for an ideal Bell state (Stokes angles).
@@ -91,13 +91,12 @@ class TomographyError(RuntimeError):
     """Tomography data cannot be processed."""
 
 
-def _check_counts(counts: list) -> None:
-    """Each count, a Python int, in 0 to 2**63 - 1; their total at most 2**53."""
-    for label, n in zip(MODE_LABELS, counts):
-        if not 0 <= n <= _MAX_COUNT:
-            raise ValueError(f"mode {label}: count {n} is outside 0 to 2**63 - 1")
+def _check_counts(counts) -> list:
+    """The 16 counts as Python ints from 0 to 2**63 - 1 (see states._integer), totalling at most 2**53."""
+    counts = [_integer(n, f"mode {label}: count", 0, _INT64_MAX) for label, n in zip(MODE_LABELS, counts)]
     if sum(counts) > _MAX_TOTAL:
         raise ValueError(f"count total {sum(counts)} exceeds 2**53, beyond which float counts are inexact")
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +123,7 @@ class TomoDataset:
         extra = sorted(set(mapping) - set(MODE_LABELS))
         if missing or extra:
             raise ValueError(f"bad mode labels; missing {missing}, unexpected {extra}")
-        counts = [_integer(mapping[lbl], f"mode {lbl}: count") for lbl in MODE_LABELS]
-        _check_counts(counts)
-        return cls(np.array(counts, dtype=np.int64))
+        return cls(np.array(_check_counts([mapping[lbl] for lbl in MODE_LABELS]), dtype=np.int64))
 
     @classmethod
     def from_csv(cls, path) -> "TomoDataset":
@@ -167,9 +164,7 @@ def expected_counts(rho: DensityMatrix, per_basis: int) -> TomoDataset:
     refuses any per_basis above 2**53 / sum_i p_i, about 1.3e15 to 5.2e15
     depending on the state.
     """
-    per_basis = _integer(per_basis, "per_basis")
-    if not 0 <= per_basis <= _MAX_TOTAL:
-        raise ValueError(f"per_basis = {per_basis} is outside 0 to 2**53")
+    per_basis = _integer(per_basis, "per_basis", 0, _MAX_TOTAL)
     p = mode_probabilities(rho.matrix)
     return TomoDataset(np.round(per_basis * p).astype(np.int64))
 

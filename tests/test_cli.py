@@ -426,7 +426,7 @@ def test_empty_number_list_exits_2(tmp_path, capsys, template, text):
 def test_reactivity_with_a_negative_seed_exits_2(tmp_path, capsys):
     out_path = tmp_path / "out.csv"
     assert main(["reactivity", "--lambdas", "0.2", "--samples", "3", "--seed", "-1", "-o", str(out_path)]) == 2
-    assert "seed = -1 is negative" in capsys.readouterr().err
+    assert "seed = -1 must be at least 0" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

@@ -235,7 +235,7 @@ def test_simulated_run_checks_its_stream_before_any_work(monkeypatch):
     run = simulate_schumacher_run(WERNER, 0.3, 350, QUIET, stream=(np.int64(1), 2))
     assert run == simulate_schumacher_run(WERNER, 0.3, 350, QUIET, stream=(1, 2))
     monkeypatch.setattr(expsim, "_born_tables", lambda *args: pytest.fail("the stream was not checked first"))
-    with pytest.raises(ValueError, match=r"^stream key entry stream\[1\] = -3 is negative$"):
+    with pytest.raises(ValueError, match=r"^stream key entry stream\[1\] = -3 must be at least 0$"):
         simulate_schumacher_run(WERNER, 0.3, 350, QUIET, stream=(1, -3))
 
 
@@ -280,6 +280,8 @@ def test_simulation_config_rejects_malformed(mutate):
         ("seed", -1),
         ("phase", float("nan")),
         ("thetas", [0.2, float("nan")]),
+        ("counts_per_mode", True),
+        ("counts_per_mode", 2.5),
     ],
 )
 def test_simulation_config_rejects_non_finite_values_and_negative_seeds(field, value):
@@ -483,6 +485,8 @@ COUNT_ENTRIES = {
     "propagate_error": ("counts_per_mode", lambda n: propagate_error(WERNER, 0.3, n, QUIET)),
     "simulate_schumacher_run": ("counts_per_mode", lambda n: simulate_schumacher_run(WERNER, 0.3, n, QUIET)),
     "simulate_sweep": ("counts_per_mode", lambda n: simulate_sweep(WERNER, [0.3], n, QUIET)),
+    "CoincidenceRecord": ("total_trials", lambda n: CoincidenceRecord(
+        None, np.array([[350, 0], [0, 0]]), np.zeros((2, 2)), n)),
 }
 
 
@@ -492,7 +496,8 @@ COUNT_ENTRIES = {
     (0, ValueError), (-3, ValueError), (2**63, ValueError), (10**20, ValueError),
 ])
 def test_counts_are_checked_where_they_enter(entry, count, error):
-    """A count is an integer from 1 to 2**63 - 1 and not a bool; the error names the argument."""
+    """A count is an integer from 1 to 2**63 - 1 (a record's total from 0, and equal to its
+    count sum) and not a bool; the error names the argument."""
     name, call = COUNT_ENTRIES[entry]
     with pytest.raises(error, match=f"^{name} = "):
         call(count)

@@ -649,7 +649,7 @@ KEYED_ENTRY_POINTS = [
 
 @pytest.mark.parametrize("make_key", KEYED_ENTRY_POINTS)
 def test_stream_key_entries_are_non_negative_integers(make_key):
-    with pytest.raises(ValueError, match=r"seed = -1 is negative"):
+    with pytest.raises(ValueError, match=r"seed = -1 must be at least 0"):
         make_key(-1, 2)
     with pytest.raises(TypeError, match=r"seed = 5\.0 is not an integer"):
         make_key(5.0, 2)
@@ -657,7 +657,7 @@ def test_stream_key_entries_are_non_negative_integers(make_key):
         make_key(True, 2)
     if make_key is KEYED_ENTRY_POINTS[2]:
         return
-    with pytest.raises(ValueError, match=r"\[1\] = -3 is negative"):
+    with pytest.raises(ValueError, match=r"\[1\] = -3 must be at least 0"):
         make_key(5, -3)
     with pytest.raises(TypeError, match=r"\[1\] = .*1\.5.* is not an integer"):
         make_key(5, 1.5)
@@ -737,7 +737,7 @@ def test_reactivity_result_rejects_non_finite_or_negative_fields(fields, message
 
 
 @pytest.mark.parametrize("n_samples, seed, error, message", [
-    (10, -3, ValueError, "seed = -3 is negative"),
+    (10, -3, ValueError, "seed = -3 must be at least 0"),
     (10, 2.5, TypeError, "seed = 2.5 is not an integer"),
     (10, True, TypeError, "seed = True is not an integer"),
     (True, 0, TypeError, "n_samples = True is not an integer"),
@@ -778,7 +778,7 @@ def test_reactivity_takes_any_integer_type():
     (0, 0, ValueError, "n_samples = 0 must be at least 1"),
     (3, True, TypeError, "seed = True is not an integer"),
     (3, 1.0, TypeError, "seed = 1.0 is not an integer"),
-    (3, -1, ValueError, "seed = -1 is negative"),
+    (3, -1, ValueError, "seed = -1 must be at least 0"),
 ])
 def test_reactivity_gates_its_sample_count_and_seed(n_samples, seed, error, message):
     """The entry point refuses what ReactivityResult refuses, naming the field, before any draw."""

@@ -15,6 +15,7 @@ from infobell import (
     bell_state,
     chsh,
     concurrence,
+    conditional_entropy,
     entanglement_report,
     fidelity,
     joint_probabilities,
@@ -361,6 +362,36 @@ def test_partial_trace_of_bell_is_maximally_mixed():
     for keep in ((0,), (1,)):
         reduced = partial_trace(rho, keep)
         assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
+
+
+# The three entry points that take a party selection, called on a two-party state or its table.
+SELECTED_STATE = modified_werner(0.8, 0.3)
+SELECTED_TABLE = joint_probabilities(SELECTED_STATE, [0.2, 0.9])
+SELECTION_ENTRIES = {
+    "marginal": lambda sel: SELECTED_TABLE.marginal(sel).probs,
+    "partial_trace": lambda sel: partial_trace(SELECTED_STATE, sel).matrix,
+    "conditional_entropy": lambda sel: conditional_entropy(SELECTED_TABLE, sel),
+}
+
+
+@pytest.mark.parametrize("entry", SELECTION_ENTRIES)
+@pytest.mark.parametrize("selection, error, detail", [
+    (True, TypeError, ": index = True is not an integer"),
+    ((0, False), TypeError, ": index = False is not an integer"),
+    (1.0, TypeError, ": index = 1.0 is not an integer"),
+    ((0, 2), ValueError, ": index = 2 must be from 0 to 1"),
+    ((-1,), ValueError, ": index = -1 must be from 0 to 1"),
+    ((1, 1), ValueError, " must name at least one index, each once"),
+    ((), ValueError, " must name at least one index, each once"),
+])
+def test_party_selections_are_checked_by_one_rule(entry, selection, error, detail):
+    """One index or an iterable of distinct indices in range, any integer type but bool;
+    the error names the selection."""
+    call = SELECTION_ENTRIES[entry]
+    with pytest.raises(error, match=f"^{re.escape(f'party selection {selection!r}{detail}')}$"):
+        call(selection)
+    assert np.array_equal(call(np.int64(1)), call(1))
+    assert np.array_equal(call((np.uint8(1), 0)), call((1, 0)))
 
 
 def test_partial_trace_of_product_state(rng):

@@ -112,7 +112,7 @@ def test_expected_counts_rejects_a_per_basis_that_is_not_an_integer(bad):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [-1, 2**53 + 1, 10**30])
 def test_expected_counts_rejects_a_per_basis_out_of_range(bad):
-    with pytest.raises(ValueError, match=f"^per_basis = {bad} is outside 0 to 2\\*\\*53$"):
+    with pytest.raises(ValueError, match=f"^per_basis = {bad} must be from 0 to 2\\*\\*53$"):
         expected_counts(BELL, bad)
 
 
@@ -185,13 +185,13 @@ def test_dataset_from_csv_rejects_a_total_beyond_exact_floats(tmp_path):
 
 
 def test_dataset_rejects_a_count_beyond_int64_by_mode(tmp_path):
-    with pytest.raises(ValueError, match=f"^mode HH: count {2**70} is outside 0 to 2\\*\\*63 - 1$"):
+    with pytest.raises(ValueError, match=f"^mode HH: count = {2**70} must be from 0 to 2\\*\\*63 - 1$"):
         TomoDataset.from_csv(_write_counts(tmp_path / "huge.csv", 2**70))
     counts = np.zeros(16, dtype=np.uint64)
     counts[5] = 2**63
-    with pytest.raises(ValueError, match=f"^mode {MODE_LABELS[5]}: count {2**63} is outside"):
+    with pytest.raises(ValueError, match=f"^mode {MODE_LABELS[5]}: count = {2**63} must be from"):
         TomoDataset(counts)
-    with pytest.raises(ValueError, match="^mode VV: count -1 is outside"):
+    with pytest.raises(ValueError, match="^mode VV: count = -1 must be from"):
         TomoDataset(np.array([0, 0, -1] + [0] * 13))
 
 
