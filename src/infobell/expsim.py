@@ -18,6 +18,7 @@ violation where the exact V is slightly negative. It is left uncorrected.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("accidental_mean", "angle_sigma"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         _check_nonnegative(accidental_mean=self.accidental_mean, angle_sigma=self.angle_sigma)
         object.__setattr__(self, "seed", _key_entry(self.seed, "seed"))
 
@@ -286,11 +289,14 @@ def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
 
 
 def _number(value, field: str, what: str = "a number") -> float:
-    """A numeric config value as JSON writes it: an int or a float, never
-    a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A real config value as a Python float: an int or a float of any
+    type, never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{field} must be {what}, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{field} is too large for a float") from None
 
 
 def _whole(value, field: str) -> int:
@@ -315,6 +321,9 @@ class SimulationConfig:
     def __post_init__(self):
         if not self.thetas:
             raise ConfigError("thetas must be a nonempty list")
+        for name in ("lam", "phase", "accidental_mean", "angle_sigma"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        object.__setattr__(self, "thetas", tuple(_number(t, "thetas") for t in self.thetas))
         if not np.isfinite(self.thetas).all():
             raise ConfigError("thetas must be finite")
         if any(b <= a for a, b in zip(self.thetas, self.thetas[1:])):
@@ -322,6 +331,7 @@ class SimulationConfig:
         try:
             object.__setattr__(self, "counts_per_mode",
                                _integer(self.counts_per_mode, "counts_per_mode", 1, _INT64_MAX))
+            object.__setattr__(self, "seed", _key_entry(self.seed, "seed"))
             self.state()
             self.noise()
         except (TypeError, ValueError) as exc:
@@ -345,7 +355,7 @@ class SimulationConfig:
             accidental = _number(payload.get("accidental_mean", DEFAULT_ACCIDENTAL_MEAN),
                                  "accidental_mean")
             sigma = _number(payload.get("angle_sigma", DEFAULT_ANGLE_SIGMA), "angle_sigma")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"missing or malformed config field: {exc}") from exc
         return cls(
             lam=lam,

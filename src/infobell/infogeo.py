@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DensityMatrix, JointDistribution, MeasurementSetting, _born, _born_tables,
-                     _checked_probabilities, _integer)
+                     _checked_probabilities, _integer, _polarizer_rows, _qubit_rows)
 
 __all__ = [
     "REFERENCE_THETAS",
@@ -216,14 +216,14 @@ def _edge_angles(theta, offset: float = 0.0) -> np.ndarray:
     return offset + np.asarray(theta, dtype=float)[..., None, None] * _EDGE_MULTIPLES
 
 
-def _edge_distances(rho: DensityMatrix, theta, offset: float = 0.0) -> np.ndarray:
-    """Exact (d_a1b1, d_a2b1, d_a2b2, d_a1b2) on the last axis, for an array of angles."""
-    return _info_distances(_born_tables(rho, _edge_angles(theta, offset)))
+def _edge_distances(rho: DensityMatrix, theta, offset: float = 0.0, rows=None) -> np.ndarray:
+    """Exact (d_a1b1, d_a2b1, d_a2b2, d_a1b2) on the last axis, for an array of angles; rows as in _scan_grid."""
+    return _info_distances(_born_tables(rho, _edge_angles(theta, offset), rows))
 
 
-def _violations(rho: DensityMatrix, theta) -> np.ndarray:
-    """V = D(a1,b2) - sum of the three sides, for an array of angles."""
-    d = _edge_distances(rho, theta)
+def _violations(rho: DensityMatrix, theta, rows=None) -> np.ndarray:
+    """V = D(a1,b2) - sum of the three sides, for an array of angles; rows as in _scan_grid."""
+    d = _edge_distances(rho, theta, rows=rows)
     return d[..., 3] - (d[..., 0] + d[..., 1] + d[..., 2])
 
 
@@ -402,6 +402,15 @@ _REFINE_POINTS = 16
 _MIN_SPACING = 2.0**-25
 
 
+@functools.lru_cache(maxsize=4)
+def _scan_grid(lo: float, hi: float, step: float) -> tuple:
+    """max_violation's read-only grid over [lo, hi] and the polarizer rows of its edge angles."""
+    grid = np.minimum(np.arange(lo, hi + step / 2.0, step), hi)
+    rows = _polarizer_rows(_edge_angles(grid))
+    grid.flags.writeable = rows.flags.writeable = False
+    return grid, rows
+
+
 def _parabola_vertex(t: np.ndarray, v: np.ndarray) -> float | None:
     """Abscissa of the parabola through three points, or None when they are collinear."""
     left, right = t[0] - t[1], t[2] - t[1]
@@ -416,6 +425,9 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
                   step: float = 1e-4, tol: float = 1e-6):
     """Locate the angle maximizing V by a dense scan plus batched bracket refinement.
 
+    V is taken over the paper's polarizer family, x-z settings a = 0, 2
+    theta and b = theta, 3 theta, so v_star answers for that apparatus and
+    can lie below the state's best violation over all settings.
     The scan evaluates V on a grid of spacing ``step`` over [lo, hi];
     the best grid point and its neighbours bracket the peak. Each round
     then evaluates V at equally spaced interior points of the bracket in
@@ -432,13 +444,15 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
     Returns (theta_star, v_star), the best evaluated point: v_star is
     never below any grid value, and a peak on a scan bound is returned
     at that bound. A scan needs step > 0 and hi >= lo; lo == hi scans
-    one point.
+    one point. The grid and its edges' effect rows are cached read-only
+    per (lo, hi, step), four grids at most, at 256 bytes per angle: 103 KB
+    at step 2.5e-3, 2.6 MB at the default 1e-4.
     """
     _check_bracket(lo, hi)
     _check_finite(step=step)
     _check_positive(step=step, tol=tol)
-    grid = np.minimum(np.arange(lo, hi + step / 2.0, step), hi)
-    thetas, values = [grid], [_violations(rho, grid)]
+    grid, rows = _scan_grid(float(lo), float(hi), float(step))
+    thetas, values = [grid], [_violations(rho, grid, rows)]
     i = int(np.argmax(values[0]))
     best_t, best_v = grid[i], values[0][i]
     a, b = grid[max(0, i - 1)], grid[min(grid.size - 1, i + 1)]
@@ -733,7 +747,7 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     z = np.empty((n_samples, 4, 4))
     for zi, rng in zip(z, _streams(seed, (), (n_samples,))):
         rng.standard_normal(out=zi)
-    p = _born(_random_blochs(z), rho.pauli_coefficients).reshape(-1, 16)
+    p = _born(_qubit_rows(_random_blochs(z.transpose(1, 0, 2))), rho.pauli_coefficients).reshape(-1, 16)
     np.maximum(p, 0.0, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     faces, h_faces = _drop_one(p, 4)

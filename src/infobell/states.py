@@ -14,7 +14,7 @@ Conventions fixed here and used everywhere else:
 Every exact outcome table comes from one real Born-rule contraction,
 ``_born``. The state enters through its Pauli coefficients
 R_a = Tr(rho sigma_a1 x ... x sigma_an) and each qubit's measurement
-through the unit Bloch vector of its pass projector, so a table costs
+through its effect rows Tr(E_o sigma_a) = (1, +-r), so a table costs
 O(n 4**n) real operations and no 2**n x 2**n product ket is built.
 """
 
@@ -381,40 +381,59 @@ def _pauli_coefficients(matrix: np.ndarray) -> np.ndarray:
     return r.real.reshape((4,) * n)
 
 
-def _born(blochs: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Born-rule outcome tables of one projective measurement per qubit.
+def _qubit_rows(blochs: np.ndarray) -> np.ndarray:
+    """Effect rows Tr(E_o sigma_a), shape (..., 2, 4), of qubit projectors (I + r.sigma)/2 and
+    their complements from Bloch vectors r (..., 3): (1, r) for outcome 0 and (1, -r) for 1."""
+    rows = np.empty(blochs.shape[:-1] + (2, 4))
+    rows[..., 0] = 1.0
+    rows[..., 0, 1:] = blochs
+    np.negative(blochs, out=rows[..., 1, 1:])
+    return rows
 
-    ``blochs`` (..., n, 3) holds the unit Bloch vector r_k of each qubit's
-    outcome-0 projector (I + r_k.sigma)/2; outcome 1 has -r_k.
-    ``coefficients`` are the state's Pauli coefficients R, shape (4,)*n.
-    Returns tables (..., 2, ..., 2) with one binary axis per qubit:
-    p(o) = 2**-n sum_a R_a prod_k v_k[o_k, a_k] with v_k = ((1, r_k), (1, -r_k)).
-    The first qubit is one GEMM against the shared R and each later qubit
-    one batched matmul, so a table costs O(n 4**n) real operations.
+
+def _polarizer_rows(stokes) -> np.ndarray:
+    """Party-major effect rows (n, m, 2, 4) of polarizers at Stokes angles a, shape (..., n) with m
+    entries in ``...``; the polarizer at Stokes angle a has Bloch vector (sin a, 0, cos a)."""
+    angles = np.asarray(stokes, dtype=float)
+    angles = angles.reshape(-1, angles.shape[-1]).T
+    blochs = np.zeros(angles.shape + (3,))
+    np.sin(angles, out=blochs[..., 0])
+    np.cos(angles, out=blochs[..., 2])
+    return _qubit_rows(blochs)
+
+
+def _born(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Born-rule outcome tables (m, n_outcomes, ..., n_outcomes) of one local measurement per party.
+
+    ``rows`` (n, m, n_outcomes, d**2), party-major, hold Tr(E_o L_a) for
+    an operator basis with L_0 = I and Tr(L_a L_b) = d delta_ab (Pauli
+    for qubits); ``coefficients`` are R_a = Tr(rho L_a1 x ... x L_an).
+    p(o) = d**-n sum_a R_a prod_k rows[k, :, o_k, a_k]: the first party is
+    one GEMM against the shared R, each middle party a batched
+    left-multiply, the last party one right-multiply per table by a
+    contiguous transposed copy of its rows, which BLAS takes.
     """
-    batch, n = blochs.shape[:-2], blochs.shape[-2]
-    m = math.prod(batch)
-    v = np.ones((n, m, 2, 4))
-    v[..., 1:] = blochs.reshape(m, n, 1, 3).transpose(1, 0, 2, 3) * [[1.0], [-1.0]]
-    p = v[0].reshape(2 * m, 4) @ (0.5**n * coefficients).reshape(4, 4 ** (n - 1))
-    for k in range(1, n):
-        p = v[k, :, None] @ p.reshape(m, 2**k, 4, 4 ** (n - 1 - k))
-    return p.reshape(batch + (2,) * n)
+    n, m, outcomes, size = rows.shape
+    p = rows[0].reshape(m * outcomes, size) @ (math.sqrt(size) ** -n * coefficients).reshape(size, -1)
+    for k in range(1, n - 1):
+        p = rows[k, :, None] @ p.reshape(m, outcomes**k, size, size ** (n - 1 - k))
+    if n > 1:
+        p = p.reshape(m, outcomes ** (n - 1), size) @ np.ascontiguousarray(rows[-1].transpose(0, 2, 1))
+    return p.reshape((m,) + (outcomes,) * n)
 
 
-def _born_tables(rho: DensityMatrix, stokes) -> np.ndarray:
+def _born_tables(rho: DensityMatrix, stokes, rows=None) -> np.ndarray:
     """Outcome tables for Stokes angles of shape (..., n), one analyzer per qubit.
 
-    The polarizer at Stokes angle ``a`` has Bloch vector (sin a, 0, cos a).
     Returns shape (..., 2, ..., 2) with one binary axis per qubit, with
     round-off negatives clipped to zero; ``rho`` is a valid state, so
-    the tables need no further check.
+    the tables need no further check. A caller that reuses its angles
+    may pass their ``_polarizer_rows(stokes)`` as ``rows``.
     """
-    stokes = np.asarray(stokes, dtype=float)
-    blochs = np.zeros(stokes.shape + (3,))
-    np.sin(stokes, out=blochs[..., 0])
-    np.cos(stokes, out=blochs[..., 2])
-    return np.clip(_born(blochs, rho.pauli_coefficients), 0.0, None)
+    if rows is None:
+        rows = _polarizer_rows(stokes)
+    p = _born(rows, rho.pauli_coefficients)
+    return np.clip(p.reshape(np.shape(stokes)[:-1] + p.shape[1:]), 0.0, None)
 
 
 def joint_probabilities(rho: DensityMatrix, settings) -> JointDistribution:

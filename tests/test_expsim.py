@@ -206,6 +206,11 @@ def test_noise_config_rejects_non_finite_levels_and_negative_seeds():
             NoiseConfig(accidental_mean=0.0, angle_sigma=bad, seed=0)
     with pytest.raises(ValueError, match="seed"):
         NoiseConfig(accidental_mean=0.0, angle_sigma=0.0, seed=-1)
+    for bad in (True, False, np.True_):
+        with pytest.raises(ValueError, match="^accidental_mean must be a number"):
+            NoiseConfig(accidental_mean=bad, angle_sigma=0.0, seed=0)
+        with pytest.raises(ValueError, match="^angle_sigma must be a number"):
+            NoiseConfig(accidental_mean=0.0, angle_sigma=bad, seed=0)
 
 
 GOOD_CONFIG = {
@@ -229,6 +234,13 @@ def test_noise_config_seed_is_a_python_int():
         NoiseConfig(seed=True)
     with pytest.raises(ConfigError, match=r"seed = True is not an integer$"):
         SimulationConfig(lam=0.9, phase=0.0, thetas=(0.3,), counts_per_mode=350, seed=True)
+    config = SimulationConfig(np.float32(0.5), np.int64(0), (np.float32(0.25), 1), 350, np.int64(6),
+                              np.float32(0.5), seed=np.int64(3))
+    noise = config.noise()
+    held = (config.lam, config.phase, *config.thetas, config.accidental_mean, config.angle_sigma,
+            noise.accidental_mean, noise.angle_sigma)
+    assert [type(value) for value in held] == [float] * 8
+    assert type(config.seed) is int and config.seed == 3
 
 
 def test_simulated_run_checks_its_stream_before_any_work(monkeypatch):
@@ -282,12 +294,19 @@ def test_simulation_config_rejects_malformed(mutate):
         ("thetas", [0.2, float("nan")]),
         ("counts_per_mode", True),
         ("counts_per_mode", 2.5),
+        ("lam", True),
+        ("phase", True),
+        ("thetas", [True, 2.0]),
+        ("accidental_mean", True),
+        ("angle_sigma", False),
+        pytest.param("lam", 10**400, id="lam-10**400"),
+        pytest.param("accidental_mean", 10**400, id="accidental_mean-10**400"),
     ],
 )
 def test_simulation_config_rejects_non_finite_values_and_negative_seeds(field, value):
     bad = json.loads(json.dumps(GOOD_CONFIG))
-    if field == "phase":
-        bad["state"]["phase"] = value
+    if field in ("lam", "phase"):
+        bad["state"]["lambda" if field == "lam" else field] = value
     else:
         bad[field] = value
     with pytest.raises(ConfigError, match=field.split("_")[0]):

@@ -416,11 +416,11 @@ def test_searches_stop_once_the_bracket_stops_shrinking(monkeypatch):
     violations = infogeo._violations
     calls.clear()
 
-    def counted(rho, theta):
+    def counted(rho, theta, *rows):
         calls.append(theta)
         if len(calls) > 1_000:
             pytest.fail("max_violation did not stop")
-        return violations(rho, theta)
+        return violations(rho, theta, *rows)
 
     monkeypatch.setattr(infogeo, "_violations", counted)
     theta_star, _ = max_violation(bell_state("phi+").density_matrix(), step=2.5e-3, tol=1e-300)
@@ -461,15 +461,40 @@ def test_max_violation_refines_to_the_peak_on_a_seeded_bank():
 def test_max_violation_refines_in_a_few_batched_calls(monkeypatch):
     violations, calls = infogeo._violations, []
 
-    def counted(rho, theta):
+    def counted(rho, theta, *rows):
         calls.append(np.size(theta))
-        return violations(rho, theta)
+        return violations(rho, theta, *rows)
 
     monkeypatch.setattr(infogeo, "_violations", counted)
     for rho in _refinement_bank():
         calls.clear()
         max_violation(rho, step=2.5e-3, tol=1e-6)
         assert len(calls) <= 8
+
+
+def test_max_violation_scans_read_only_cached_grid_rows(monkeypatch):
+    """The scan's values are _violations(rho, grid) bit for bit, and a second scan of a grid rebuilds nothing."""
+    violations, polarizer_rows, scans, builds = infogeo._violations, infogeo._polarizer_rows, [], []
+
+    def recorded(rho, theta, *rows):
+        values = violations(rho, theta, *rows)
+        if rows:
+            scans.append((theta, rows[0], values))
+        return values
+
+    monkeypatch.setattr(infogeo, "_violations", recorded)
+    monkeypatch.setattr(infogeo, "_polarizer_rows", lambda stokes: builds.append(1) or polarizer_rows(stokes))
+    for step in (2.5e-3, 1e-4):
+        infogeo._scan_grid.cache_clear()
+        builds.clear()
+        for rho in _refinement_bank():
+            max_violation(rho, step=step)
+            grid, rows, values = scans.pop()
+            assert np.array_equal(grid, np.minimum(np.arange(0.1, 0.6 + step / 2.0, step), 0.6))
+            assert not grid.flags.writeable and not rows.flags.writeable
+            assert np.array_equal(values, violations(rho, grid))
+        assert (infogeo._scan_grid.cache_info().misses, infogeo._scan_grid.cache_info().currsize) == (1, 1)
+        assert builds == [1] and not scans
 
 
 def test_max_violation_bell_lands_on_the_peak():
@@ -833,7 +858,8 @@ def _reference_contents(p, n):
 def _reference_reactivity(rho, n_samples, seed):
     """(mean_area, mean_volume) with one stream_rng per sample and the stacked-face tail."""
     z = np.stack([stream_rng(seed, i).standard_normal((4, 4)) for i in range(n_samples)])
-    p = np.clip(states._born(infogeo._random_blochs(z), states._pauli_coefficients(rho.matrix)), 0.0, None)
+    rows = states._qubit_rows(np.ascontiguousarray(infogeo._random_blochs(z).transpose(1, 0, 2)))
+    p = np.clip(states._born(rows, states._pauli_coefficients(rho.matrix)), 0.0, None)
     p = p.reshape(-1, 16)
     p = (p / p.sum(axis=-1, keepdims=True)).reshape(-1, 2, 2, 2, 2)
     faces = np.stack([p.sum(axis=k) for k in range(1, 5)], axis=1)
@@ -885,11 +911,11 @@ def test_contents_of_any_n_are_e_n_minus_1_of_the_conditional_entropies(n):
 
 def test_import_builds_no_drop_one_map():
     """Nor any other cache of infogeo's kernels."""
-    code = ("import infobell\nfrom infobell.infogeo import _drop_one_map, _others\n"
-            "print(_drop_one_map.cache_info().currsize, _others.cache_info().currsize)\n")
+    code = ("import infobell\nfrom infobell.infogeo import _drop_one_map, _others, _scan_grid\n"
+            "print(*(cache.cache_info().currsize for cache in (_drop_one_map, _others, _scan_grid)))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 def test_drop_one_maps_are_built_once_per_n(rng):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -302,7 +303,8 @@ def _random_bases(rng, shape):
 
 
 def test_born_matches_the_three_operand_einsum(rng):
-    """The real Pauli/Bloch contraction against <u|rho|u> over explicit kron product kets, 1 to 6 qubits."""
+    """The real Pauli/Bloch contraction against <u|rho|u> over explicit kron product kets, 1 to 6 qubits;
+    then three-outcome lossy effect rows against explicit traces, 1 to 4 qubits."""
     for n in range(1, 7):
         rho = random_density(rng, n).matrix
         coefficients = states._pauli_coefficients(rho)
@@ -318,9 +320,29 @@ def test_born_matches_the_three_operand_einsum(rng):
             expected = np.einsum("...i,ij,...j->...", kets.conj(), rho, kets).real
             passed = bases[..., 0, :]
             blochs = np.einsum("...i,sij,...j->...s", passed.conj(), PAULIS[1:], passed).real
-            got = states._born(blochs, coefficients)
-            assert got.shape == batch + (2,) * n
-            assert_allclose(got, expected, rtol=0, atol=1e-15)
+            got = states._born(states._qubit_rows(np.moveaxis(blochs, -2, 0).reshape(n, -1, 3)), coefficients)
+            assert got.shape == (math.prod(batch),) + (2,) * n
+            assert_allclose(got.reshape(expected.shape), expected, rtol=0, atol=1e-15)
+    # A lossy detector per party: efficiency eta times each projector, plus the no-click effect (1 - eta) I.
+    m = 3
+    for n in range(1, 5):
+        rho = random_density(rng, n).matrix
+        eta = rng.uniform(0.5, 1.0, (n, m))[..., None, None]
+        passed = _random_bases(rng, (n, m))[..., 0, :]
+        projector = np.einsum("...i,...j->...ij", passed, passed.conj())
+        effects = np.stack([eta * projector, eta * (np.eye(2) - projector), (1.0 - eta) * np.eye(2)], axis=2)
+        expected = np.empty((m,) + (3,) * n)
+        for i in range(m):
+            for outcome in np.ndindex(*(3,) * n):
+                effect = np.ones((1, 1))
+                for k, o in enumerate(outcome):
+                    effect = np.kron(effect, effects[k, i, o])
+                expected[(i,) + outcome] = np.trace(rho @ effect).real
+        rows = np.einsum("...ij,aji->...a", effects, np.array(PAULIS)).real
+        got = states._born(rows, states._pauli_coefficients(rho))
+        assert got.shape == expected.shape
+        assert_allclose(got, expected, rtol=0, atol=1e-15)
+        assert_allclose(got.reshape(m, -1).sum(axis=-1), 1.0, rtol=0, atol=1e-15)
 
 
 def test_pauli_coefficients_are_the_pauli_traces(rng):
