@@ -38,7 +38,7 @@ from .infogeo import (
     schumacher_settings,
     sweep,
 )
-from .states import DensityMatrix, MeasurementSetting, bell_state, modified_werner, visibility
+from .states import DensityMatrix, MeasurementSetting, _real, bell_state, modified_werner, visibility
 from .tomography import (
     OPTIMAL_BELL_SETTINGS,
     TomoDataset,
@@ -131,14 +131,8 @@ def parse_state_spec(spec: str) -> DensityMatrix:
     raise ValueError(f"cannot parse state spec {spec!r}")
 
 
-def _finite(value: float, what: str) -> float:
-    if not np.isfinite(value):
-        raise ValueError(f"{what} is not finite: {value}")
-    return value
-
-
 def _parse_floats(text: str, expected: int | None = None) -> list:
-    values = [_finite(float(part), f"number in {text!r}") for part in text.split(",") if part.strip()]
+    values = [_real(float(part), f"number in {text!r}") for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError(f"no numbers in {text!r}")
     if expected is not None and len(values) != expected:
@@ -151,8 +145,7 @@ def _parse_range(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ValueError(f"range must be 'lo:hi:step', got {text!r}") from None
-    for value in (lo, hi, step):
-        _finite(value, f"range {text!r}")
+    lo, hi, step = (_real(value, f"range {text!r}") for value in (lo, hi, step))
     if step <= 0 or hi <= lo:
         raise ValueError(f"range must be increasing with positive step, got {text!r}")
     return np.arange(lo, hi + step / 2.0, step)
@@ -201,7 +194,7 @@ def curve_from_csv(path: str) -> ViolationCurve:
 
 def cmd_violation(args) -> int:
     rho = parse_state_spec(args.state)
-    quad = quadrilateral(rho, _finite(args.theta, "--theta"))
+    quad = quadrilateral(rho, _real(args.theta, "--theta"))
     edges = dict(zip(_EDGE_COLUMNS, quad.edges))
     lines = {**edges, "v": quad.violation}
     _output(args, {"theta": args.theta, "edges": edges, "v": quad.violation},

@@ -18,14 +18,14 @@ violation where the exact V is slightly negative. It is left uncorrected.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .infogeo import (QuadrilateralGeometry, _check_finite, _check_nonnegative, _edge_angles, _info_distances,
-                      _key_entries, _key_entry, _streams, stream_rng)
-from .states import _INT64_MAX, DensityMatrix, JointDistribution, _born_tables, _integer, modified_werner
+from .infogeo import (QuadrilateralGeometry, _edge_angles, _info_distances, _key_entries, _key_entry, _streams,
+                      stream_rng)
+from .states import (_INT64_MAX, DensityMatrix, JointDistribution, _born_tables, _density, _integer, _real, _reals,
+                     modified_werner)
 
 __all__ = [
     "DEFAULT_ACCIDENTAL_MEAN",
@@ -78,8 +78,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("accidental_mean", "angle_sigma"):
-            object.__setattr__(self, name, _number(getattr(self, name), name))
-        _check_nonnegative(accidental_mean=self.accidental_mean, angle_sigma=self.angle_sigma)
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0))
         object.__setattr__(self, "seed", _key_entry(self.seed, "seed"))
 
 
@@ -219,9 +218,9 @@ def propagate_error(rho_model: DensityMatrix, theta: float, counts_per_mode: int
     would assign to each edge. In the limit angle_sigma -> 0 and
     counts -> infinity every uncertainty goes to zero.
     """
-    _check_finite(theta=theta)
+    theta = _real(theta, "theta")
     counts_per_mode = _integer(counts_per_mode, "counts_per_mode", 1, _INT64_MAX)
-    _, d, dd = _model_edges(rho_model, theta, counts_per_mode, noise)
+    _, d, dd = _model_edges(_density(rho_model, "rho_model"), theta, counts_per_mode, noise)
     return QuadrilateralGeometry(*map(float, d), *map(float, dd))
 
 
@@ -263,9 +262,9 @@ def simulate_schumacher_run(rho: DensityMatrix, theta: float, counts_per_mode: i
     integer from 1 to 2**63 - 1 and ``stream`` entries non-negative
     integers.
     """
-    _check_finite(theta=theta)
+    theta = _real(theta, "theta")
     counts_per_mode = _integer(counts_per_mode, "counts_per_mode", 1, _INT64_MAX)
-    d, dd = _simulate(rho, float(theta), counts_per_mode, noise, _key_entries(stream))
+    d, dd = _simulate(_density(rho), theta, counts_per_mode, noise, _key_entries(stream))
     return QuadrilateralGeometry(*map(float, d), *map(float, dd))
 
 
@@ -279,8 +278,8 @@ def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
     whose position moves. All angles share one Born-rule pass and one
     key computation per draw purpose.
     """
-    thetas = [float(t) for t in thetas]
-    _check_finite(thetas=thetas)
+    _density(rho)
+    thetas = _reals(thetas, "thetas")
     counts_per_mode = _integer(counts_per_mode, "counts_per_mode", 1, _INT64_MAX)
     if not thetas:
         return []
@@ -288,22 +287,14 @@ def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
     return [(t, QuadrilateralGeometry(*map(float, di), *map(float, ddi))) for t, di, ddi in zip(thetas, d, dd)]
 
 
-def _number(value, field: str, what: str = "a number") -> float:
-    """A real config value as a Python float: an int or a float of any
-    type, never a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{field} must be {what}, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{field} is too large for a float") from None
-
-
 def _whole(value, field: str) -> int:
     """A whole-number config value: 350 and 350.0 pass; 350.9, true, "350" and NaN do not."""
-    if not _number(value, field, "a whole number").is_integer():
-        raise ConfigError(f"{field} must be a whole number, got {value!r}")
-    return int(value)
+    try:
+        if _real(value, field).is_integer():
+            return int(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{field} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -319,16 +310,10 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.thetas:
-            raise ConfigError("thetas must be a nonempty list")
-        for name in ("lam", "phase", "accidental_mean", "angle_sigma"):
-            object.__setattr__(self, name, _number(getattr(self, name), name))
-        object.__setattr__(self, "thetas", tuple(_number(t, "thetas") for t in self.thetas))
-        if not np.isfinite(self.thetas).all():
-            raise ConfigError("thetas must be finite")
-        if any(b <= a for a, b in zip(self.thetas, self.thetas[1:])):
-            raise ConfigError("thetas must be strictly increasing")
         try:
+            for name in ("lam", "phase", "accidental_mean", "angle_sigma"):
+                object.__setattr__(self, name, _real(getattr(self, name), name))
+            object.__setattr__(self, "thetas", _reals(self.thetas, "thetas"))
             object.__setattr__(self, "counts_per_mode",
                                _integer(self.counts_per_mode, "counts_per_mode", 1, _INT64_MAX))
             object.__setattr__(self, "seed", _key_entry(self.seed, "seed"))
@@ -336,6 +321,10 @@ class SimulationConfig:
             self.noise()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from None
+        if not self.thetas:
+            raise ConfigError("thetas must be a nonempty list")
+        if any(b <= a for a, b in zip(self.thetas, self.thetas[1:])):
+            raise ConfigError("thetas must be strictly increasing")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimulationConfig":
@@ -347,14 +336,13 @@ class SimulationConfig:
         """
         try:
             state = payload["state"]
-            lam = _number(state["lambda"], "state.lambda")
-            phase = _number(state["phase"], "state.phase")
-            thetas = tuple(_number(t, "thetas") for t in payload["thetas"])
+            lam = _real(state["lambda"], "state.lambda")
+            phase = _real(state["phase"], "state.phase")
+            thetas = _reals(payload["thetas"], "thetas")
             counts = _whole(payload["counts_per_mode"], "counts_per_mode")
             seed = _whole(payload["seed"], "seed")
-            accidental = _number(payload.get("accidental_mean", DEFAULT_ACCIDENTAL_MEAN),
-                                 "accidental_mean")
-            sigma = _number(payload.get("angle_sigma", DEFAULT_ANGLE_SIGMA), "angle_sigma")
+            accidental = _real(payload.get("accidental_mean", DEFAULT_ACCIDENTAL_MEAN), "accidental_mean")
+            sigma = _real(payload.get("angle_sigma", DEFAULT_ANGLE_SIGMA), "angle_sigma")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"missing or malformed config field: {exc}") from exc
         return cls(

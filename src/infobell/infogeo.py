@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DensityMatrix, JointDistribution, MeasurementSetting, _born, _born_tables,
-                     _checked_probabilities, _integer, _polarizer_rows, _qubit_rows)
+                     _checked_probabilities, _density, _integer, _polarizer_rows, _qubit_rows, _real,
+                     _reals, _row_tables)
 
 __all__ = [
     "REFERENCE_THETAS",
@@ -179,6 +180,7 @@ def schumacher_settings(theta: float, offset: float = 0.0):
     side edges (a1,b1), (a2,b1), (a2,b2) each span a relative angle of
     theta, while the direct edge (a1,b2) spans 3 theta.
     """
+    theta, offset = _real(theta, "theta"), _real(offset, "offset")
     return (
         MeasurementSetting(offset),
         MeasurementSetting(offset + 2.0 * theta),
@@ -187,38 +189,16 @@ def schumacher_settings(theta: float, offset: float = 0.0):
     )
 
 
-def _check_finite(**values) -> None:
-    """Raise a ValueError naming the first argument that holds a NaN or an infinity.
-
-    The entry points that take bare angles call it once, before any work.
-    """
-    for name, value in values.items():
-        if not np.isfinite(np.asarray(value, dtype=float)).all():
-            raise ValueError(f"{name} = {value!r} is not finite")
-
-
-def _check_positive(**values) -> None:
-    """Raise a ValueError naming the first argument that is not a finite positive number."""
-    for name, value in values.items():
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} = {value!r} must be finite and positive")
-
-
-def _check_nonnegative(**values) -> None:
-    """Raise a ValueError naming the first argument that is not a finite nonnegative number."""
-    for name, value in values.items():
-        if not 0.0 <= value < np.inf:
-            raise ValueError(f"{name} = {value!r} must be finite and nonnegative")
-
-
 def _edge_angles(theta, offset: float = 0.0) -> np.ndarray:
     """Stokes-angle pairs of the four measured edges for an array of angles, shape (..., 4, 2)."""
     return offset + np.asarray(theta, dtype=float)[..., None, None] * _EDGE_MULTIPLES
 
 
 def _edge_distances(rho: DensityMatrix, theta, offset: float = 0.0, rows=None) -> np.ndarray:
-    """Exact (d_a1b1, d_a2b1, d_a2b2, d_a1b2) on the last axis, for an array of angles; rows as in _scan_grid."""
-    return _info_distances(_born_tables(rho, _edge_angles(theta, offset), rows))
+    """Exact (d_a1b1, d_a2b1, d_a2b2, d_a1b2) on the last axis, for an array of angles, or for the
+    edges' effect rows when given (as _scan_grid holds them), which then stand in for the angles."""
+    tables = _born_tables(rho, _edge_angles(theta, offset)) if rows is None else _row_tables(rho, rows)
+    return _info_distances(tables)
 
 
 def _violations(rho: DensityMatrix, theta, rows=None) -> np.ndarray:
@@ -247,11 +227,11 @@ class QuadrilateralGeometry:
 
     def __post_init__(self):
         for edge in EDGE_NAMES:
-            d, dd = getattr(self, f"d_{edge}"), getattr(self, f"dd_{edge}")
+            d, dd = _real(getattr(self, f"d_{edge}"), f"d_{edge}"), getattr(self, f"dd_{edge}")
             if not -1e-9 <= d <= 2.0 + 1e-9:
                 raise ValueError(f"d_{edge} = {d!r} outside [0, 2]")
             if dd is not None:
-                _check_nonnegative(**{f"dd_{edge}": dd})
+                _real(dd, f"dd_{edge}", 0)
 
     @property
     def edges(self) -> tuple:
@@ -285,8 +265,8 @@ class QuadrilateralGeometry:
 
 def quadrilateral(rho: DensityMatrix, theta: float, offset: float = 0.0) -> QuadrilateralGeometry:
     """Exact Born-rule edge distances of the single-angle scheme at theta."""
-    _check_finite(theta=theta, offset=offset)
-    return QuadrilateralGeometry(*map(float, _edge_distances(rho, theta, offset)))
+    theta, offset = _real(theta, "theta"), _real(offset, "offset")
+    return QuadrilateralGeometry(*map(float, _edge_distances(_density(rho), theta, offset)))
 
 
 def violation(rho: DensityMatrix, theta: float, offset: float = 0.0) -> float:
@@ -341,16 +321,8 @@ class ViolationCurve:
 
 def sweep(rho: DensityMatrix, thetas) -> ViolationCurve:
     """Exact violation curve over a strictly increasing list of angles."""
-    thetas = np.asarray(list(thetas), dtype=float)
-    _check_finite(thetas=thetas)
-    return ViolationCurve(thetas, _violations(rho, thetas))
-
-
-def _check_bracket(lo: float, hi: float) -> None:
-    """Raise a ValueError naming ``lo`` or ``hi`` unless both are finite and lo <= hi."""
-    _check_finite(lo=lo, hi=hi)
-    if hi < lo:
-        raise ValueError(f"hi = {hi!r} is below lo = {lo!r}")
+    thetas = np.array(_reals(thetas, "thetas"))
+    return ViolationCurve(thetas, _violations(_density(rho), thetas))
 
 
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
@@ -362,10 +334,11 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
     no wider than ``tol``, or once it stops shrinking, which a bracket a
     few ulps wide does.
     """
-    _check_bracket(lo, hi)
-    _check_positive(tol=tol)
+    a = _real(lo, "lo")
+    b, tol = _real(hi, "hi", a), _real(tol, "tol")
+    if tol <= 0.0:
+        raise ValueError(f"tol = {tol} must be positive")
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
@@ -445,13 +418,16 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
     never below any grid value, and a peak on a scan bound is returned
     at that bound. A scan needs step > 0 and hi >= lo; lo == hi scans
     one point. The grid and its edges' effect rows are cached read-only
-    per (lo, hi, step), four grids at most, at 256 bytes per angle: 103 KB
+    per (lo, hi, step), four grids at most, at 520 bytes per angle: 105 KB
     at step 2.5e-3, 2.6 MB at the default 1e-4.
     """
-    _check_bracket(lo, hi)
-    _check_finite(step=step)
-    _check_positive(step=step, tol=tol)
-    grid, rows = _scan_grid(float(lo), float(hi), float(step))
+    _density(rho)
+    lo = _real(lo, "lo")
+    hi, step, tol = _real(hi, "hi", lo), _real(step, "step"), _real(tol, "tol")
+    for name, value in (("step", step), ("tol", tol)):
+        if value <= 0.0:
+            raise ValueError(f"{name} = {value} must be positive")
+    grid, rows = _scan_grid(lo, hi, step)
     thetas, values = [grid], [_violations(rho, grid, rows)]
     i = int(np.argmax(values[0]))
     best_t, best_v = grid[i], values[0][i]
@@ -700,7 +676,8 @@ class ReactivityResult:
     seed: int
 
     def __post_init__(self):
-        _check_nonnegative(mean_area=self.mean_area, mean_volume=self.mean_volume)
+        for name in ("mean_area", "mean_volume"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0))
         object.__setattr__(self, "n_samples", _integer(self.n_samples, "n_samples", 1))
         object.__setattr__(self, "seed", _key_entry(self.seed, "seed"))
         if self.mean_volume > 0.0:
@@ -742,7 +719,7 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     holds them as Python ints.
     """
     n_samples, seed = _integer(n_samples, "n_samples", 1), _key_entry(seed, "seed")
-    if rho.n_qubits != 4:
+    if _density(rho).n_qubits != 4:
         raise ValueError("reactivity is implemented for 4-qubit states")
     z = np.empty((n_samples, 4, 4))
     for zi, rng in zip(z, _streams(seed, (), (n_samples,))):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -68,13 +69,21 @@ def _bound(b: int) -> str:
     return str(b)
 
 
+def _within(x, name: str, lo, hi):
+    """``x`` within the inclusive bounds lo and hi (``hi`` only given with ``lo``), else a ValueError
+    "{name} = {x} must be from {lo} to {hi}", or "must be at least {lo}" when ``hi`` is None."""
+    if lo is not None and not (lo <= x and (hi is None or x <= hi)):
+        allowed = f"at least {lo}" if hi is None else f"from {lo} to {_bound(hi)}"
+        raise ValueError(f"{name} = {x} must be {allowed}")
+    return x
+
+
 def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as a Python int through operator.index, within the inclusive bounds lo and hi.
 
     A bool or a non-integer, 350.0 included, is a TypeError "{name} =
-    {value!r} is not an integer". Below ``lo`` or above ``hi`` is a
-    ValueError "{name} = {value} must be from {lo} to {hi}", or "must be
-    at least {lo}" when ``hi`` is None; ``hi`` is only given with ``lo``.
+    {value!r} is not an integer"; a value outside the bounds is the
+    ValueError of _within.
     """
     try:
         if isinstance(value, bool):
@@ -82,10 +91,36 @@ def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> 
         n = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} = {value!r} is not an integer") from None
-    if lo is not None and not (lo <= n and (hi is None or n <= hi)):
-        allowed = f"at least {lo}" if hi is None else f"from {lo} to {_bound(hi)}"
-        raise ValueError(f"{name} = {n} must be {allowed}")
-    return n
+    return _within(n, name, lo, hi)
+
+
+def _real(value, name: str, lo: float | None = None, hi: float | None = None) -> float:
+    """``value`` as a finite Python float, within the inclusive bounds lo and hi.
+
+    A bool, a string or anything else that is not a numbers.Real is a
+    TypeError "{name} = {value!r} is not a real number". NaN or an
+    infinity is a ValueError "{name} = {x} is not finite", an int beyond
+    float range a ValueError naming ``name``, and a value outside the
+    bounds the ValueError of _within.
+    """
+    # float and int first: they cover Python and numpy float64 values, for which the ABC check
+    # alone would cost several times the rest of the gate.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise TypeError(f"{name} = {value!r} is not a real number")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{name} = {x} is not finite")
+    return _within(x, name, lo, hi)
+
+
+def _reals(values, name: str) -> tuple:
+    """Each entry of a 1-d sequence through _real under ``name``; a bare number is a TypeError naming it."""
+    if not np.iterable(values):
+        raise TypeError(f"{name} = {values!r} is not a sequence of real numbers")
+    return tuple(_real(v, name) for v in values)
 
 
 def _parties(selection, n: int) -> tuple:
@@ -102,11 +137,9 @@ def _parties(selection, n: int) -> tuple:
     return keep
 
 
-def _stokes(setting) -> float:
-    """The Stokes angle of a MeasurementSetting, or of a bare angle in radians checked as one."""
-    if not isinstance(setting, MeasurementSetting):
-        setting = MeasurementSetting(float(setting))
-    return float(setting.stokes_angle)
+def _stokes(setting, name: str) -> float:
+    """The Stokes angle of a MeasurementSetting, or a bare angle in radians through _real under ``name``."""
+    return setting.stokes_angle if isinstance(setting, MeasurementSetting) else _real(setting, name)
 
 
 @dataclass(frozen=True)
@@ -122,8 +155,7 @@ class MeasurementSetting:
     stokes_angle: float
 
     def __post_init__(self):
-        if not math.isfinite(self.stokes_angle):
-            raise ValueError(f"Stokes angle {self.stokes_angle!r} is not finite")
+        object.__setattr__(self, "stokes_angle", _real(self.stokes_angle, "stokes_angle"))
 
     @property
     def physical_angle(self) -> float:
@@ -223,6 +255,14 @@ class DensityMatrix:
     def from_json_dict(cls, payload: dict) -> "DensityMatrix":
         mat = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
         return cls(payload["n_qubits"], mat)
+
+
+def _density(rho, name: str = "rho") -> DensityMatrix:
+    """``rho`` if it is a DensityMatrix, else a TypeError naming ``name``."""
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"{name} must be a DensityMatrix, not {type(rho).__name__}; "
+                        "a PureState gives one through .density_matrix()")
+    return rho
 
 
 def _checked_probabilities(p: np.ndarray) -> np.ndarray:
@@ -337,10 +377,7 @@ def modified_werner(lam: float, phase: float, n_qubits: int = 2) -> DensityMatri
         Number of qubits (2 for the photon-pair model, 4 for the
         multipartite generalization).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda = {lam!r} outside [0, 1]")
-    if not math.isfinite(phase):
-        raise ValueError(f"phase = {phase!r} is not finite")
+    lam, phase = _real(lam, "lam", 0, 1), _real(phase, "phase")
     n_qubits = _integer(n_qubits, "n_qubits", 1)
     dim = 2 ** n_qubits
     psi = np.zeros(dim, dtype=complex)
@@ -357,7 +394,7 @@ def polarizer_projector(setting) -> np.ndarray:
     with |0> vertical; the returned 2x2 matrix is idempotent and has
     unit trace by construction.
     """
-    half = _stokes(setting) / 2.0
+    half = _stokes(setting, "setting") / 2.0
     c, s = math.cos(half), math.sin(half)
     return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
 
@@ -392,14 +429,14 @@ def _qubit_rows(blochs: np.ndarray) -> np.ndarray:
 
 
 def _polarizer_rows(stokes) -> np.ndarray:
-    """Party-major effect rows (n, m, 2, 4) of polarizers at Stokes angles a, shape (..., n) with m
-    entries in ``...``; the polarizer at Stokes angle a has Bloch vector (sin a, 0, cos a)."""
+    """Party-major effect rows (n, ..., 2, 4) of polarizers at Stokes angles a of shape (..., n);
+    the polarizer at Stokes angle a has Bloch vector (sin a, 0, cos a)."""
     angles = np.asarray(stokes, dtype=float)
-    angles = angles.reshape(-1, angles.shape[-1]).T
-    blochs = np.zeros(angles.shape + (3,))
-    np.sin(angles, out=blochs[..., 0])
-    np.cos(angles, out=blochs[..., 2])
-    return _qubit_rows(blochs)
+    flat = angles.reshape(-1, angles.shape[-1]).T
+    blochs = np.zeros(flat.shape + (3,))
+    np.sin(flat, out=blochs[..., 0])
+    np.cos(flat, out=blochs[..., 2])
+    return _qubit_rows(blochs).reshape(angles.shape[-1:] + angles.shape[:-1] + (2, 4))
 
 
 def _born(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -422,18 +459,17 @@ def _born(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return p.reshape((m,) + (outcomes,) * n)
 
 
-def _born_tables(rho: DensityMatrix, stokes, rows=None) -> np.ndarray:
-    """Outcome tables for Stokes angles of shape (..., n), one analyzer per qubit.
+def _row_tables(rho: DensityMatrix, rows: np.ndarray) -> np.ndarray:
+    """Outcome tables (..., 2, ..., 2), one binary axis per qubit, of party-major effect rows
+    (n, ..., 2, 4) such as ``_polarizer_rows`` gives; round-off negatives are clipped to zero,
+    and ``rho`` is a valid state, so the tables need no further check."""
+    p = _born(rows.reshape(rows.shape[:1] + (-1,) + rows.shape[-2:]), rho.pauli_coefficients)
+    return np.clip(p.reshape(rows.shape[1:-2] + p.shape[1:]), 0.0, None)
 
-    Returns shape (..., 2, ..., 2) with one binary axis per qubit, with
-    round-off negatives clipped to zero; ``rho`` is a valid state, so
-    the tables need no further check. A caller that reuses its angles
-    may pass their ``_polarizer_rows(stokes)`` as ``rows``.
-    """
-    if rows is None:
-        rows = _polarizer_rows(stokes)
-    p = _born(rows, rho.pauli_coefficients)
-    return np.clip(p.reshape(np.shape(stokes)[:-1] + p.shape[1:]), 0.0, None)
+
+def _born_tables(rho: DensityMatrix, stokes) -> np.ndarray:
+    """Outcome tables (..., 2, ..., 2) for Stokes angles of shape (..., n), one analyzer per qubit."""
+    return _row_tables(rho, _polarizer_rows(stokes))
 
 
 def joint_probabilities(rho: DensityMatrix, settings) -> JointDistribution:
@@ -442,17 +478,18 @@ def joint_probabilities(rho: DensityMatrix, settings) -> JointDistribution:
     Entry ``p[o1, ..., on]`` is Tr(rho M1^o1 x ... x Mn^on) with M^0 the
     pass projector for that party's setting and M^1 its complement.
     """
+    _density(rho)
     settings = list(settings)
     if len(settings) != rho.n_qubits:
         raise ValueError(
             f"got {len(settings)} settings for {rho.n_qubits} qubit(s); need one per qubit"
         )
-    return JointDistribution(_born_tables(rho, [_stokes(s) for s in settings]))
+    return JointDistribution(_born_tables(rho, [_stokes(s, "settings") for s in settings]))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the qubits named in ``keep`` (0-based, kept in index order)."""
-    n = rho.n_qubits
+    n = _density(rho).n_qubits
     keep = _parties(keep, n)
     order = sorted(keep) + [i for i in range(n) if i not in keep]
     k = len(keep)
@@ -463,6 +500,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def fidelity(rho: DensityMatrix, target: PureState) -> float:
     """Overlap <target| rho |target> with a pure target state."""
+    _density(rho)
     if not isinstance(target, PureState):
         raise TypeError("fidelity target must be a PureState")
     if target.dim != rho.dim:
@@ -477,7 +515,7 @@ def concurrence(rho: DensityMatrix) -> float:
     Square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy) in
     decreasing order l1 >= ... >= l4 give C = max(0, l1 - l2 - l3 - l4).
     """
-    if rho.n_qubits != 2:
+    if _density(rho).n_qubits != 2:
         raise ValueError("concurrence is defined for 2-qubit states")
     m = rho.matrix
     product = m @ _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
@@ -497,7 +535,7 @@ def entanglement_report(rho: DensityMatrix, target: PureState) -> EntanglementRe
     with d = 4 so the value runs over the full [0, 1] range; tangle is
     the squared concurrence.
     """
-    if rho.n_qubits != 2:
+    if _density(rho).n_qubits != 2:
         raise ValueError("entanglement report is defined for 2-qubit states")
     conc = _clip01(concurrence(rho))
     pur = _clip01(rho.purity())
@@ -519,7 +557,7 @@ def visibility(rho: DensityMatrix, basis: str) -> float:
     extrema follow exactly from four probe evaluations; the returned
     value is (max - min) / (max + min), or 0 when there is no signal.
     """
-    if rho.n_qubits != 2:
+    if _density(rho).n_qubits != 2:
         raise ValueError("visibility is defined for 2-qubit states")
     try:
         alpha = {"hv": 0.0, "da": np.pi / 2.0}[basis.strip().lower()]

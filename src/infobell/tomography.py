@@ -28,6 +28,7 @@ from .states import (
     MeasurementSetting,
     PureState,
     _born_tables,
+    _density,
     _integer,
     _stokes,
     bell_state,
@@ -165,7 +166,7 @@ def expected_counts(rho: DensityMatrix, per_basis: int) -> TomoDataset:
     depending on the state.
     """
     per_basis = _integer(per_basis, "per_basis", 0, _MAX_TOTAL)
-    p = mode_probabilities(rho.matrix)
+    p = mode_probabilities(_density(rho).matrix)
     return TomoDataset(np.round(per_basis * p).astype(np.int64))
 
 
@@ -364,7 +365,7 @@ def mle_reconstruct(data: TomoDataset, target: PureState | None = None) -> Tomog
 
 def correlation(rho: DensityMatrix, a: MeasurementSetting, b: MeasurementSetting) -> float:
     """E(a, b) = p(agree) - p(disagree) for the pass/block outcomes."""
-    return float(_correlations(rho, (_stokes(a), _stokes(b))))
+    return float(_correlations(_density(rho), (_stokes(a, "a"), _stokes(b, "b"))))
 
 
 def _correlations(rho: DensityMatrix, pairs) -> np.ndarray:
@@ -381,8 +382,8 @@ def chsh(rho: DensityMatrix, a1, a2, b1, b2) -> float:
     returned. |S| <= 2 classically and <= 2 sqrt(2) for any quantum
     state (Tsirelson).
     """
-    pairs = [[(_stokes(a), _stokes(b)) for b in (b1, b2)] for a in (a1, a2)]
-    e = _correlations(rho, pairs)
+    a1, a2, b1, b2 = _stokes(a1, "a1"), _stokes(a2, "a2"), _stokes(b1, "b1"), _stokes(b2, "b2")
+    e = _correlations(_density(rho), [[(a, b) for b in (b1, b2)] for a in (a1, a2)])
     total = e.sum()
     candidates = [total - 2.0 * e[i, j] for i in (0, 1) for j in (0, 1)]
     return float(max(candidates, key=abs))

@@ -224,7 +224,7 @@ def test_exit_code_2_on_non_finite_inputs(tmp_path, capsys):
     assert main(["fit", "--curve", str(curve_path)]) == 2
     capsys.readouterr()
     assert main(["violation", "--state", "bell", "--theta", "inf"]) == 2
-    assert "--theta is not finite: inf" in capsys.readouterr().err
+    assert "--theta = inf is not finite" in capsys.readouterr().err
     assert main(["sweep", "--state", "bell", "--thetas", "0.1,inf"]) == 2
     assert "'0.1,inf'" in capsys.readouterr().err
     assert main(["sweep", "--state", "bell", "--range", "0:inf:0.1"]) == 2
@@ -400,7 +400,12 @@ def test_simulate_config_numbers_must_be_json_numbers(tmp_path, capsys, field, v
         config = {**CONFIG, field: value}
     out_path = tmp_path / "run.csv"
     assert main(["simulate", "--config", write_config(tmp_path, config), "-o", str(out_path)]) == 2
-    assert f"{field} must be a" in capsys.readouterr().err
+    if field in ("counts_per_mode", "seed"):
+        expected = f"{field} must be a whole number, got {value!r}"
+    else:
+        entry = next(t for t in value if not isinstance(t, float)) if field == "thetas" else value
+        expected = f"{field} = {entry!r} is not a real number"
+    assert expected in capsys.readouterr().err
     assert not out_path.exists()
 
 

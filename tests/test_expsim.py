@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -206,10 +207,10 @@ def test_noise_config_rejects_non_finite_levels_and_negative_seeds():
             NoiseConfig(accidental_mean=0.0, angle_sigma=bad, seed=0)
     with pytest.raises(ValueError, match="seed"):
         NoiseConfig(accidental_mean=0.0, angle_sigma=0.0, seed=-1)
-    for bad in (True, False, np.True_):
-        with pytest.raises(ValueError, match="^accidental_mean must be a number"):
+    for bad in (True, False, np.True_, "0.3"):
+        with pytest.raises(TypeError, match="^accidental_mean = .* is not a real number$"):
             NoiseConfig(accidental_mean=bad, angle_sigma=0.0, seed=0)
-        with pytest.raises(ValueError, match="^angle_sigma must be a number"):
+        with pytest.raises(TypeError, match="^angle_sigma = .* is not a real number$"):
             NoiseConfig(accidental_mean=0.0, angle_sigma=bad, seed=0)
 
 
@@ -257,6 +258,8 @@ def test_simulation_config_round_trip(tmp_path):
     config = SimulationConfig.load(str(path))
     assert config.lam == 0.998
     assert config.thetas == (0.2, 0.3, 0.4)
+    from_array = dataclasses.replace(config, thetas=np.array(config.thetas))
+    assert from_array == config and type(from_array.thetas) is tuple
     assert config.counts_per_mode == 350
     assert config.noise().seed == 42
     assert config.state().n_qubits == 2
@@ -282,27 +285,29 @@ def test_simulation_config_rejects_malformed(mutate):
         SimulationConfig.from_dict(bad)
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("accidental_mean", float("nan")),
-        ("accidental_mean", float("inf")),
-        ("angle_sigma", float("nan")),
-        ("angle_sigma", float("inf")),
-        ("seed", -1),
-        ("phase", float("nan")),
-        ("thetas", [0.2, float("nan")]),
-        ("counts_per_mode", True),
-        ("counts_per_mode", 2.5),
-        ("lam", True),
-        ("phase", True),
-        ("thetas", [True, 2.0]),
-        ("accidental_mean", True),
-        ("angle_sigma", False),
-        pytest.param("lam", 10**400, id="lam-10**400"),
-        pytest.param("accidental_mean", 10**400, id="accidental_mean-10**400"),
-    ],
-)
+# Each config field with a value that no config may hold.
+BAD_CONFIG_FIELDS = [
+    ("accidental_mean", float("nan")),
+    ("accidental_mean", float("inf")),
+    ("angle_sigma", float("nan")),
+    ("angle_sigma", float("inf")),
+    ("seed", -1),
+    ("phase", float("nan")),
+    ("thetas", [0.2, float("nan")]),
+    ("counts_per_mode", True),
+    ("counts_per_mode", 2.5),
+    ("lam", True),
+    ("phase", True),
+    ("thetas", [True, 2.0]),
+    ("accidental_mean", True),
+    ("angle_sigma", False),
+    pytest.param("lam", 10**400, id="lam-10**400"),
+    pytest.param("accidental_mean", 10**400, id="accidental_mean-10**400"),
+    ("thetas", 0.2),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_CONFIG_FIELDS)
 def test_simulation_config_rejects_non_finite_values_and_negative_seeds(field, value):
     bad = json.loads(json.dumps(GOOD_CONFIG))
     if field in ("lam", "phase"):
@@ -313,7 +318,7 @@ def test_simulation_config_rejects_non_finite_values_and_negative_seeds(field, v
         SimulationConfig.from_dict(bad)
     fields = {"lam": 0.998, "phase": 0.225, "thetas": (0.2, 0.3), "counts_per_mode": 350,
               "accidental_mean": 6.0, "angle_sigma": 0.003, "seed": 42}
-    fields[field] = tuple(value) if field == "thetas" else value
+    fields[field] = value
     with pytest.raises(ConfigError, match=field.split("_")[0]):
         SimulationConfig(**fields)
 

@@ -15,6 +15,7 @@ from infobell import (
     REFERENCE_THETAS,
     DensityMatrix,
     JointDistribution,
+    MeasurementSetting,
     NoiseConfig,
     QuadrilateralGeometry,
     ReactivityResult,
@@ -277,14 +278,25 @@ def test_violation_curve_validation():
 def test_quadrilateral_geometry_rejects_non_finite_uncertainties():
     fields = ("dd_a1b1", "dd_a2b1", "dd_a2b2", "dd_a1b2")
     for name in fields:
-        for bad in (float("nan"), float("inf"), -1e-3):
+        for bad, message in ((float("nan"), "nan is not finite"), (float("inf"), "inf is not finite"),
+                             (-1e-3, "-0.001 must be at least 0")):
             dds = {field: bad if field == name else 0.01 for field in fields}
-            with pytest.raises(ValueError, match=f"^{name} = .* must be finite and nonnegative$"):
+            with pytest.raises(ValueError, match=f"^{name} = {message}$"):
                 QuadrilateralGeometry(0.1, 0.1, 0.1, 0.5, **dds)
     assert QuadrilateralGeometry(0.1, 0.1, 0.1, 0.5, 0.0, 0.0, 0.0, 0.0).violation_uncertainty == 0.0
 
 
-# Each entry point that takes bare angles, called with one angle argument replaced.
+# The edge fields of one valid QuadrilateralGeometry.
+QUAD_FIELDS = {"d_a1b1": 0.1, "d_a2b1": 0.1, "d_a2b2": 0.1, "d_a1b2": 0.5,
+               "dd_a1b1": 0.01, "dd_a2b1": 0.01, "dd_a2b2": 0.01, "dd_a1b2": 0.01}
+
+
+def _never(t):
+    pytest.fail("golden_section_min called f before checking its arguments")
+
+
+# Each public real-number input, entered with one argument replaced: the bare angles
+# first, then the scan bounds and tolerances, the state parameters and the float fields.
 ANGLE_ENTRY_POINTS = [
     pytest.param("theta", lambda rho, bad: quadrilateral(rho, bad), id="quadrilateral-theta"),
     pytest.param("offset", lambda rho, bad: quadrilateral(rho, 0.3, bad), id="quadrilateral-offset"),
@@ -300,18 +312,39 @@ ANGLE_ENTRY_POINTS = [
                  id="simulate_schumacher_run-theta"),
     pytest.param("thetas", lambda rho, bad: simulate_sweep(rho, [0.1, bad], 350, NoiseConfig()),
                  id="simulate_sweep-thetas"),
+    pytest.param("tol", lambda rho, bad: max_violation(rho, tol=bad), id="max_violation-tol"),
+    pytest.param("theta", lambda rho, bad: schumacher_settings(bad), id="schumacher_settings-theta"),
+    pytest.param("offset", lambda rho, bad: schumacher_settings(0.3, bad), id="schumacher_settings-offset"),
+    pytest.param("lo", lambda rho, bad: golden_section_min(_never, bad, 1.0), id="golden_section_min-lo"),
+    pytest.param("hi", lambda rho, bad: golden_section_min(_never, 0.0, bad), id="golden_section_min-hi"),
+    pytest.param("tol", lambda rho, bad: golden_section_min(_never, 0.0, 1.0, bad), id="golden_section_min-tol"),
+    pytest.param("stokes_angle", lambda rho, bad: MeasurementSetting(bad), id="MeasurementSetting-stokes_angle"),
+    pytest.param("lam", lambda rho, bad: modified_werner(bad, 0.0), id="modified_werner-lam"),
+    pytest.param("phase", lambda rho, bad: modified_werner(0.9, bad), id="modified_werner-phase"),
+    pytest.param("accidental_mean", lambda rho, bad: NoiseConfig(accidental_mean=bad),
+                 id="NoiseConfig-accidental_mean"),
+    pytest.param("angle_sigma", lambda rho, bad: NoiseConfig(angle_sigma=bad), id="NoiseConfig-angle_sigma"),
+    *(pytest.param(field, lambda rho, bad, field=field: QuadrilateralGeometry(**{**QUAD_FIELDS, field: bad}),
+                   id=f"QuadrilateralGeometry-{field}") for field in QUAD_FIELDS),
+    pytest.param("mean_area", lambda rho, bad: ReactivityResult(bad, 1.0, 1.0, 1, 0), id="ReactivityResult-mean_area"),
+    pytest.param("mean_volume", lambda rho, bad: ReactivityResult(1.0, bad, 1.0, 1, 0),
+                 id="ReactivityResult-mean_volume"),
 ]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, enter", ANGLE_ENTRY_POINTS)
 def test_non_finite_angles_are_rejected_where_they_enter(monkeypatch, name, enter):
-    """A NaN or infinite angle raises a ValueError naming its argument, before any Born-rule work."""
+    """A NaN or infinite real input raises a ValueError naming its argument, and a bool or a
+    string a TypeError naming it, before any Born-rule work."""
     rho = bell_state("phi+").density_matrix()
-    for module in (infogeo, expsim):
-        monkeypatch.setattr(module, "_born_tables", lambda *args: pytest.fail("an angle was not checked first"))
+    for module, kernel in ((infogeo, "_born_tables"), (infogeo, "_row_tables"), (expsim, "_born_tables")):
+        monkeypatch.setattr(module, kernel, lambda *args: pytest.fail("an angle was not checked first"))
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
+            enter(rho, bad)
+    for bad in (True, "0.3"):
+        with pytest.raises(TypeError, match=f"^{name} = {bad!r} is not a real number$"):
             enter(rho, bad)
 
 
@@ -355,7 +388,8 @@ def test_golden_section_min_rejects_a_tolerance_it_cannot_reach(tol):
     def f(t):
         pytest.fail("tol was not checked first")
 
-    with pytest.raises(ValueError, match="^tol = .* must be finite and positive$"):
+    message = "must be positive" if np.isfinite(tol) else "is not finite"
+    with pytest.raises(ValueError, match=f"^tol = {tol} {message}$"):
         golden_section_min(f, 0.0, 1.0, tol)
 
 

@@ -1,5 +1,7 @@
 """The package namespace is the union of its modules' public lists."""
 
+import inspect
+
 import pytest
 
 import infobell
@@ -41,3 +43,27 @@ def test_each_public_name_is_the_module_object(module):
 def test_no_earlier_name_leaves_the_package():
     assert len(EARLIER_NAMES) == 57
     assert set(EARLIER_NAMES) <= set(infobell.__all__)
+
+
+# Public types whose float fields are computed results, not inputs a caller enters.
+RESULT_TYPES = ("WernerFit", "EntanglementReport", "MetricAxiomsReport", "TomographyResult")
+# Float inputs that the real-number gate deliberately does not take, with the reason.
+UNGATED = {("ReactivityResult", "reactivity"): "an infinite ratio flags a zero mean volume"}
+
+
+def test_every_public_float_input_is_in_a_gate_table():
+    """A public parameter annotated float is a real-number input: a row of the gate tests' tables
+    must enter it, unless its owner is a result type. A float input added without the gate fails here."""
+    from test_expsim import BAD_CONFIG_FIELDS
+    from test_infogeo import ANGLE_ENTRY_POINTS
+
+    gated = {tuple(param.id.split("-", 1)) for param in ANGLE_ENTRY_POINTS}
+    gated |= {("SimulationConfig", getattr(param, "values", param)[0]) for param in BAD_CONFIG_FIELDS}
+    floats = set()
+    for name in infobell.__all__:
+        obj = getattr(infobell, name)
+        if callable(obj) and name not in RESULT_TYPES and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            floats |= {(name, p.name) for p in inspect.signature(obj).parameters.values()
+                       if "float" in str(p.annotation)}
+    assert {("modified_werner", "lam"), ("QuadrilateralGeometry", "dd_a1b2"), ("SimulationConfig", "phase")} <= floats
+    assert floats - set(UNGATED) <= gated, sorted(floats - set(UNGATED) - gated)

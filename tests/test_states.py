@@ -20,11 +20,13 @@ from infobell import (
     entanglement_report,
     fidelity,
     joint_probabilities,
+    max_violation,
     modified_werner,
     partial_trace,
     polarizer_projector,
     quadrilateral,
     reactivity,
+    sweep,
     violation,
     visibility,
 )
@@ -45,15 +47,24 @@ def test_measurement_setting_rejects_non_finite_angles():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="not finite"):
             MeasurementSetting(bad)
+    for bad in (True, "0.3"):
+        with pytest.raises(TypeError, match=f"^stokes_angle = {bad!r} is not a real number$"):
+            MeasurementSetting(bad)
+    assert type(MeasurementSetting(np.float32(0.5)).stokes_angle) is float
 
 
 def test_bare_angles_are_checked_where_they_enter():
     rho = bell_state("phi+").density_matrix()
-    for bad in (float("nan"), float("inf")):
-        for enter in (lambda: polarizer_projector(bad), lambda: joint_probabilities(rho, [0.0, bad]),
-                      lambda: chsh(rho, bad, 0.0, 0.5, 1.0)):
+    entries = (("setting", lambda bad: polarizer_projector(bad)),
+               ("settings", lambda bad: joint_probabilities(rho, [0.0, bad])),
+               ("a1", lambda bad: chsh(rho, bad, 0.0, 0.5, 1.0)))
+    for name, enter in entries:
+        for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="not finite"):
-                enter()
+                enter(bad)
+        for bad in (True, "0.3"):
+            with pytest.raises(TypeError, match=f"^{name} = {bad!r} is not a real number$"):
+                enter(bad)
     for theta, offset, name in ((float("nan"), 0.0, "theta"), (0.3, float("nan"), "offset")):
         with pytest.raises(ValueError, match=f"^{name} = nan is not finite$"):
             violation(rho, theta, offset)
@@ -228,6 +239,11 @@ def test_modified_werner_rejects_bad_lambda():
 def test_modified_werner_rejects_non_finite_phase():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="phase"):
+            modified_werner(0.9, bad)
+    for bad in (True, "0.5"):
+        with pytest.raises(TypeError, match=f"^lam = {bad!r} is not a real number$"):
+            modified_werner(bad, 0.0)
+        with pytest.raises(TypeError, match=f"^phase = {bad!r} is not a real number$"):
             modified_werner(0.9, bad)
 
 
@@ -463,6 +479,16 @@ def test_fidelity_requires_pure_target():
     rho = bell_state("phi+").density_matrix()
     with pytest.raises(TypeError):
         fidelity(rho, rho)
+
+
+@pytest.mark.parametrize("enter", [
+    lambda psi: violation(psi, 0.3), lambda psi: max_violation(psi), lambda psi: sweep(psi, [0.2, 0.3]),
+    lambda psi: concurrence(psi), lambda psi: reactivity(psi, 10, 0),
+    lambda psi: chsh(psi, 0.0, 1.0, 0.5, 1.5),
+], ids=["violation", "max_violation", "sweep", "concurrence", "reactivity", "chsh"])
+def test_a_pure_state_given_as_rho_is_refused_by_name(enter):
+    with pytest.raises(TypeError, match=r"^rho must be a DensityMatrix, not PureState; .*\.density_matrix\(\)$"):
+        enter(bell_state("phi+"))
 
 
 def test_fidelity_and_concurrence_global_phase_invariant(rng):
