@@ -377,8 +377,14 @@ _MIN_SPACING = 2.0**-25
 
 @functools.lru_cache(maxsize=4)
 def _scan_grid(lo: float, hi: float, step: float) -> tuple:
-    """max_violation's read-only grid over [lo, hi] and the polarizer rows of its edge angles."""
-    grid = np.minimum(np.arange(lo, hi + step / 2.0, step), hi)
+    """max_violation's read-only grid lo, lo + step, ..., ending at hi, and the polarizer rows of its
+    edge angles. hi follows a last point more than step / 1e6 short of it; a nearer last point, one
+    short by arange's round-off or past hi, becomes hi, so no interval is a sliver that V's
+    round-off would have to resolve."""
+    grid = np.arange(lo, hi + step / 2.0, step)
+    if hi - grid[-1] > 1e-6 * step:
+        grid = np.append(grid, hi)
+    grid[-1] = hi
     rows = _polarizer_rows(_edge_angles(grid))
     grid.flags.writeable = rows.flags.writeable = False
     return grid, rows
@@ -401,7 +407,8 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
     V is taken over the paper's polarizer family, x-z settings a = 0, 2
     theta and b = theta, 3 theta, so v_star answers for that apparatus and
     can lie below the state's best violation over all settings.
-    The scan evaluates V on a grid of spacing ``step`` over [lo, hi];
+    The scan evaluates V on a grid of spacing ``step`` from lo, which
+    always ends at hi, even where hi - lo is no multiple of ``step``;
     the best grid point and its neighbours bracket the peak. Each round
     then evaluates V at equally spaced interior points of the bracket in
     one batched call and shrinks the bracket to the best point seen so
@@ -412,7 +419,11 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
     5e-7) the final bracket can be wider than ``tol``. A last
     parabolic-vertex step through the best point and its two nearest
     evaluated neighbours, clipped to the bracket, is kept only if it
-    does not lower V.
+    does not lower V. When the best grid point is lo or hi, the search
+    stops at that bound after the first round if V falls strictly away
+    from the bound across the round's points, and the parabola through
+    the bound and its two nearest points falls away from it too: a bound
+    peak costs the scan and one round.
 
     Returns (theta_star, v_star), the best evaluated point: v_star is
     never below any grid value, and a peak on a scan bound is returned
@@ -439,6 +450,13 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
         points = a + spacing * np.arange(1, _REFINE_POINTS + 1)
         thetas.append(points)
         values.append(_violations(rho, points))
+        if len(values) == 2 and i in (0, grid.size - 1):
+            # V0, V1, V2 are the bound and its two nearest points; (4 V1 - V2 - 3 V0) / (2 spacing)
+            # is V's slope at the bound. V falling alone also passes a peak up to half a spacing
+            # inside the bound: on phi+ at step 2.5e-3, a peak 1e-6 to 5e-5 inside it.
+            away = np.append(best_v, values[1] if i == 0 else values[1][::-1])
+            if np.all(np.diff(away) < 0.0) and 4.0 * away[1] - away[2] < 3.0 * away[0]:
+                return float(best_t), float(best_v)
         j = int(np.argmax(values[-1]))
         if values[-1][j] > best_v:
             best_t, best_v = points[j], values[-1][j]
@@ -666,7 +684,8 @@ class ReactivityResult:
 
     ``reactivity`` is mean_area / mean_volume (ratio of the means, not
     mean of ratios); a degenerate zero mean volume is flagged by an
-    infinite reactivity instead of a division error.
+    infinite reactivity instead of a division error. Every other
+    reactivity goes through the real-number gate, as the means do.
     """
 
     mean_area: float
@@ -680,11 +699,13 @@ class ReactivityResult:
             object.__setattr__(self, name, _real(getattr(self, name), name, 0))
         object.__setattr__(self, "n_samples", _integer(self.n_samples, "n_samples", 1))
         object.__setattr__(self, "seed", _key_entry(self.seed, "seed"))
+        flagged = self.mean_volume == 0.0 and isinstance(self.reactivity, float) and self.reactivity == np.inf
+        object.__setattr__(self, "reactivity", np.inf if flagged else _real(self.reactivity, "reactivity", 0))
         if self.mean_volume > 0.0:
             expected = self.mean_area / self.mean_volume
             if not abs(self.reactivity - expected) <= 1e-12 * max(1.0, abs(expected)):
                 raise ValueError("reactivity must equal mean_area / mean_volume")
-        elif self.reactivity != np.inf:
+        elif not flagged:
             raise ValueError("zero mean volume must be flagged as infinite reactivity")
 
     @property

@@ -355,6 +355,8 @@ def bell_state(kind: str = "phi+") -> PureState:
 
     ``kind`` is "phi+", "phi-", "psi+" or "psi-" (case-insensitive).
     """
+    if not isinstance(kind, str):
+        raise TypeError(f"kind = {kind!r} is not a string")
     key = kind.strip().lower()
     if key not in _BELL_TABLE:
         raise ValueError(f"unknown Bell state {kind!r}; expected one of {sorted(_BELL_TABLE)}")
@@ -559,6 +561,8 @@ def visibility(rho: DensityMatrix, basis: str) -> float:
     """
     if _density(rho).n_qubits != 2:
         raise ValueError("visibility is defined for 2-qubit states")
+    if not isinstance(basis, str):
+        raise TypeError(f"basis = {basis!r} is not a string")
     try:
         alpha = {"hv": 0.0, "da": np.pi / 2.0}[basis.strip().lower()]
     except KeyError:

@@ -329,6 +329,8 @@ ANGLE_ENTRY_POINTS = [
     pytest.param("mean_area", lambda rho, bad: ReactivityResult(bad, 1.0, 1.0, 1, 0), id="ReactivityResult-mean_area"),
     pytest.param("mean_volume", lambda rho, bad: ReactivityResult(1.0, bad, 1.0, 1, 0),
                  id="ReactivityResult-mean_volume"),
+    pytest.param("reactivity", lambda rho, bad: ReactivityResult(1.0, 1.0, bad, 1, 0),
+                 id="ReactivityResult-reactivity"),
 ]
 
 
@@ -470,6 +472,10 @@ def _refinement_bank():
     return bank
 
 
+# The exact phi+ peak, from the closed form V = D(3 theta) - 3 D(theta), D(x) = 2 h2(cos^2(x / 2)).
+PHI_PLUS_PEAK = 0.30468350878
+
+
 def _reference_argmax(rho, lo=0.1, hi=0.6, step=5e-5):
     """Argmax of V by a scan of spacing 5e-5 and a golden-section search to 1e-12 about its best point."""
     grid = np.minimum(np.arange(lo, hi + step / 2.0, step), hi)
@@ -490,6 +496,61 @@ def test_max_violation_refines_to_the_peak_on_a_seeded_bank():
             assert v_star >= sweep(rho, grid).v.max()
             assert v_star == pytest.approx(violation(rho, theta_star), abs=1e-15)
             assert abs(theta_star - reference) <= tol
+
+
+def test_max_violation_settles_a_bound_peak_after_one_round(monkeypatch):
+    """A scan whose best grid point is lo or hi costs two _violations calls, the scan and one
+    round, and returns that bound, within tol of the argmax."""
+    violations, scans, tol, bound_peaks = infogeo._violations, [], 1e-6, 0
+
+    def recorded(rho, theta, *rows):
+        scans.append(violations(rho, theta, *rows))
+        return scans[-1]
+
+    for rho in _refinement_bank():
+        reference = _reference_argmax(rho)
+        for step in (2.5e-3, 1e-4):
+            scans.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(infogeo, "_violations", recorded)
+                theta_star, v_star = max_violation(rho, step=step, tol=tol)
+            if int(np.argmax(scans[0])) in (0, scans[0].size - 1):
+                bound_peaks += 1
+                assert len(scans) == 2 and theta_star in (0.1, 0.6) and v_star == scans[0].max()
+                assert abs(theta_star - reference) <= tol
+    assert bound_peaks == 62
+
+
+@pytest.mark.parametrize("lo, hi", [(0.1, 0.305), (0.3045, 0.6), (0.1, PHI_PLUS_PEAK + 2e-5),
+                                    (PHI_PLUS_PEAK - 2e-5, 0.6)])
+def test_max_violation_refines_a_peak_just_inside_a_bound(monkeypatch, lo, hi):
+    """A peak inside the scan refines as any interior peak does, even where V falls away from the
+    bound across the first round: 2e-5 inside the bound is under half that round's spacing."""
+    violations, calls = infogeo._violations, []
+    monkeypatch.setattr(infogeo, "_violations", lambda *args: calls.append(1) or violations(*args))
+    theta_star, _ = max_violation(bell_state("phi+").density_matrix(), lo, hi, step=2.5e-3)
+    assert len(calls) == 6
+    assert abs(theta_star - PHI_PLUS_PEAK) <= 1e-6
+
+
+@pytest.mark.parametrize("step", [0.07, 0.1, 0.004, 10.0])
+def test_max_violation_scan_grid_ends_at_hi(step):
+    """V of phi+ rises across [0.1, 0.25], so the scan returns hi at any step, also where hi - lo
+    is no multiple of it: a grid that stopped short returned (0.2, 0.3716) at step 0.1."""
+    rho = bell_state("phi+").density_matrix()
+    theta_star, v_star = max_violation(rho, 0.1, 0.25, step=step)
+    assert theta_star == 0.25
+    assert v_star == pytest.approx(violation(rho, 0.25), abs=1e-15)
+
+
+@pytest.mark.parametrize("lo, hi, step, size", [(0.1, 0.25, 0.1, 3), (0.1, 0.25, 10.0, 2), (0.49, 0.99, 0.1, 6),
+                                                (0.3, 0.3, 0.1, 1)])
+def test_scan_grid_ends_at_hi_without_a_sliver(lo, hi, step, size):
+    """The grid steps from lo and ends at hi; at (0.49, 0.99, 0.1) arange's last point falls 1.1e-16
+    short of hi and becomes hi, rather than leaving an interval that V's round-off would resolve."""
+    grid = infogeo._scan_grid(lo, hi, step)[0]
+    assert (grid.size, grid[0], grid[-1]) == (size, lo, hi)
+    assert np.all(np.diff(grid) > 1e-6 * step)
 
 
 def test_max_violation_refines_in_a_few_batched_calls(monkeypatch):
@@ -551,10 +612,9 @@ def test_max_violation_below_resolvable_spacing_leaves_the_peak_to_the_vertex():
     peak 0.30468350878 at tol 1e-10.
     """
     rho = bell_state("phi+").density_matrix()
-    peak = 0.30468350878
-    default_miss = abs(max_violation(rho, tol=1e-6)[0] - peak)
+    default_miss = abs(max_violation(rho, tol=1e-6)[0] - PHI_PLUS_PEAK)
     for tol in (1e-8, 1e-10, 1e-300):
-        assert abs(max_violation(rho, tol=tol)[0] - peak) <= default_miss
+        assert abs(max_violation(rho, tol=tol)[0] - PHI_PLUS_PEAK) <= default_miss
 
 
 def test_max_violation_spacing_floor_leaves_coarser_tolerances_alone(monkeypatch):
@@ -786,9 +846,10 @@ def test_reactivity_result_validates_ratio():
     ((1.0, -0.5, -2.0, 1, 0), "mean_volume = -0.5"),
     ((3.0, 4.0, 0.75, -5, 0), "n_samples = -5"),
     ((3.0, 4.0, 0.75, 0, 0), "n_samples = 0"),
-    ((3.0, 4.0, np.nan, 10, 0), "must equal mean_area / mean_volume"),
-    ((1.0, 0.0, np.nan, 10, 0), "infinite reactivity"),
-    ((1.0, 0.0, -np.inf, 10, 0), "infinite reactivity"),
+    ((3.0, 4.0, np.nan, 10, 0), "reactivity = nan is not finite"),
+    ((1.0, 0.0, 2.0, 10, 0), "infinite reactivity"),
+    ((1.0, 0.0, -np.inf, 10, 0), "reactivity = -inf is not finite"),
+    ((1.0, 0.0, np.nan, 10, 0), "reactivity = nan is not finite"),
 ])
 def test_reactivity_result_rejects_non_finite_or_negative_fields(fields, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -811,6 +872,13 @@ def test_reactivity_result_holds_python_ints():
     result = ReactivityResult(3.0, 4.0, 0.75, np.int64(10), np.uint8(2))
     assert type(result.n_samples) is int and type(result.seed) is int
     assert result == ReactivityResult(3.0, 4.0, 0.75, 10, 2)
+
+
+def test_reactivity_result_holds_python_floats():
+    result = ReactivityResult(3.0, 4.0, np.float64(0.75), 10, 2)
+    assert type(result.reactivity) is float and result.reactivity == 0.75
+    flagged = ReactivityResult(1.0, 0.0, np.float64(np.inf), 1, 0)
+    assert type(flagged.reactivity) is float and flagged.volume_degenerate
 
 
 def test_reactivity_result_flags_zero_volume_as_infinite():

@@ -47,9 +47,6 @@ def test_no_earlier_name_leaves_the_package():
 
 # Public types whose float fields are computed results, not inputs a caller enters.
 RESULT_TYPES = ("WernerFit", "EntanglementReport", "MetricAxiomsReport", "TomographyResult")
-# Float inputs that the real-number gate deliberately does not take, with the reason.
-UNGATED = {("ReactivityResult", "reactivity"): "an infinite ratio flags a zero mean volume"}
-
 
 def test_every_public_float_input_is_in_a_gate_table():
     """A public parameter annotated float is a real-number input: a row of the gate tests' tables
@@ -66,4 +63,4 @@ def test_every_public_float_input_is_in_a_gate_table():
             floats |= {(name, p.name) for p in inspect.signature(obj).parameters.values()
                        if "float" in str(p.annotation)}
     assert {("modified_werner", "lam"), ("QuadrilateralGeometry", "dd_a1b2"), ("SimulationConfig", "phase")} <= floats
-    assert floats - set(UNGATED) <= gated, sorted(floats - set(UNGATED) - gated)
+    assert floats <= gated, sorted(floats - gated)

@@ -87,6 +87,12 @@ def test_bell_state_unknown_kind():
         bell_state("sigma+")
 
 
+@pytest.mark.parametrize("kind", [3, None, b"phi+"])
+def test_bell_state_refuses_a_non_string_kind(kind):
+    with pytest.raises(TypeError, match=f"^kind = {re.escape(repr(kind))} is not a string$"):
+        bell_state(kind)
+
+
 def test_pure_state_requires_normalization():
     for amplitudes in ([1.0, 1.0], [np.nan, 0.0], [1.0, np.inf]):
         with pytest.raises(ValueError, match="squared norm"):
@@ -551,3 +557,9 @@ def test_visibility_bell_is_unity_and_mixed_is_zero():
 def test_visibility_unknown_basis():
     with pytest.raises(ValueError):
         visibility(bell_state("phi+").density_matrix(), "RL")
+
+
+@pytest.mark.parametrize("basis", [None, 0.0, ("HV",)])
+def test_visibility_refuses_a_non_string_basis(basis):
+    with pytest.raises(TypeError, match=f"^basis = {re.escape(repr(basis))} is not a string$"):
+        visibility(bell_state("phi+").density_matrix(), basis)
