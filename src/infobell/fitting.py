@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .infogeo import _EDGE_MULTIPLES, ViolationCurve
+from .states import _real, _reals
 
 __all__ = [
     "LAMBDA_STEP",
@@ -68,7 +69,11 @@ _PRUNE_SLACK = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class WernerFit:
-    """Fitted (lam, phase) with the residuals of the final model curve."""
+    """Fitted (lam, phase) with the residuals of the final model curve.
+
+    ``residual_sum`` and each residual pass the real-number gate, so a
+    NaN or an infinity is refused; the residuals are held read-only.
+    """
 
     lam: float
     phase: float
@@ -76,8 +81,10 @@ class WernerFit:
     per_point_residuals: np.ndarray
 
     def __post_init__(self):
-        residuals = np.asarray(self.per_point_residuals, dtype=float)
+        residuals = np.array(_reals(self.per_point_residuals, "per_point_residuals"))
+        residuals.flags.writeable = False
         object.__setattr__(self, "per_point_residuals", residuals)
+        object.__setattr__(self, "residual_sum", _real(self.residual_sum, "residual_sum", 0))
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam = {self.lam!r} outside [0, 1]")
         if not 0.0 <= self.phase < 2.0 * np.pi:
@@ -411,7 +418,7 @@ def _damped_newton(x, edges, v_obs, weights):
         wr = weights * r
         gauss_newton = (jacobian.T * weights) @ jacobian
         hessian = gauss_newton + np.einsum("i,ijk->jk", wr, second)
-        return float(r @ wr), jacobian.T @ wr, hessian, np.diag(gauss_newton)
+        return float(r @ wr), jacobian.T @ wr, hessian, gauss_newton.diagonal()
 
     value, gradient, hessian, scale = evaluate(x)
     damping = 1e-3
@@ -422,11 +429,15 @@ def _damped_newton(x, edges, v_obs, weights):
         free = ~held & (gradient != 0.0)
         if not free.any():
             break
-        h = hessian[np.ix_(free, free)]
-        d = np.diag(scale[free])
+        if free.all():
+            h, d, g = hessian, scale, gradient
+        else:
+            h, d, g = hessian[np.ix_(free, free)], scale[free], gradient[free]
         while True:
+            damped = h.copy()
+            damped.reshape(-1)[::d.size + 1] += damping * d
             trial = x.copy()
-            trial[free] -= np.linalg.solve(h + damping * d, gradient[free])
+            trial[free] -= np.linalg.solve(damped, g)
             np.clip(trial, _LOWER, _UPPER, out=trial)
             moved = float(np.abs(trial - x).max())
             if moved > 0.0:

@@ -280,17 +280,27 @@ def violation(rho: DensityMatrix, theta: float, offset: float = 0.0) -> float:
     return quadrilateral(rho, theta, offset).violation
 
 
+def _held(values) -> np.ndarray:
+    """A read-only float copy of ``values``."""
+    held = np.array(values, dtype=float)
+    held.flags.writeable = False
+    return held
+
+
 @dataclass(frozen=True, eq=False)
 class ViolationCurve:
-    """Sequence of (theta, V, dV) points with strictly increasing theta."""
+    """Sequence of (theta, V, dV) points with strictly increasing theta.
+
+    The curve holds its own read-only float copies of the arrays, so a
+    later edit of the caller's arrays cannot skip these checks.
+    """
 
     thetas: np.ndarray
     v: np.ndarray
     dv: np.ndarray | None = None
 
     def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        thetas, v = _held(self.thetas), _held(self.v)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "v", v)
         if thetas.ndim != 1 or thetas.shape != v.shape:
@@ -300,7 +310,7 @@ class ViolationCurve:
         if thetas.size >= 2 and not np.all(np.diff(thetas) > 0):
             raise ValueError("thetas must be strictly increasing")
         if self.dv is not None:
-            dv = np.asarray(self.dv, dtype=float)
+            dv = _held(self.dv)
             object.__setattr__(self, "dv", dv)
             if dv.shape != thetas.shape:
                 raise ValueError("dv must match thetas in length")
@@ -423,7 +433,11 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
     stops at that bound after the first round if V falls strictly away
     from the bound across the round's points, and the parabola through
     the bound and its two nearest points falls away from it too: a bound
-    peak costs the scan and one round.
+    peak costs the scan and one round. That parabola's slope is trusted
+    only where the round's spacing h has h**2 <= tol; h is at most
+    step / 17, so every scan with step <= 17 sqrt(tol) (0.017 at the
+    default ``tol``) may settle, and a coarser one refines a bound peak
+    like any other.
 
     Returns (theta_star, v_star), the best evaluated point: v_star is
     never below any grid value, and a peak on a scan bound is returned
@@ -450,10 +464,13 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
         points = a + spacing * np.arange(1, _REFINE_POINTS + 1)
         thetas.append(points)
         values.append(_violations(rho, points))
-        if len(values) == 2 and i in (0, grid.size - 1):
+        if len(values) == 2 and i in (0, grid.size - 1) and spacing * spacing <= tol:
             # V0, V1, V2 are the bound and its two nearest points; (4 V1 - V2 - 3 V0) / (2 spacing)
             # is V's slope at the bound. V falling alone also passes a peak up to half a spacing
-            # inside the bound: on phi+ at step 2.5e-3, a peak 1e-6 to 5e-5 inside it.
+            # inside the bound: on phi+ at step 2.5e-3, a peak 1e-6 to 5e-5 inside it. The slope
+            # is off by spacing^2 V'''/3, so a peak the test misses lies within about
+            # spacing^2 |V'''/V''| / 3 of the bound, 1.1 spacing^2 at phi+'s peak: hence the
+            # cap spacing^2 <= tol.
             away = np.append(best_v, values[1] if i == 0 else values[1][::-1])
             if np.all(np.diff(away) < 0.0) and 4.0 * away[1] - away[2] < 3.0 * away[0]:
                 return float(best_t), float(best_v)

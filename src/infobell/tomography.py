@@ -70,7 +70,6 @@ _DESIGN = np.einsum("oi,oj->oij", _MODE_STATES.conj(), _MODE_STATES).reshape(16,
 _FRAME = np.linalg.inv(_DESIGN).T
 _FRAME = 0.5 * (_FRAME + _FRAME.reshape(16, 4, 4).conj().transpose(0, 2, 1).reshape(16, 16))
 
-_BARRIER_START = 1e-4  # first barrier weight, per count, and at least 1
 _BARRIER_SHRINK = 0.01
 _CENTRED = 1e-3  # a weight mu is centred once the squared Newton decrement <= _CENTRED * mu
 _SELF_CONCORDANT = 0.1  # a Newton step with squared decrement <= this * min(mu, 1) needs no search
@@ -105,17 +104,21 @@ class TomoDataset:
     """Coincidence counts for the 16 modes, aligned with MODE_LABELS.
 
     Each count fits int64 and their total is at most 2**53, so the float
-    arithmetic of the reconstructions holds every count exactly.
+    arithmetic of the reconstructions holds every count exactly. The
+    dataset holds its own read-only int64 copy of the counts, so a later
+    edit of the caller's array cannot skip these checks.
     """
 
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
+        counts = np.array(self.counts)
         if counts.shape != (16,) or not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be 16 integers aligned with MODE_LABELS")
         _check_counts(counts.tolist())
-        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
+        counts = counts.astype(np.int64, copy=False)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_mapping(cls, mapping) -> "TomoDataset":
@@ -172,12 +175,12 @@ def expected_counts(rho: DensityMatrix, per_basis: int) -> TomoDataset:
 
 def mode_probabilities(rho_matrix: np.ndarray) -> np.ndarray:
     """p_i = <s_i| rho |s_i> for the 16 mode projection states: the rows of the
-    design matrix that linear_inversion inverts, applied to the flattened state."""
+    design matrix, whose dual frame linear_inversion applies, on the flattened state."""
     return (_DESIGN @ rho_matrix.reshape(16)).real
 
 
 def linear_inversion(data: TomoDataset) -> np.ndarray:
-    """Direct inversion of the 16 mode expectations.
+    """Direct inversion of the 16 mode expectations: the dual frame applied to them.
 
     Returns a Hermitian trace-one matrix that may have negative
     eigenvalues at finite counts; the MLE step restores physicality.
@@ -187,9 +190,7 @@ def linear_inversion(data: TomoDataset) -> np.ndarray:
     scale = float(data.counts[:4].sum())
     if scale <= 0:
         raise TomographyError("cannot set the count scale: HV-basis modes are all empty")
-    phat = data.counts / scale
-    rho = np.linalg.solve(_DESIGN, phat).reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = (data.counts / scale @ _FRAME).reshape(4, 4)
     return rho / np.trace(rho).real
 
 
@@ -206,13 +207,16 @@ def _barrier_derivatives(m: np.ndarray, counts: np.ndarray, mu: float, chol: np.
 
     With sigma = L L' (``chol`` is L) and B_i = L^-1 F_i L'^-1,
     tr(sigma^-1 F_i) = tr(B_i) and tr(sigma^-1 F_i sigma^-1 F_j) =
-    Re tr(B_i B_j'), so the barrier's Hessian is a Gram matrix.
+    Re tr(B_i B_j'), so the barrier's Hessian is a Gram matrix: one real
+    product of the rows of B read as (real, imaginary) pairs.
     """
     inv = np.linalg.inv(chol)
     kron = (inv[:, None, :, None] * inv.conj()[None, :, None, :]).reshape(16, 16)
-    b = _FRAME @ kron.T  # row i is B_i, flattened
-    gradient = 1.0 - counts / m - mu * b[:, ::5].sum(axis=1).real
-    hessian = np.diag(counts / m**2) + mu * (b.conj() @ b.T).real
+    pairs = (_FRAME @ kron.T).view(float)  # row i is B_i, flattened, as (real, imaginary) pairs
+    gradient = 1.0 - counts / m - mu * pairs[:, ::10].sum(axis=1)
+    hessian = pairs @ pairs.T
+    hessian *= mu
+    hessian.reshape(-1)[::17] += counts / m**2
     return gradient, hessian
 
 
@@ -227,16 +231,19 @@ def _newton_step(m, step, decrement, counts, mu, chol):
     provably lowers it, so any positive-definite step is taken there;
     ``mle_reconstruct`` passes a predictor step only with a larger slope.
     """
-    old_log_det = np.log(chol.diagonal().real).sum()
+    any_step = decrement <= _SELF_CONCORDANT * min(mu, 1.0)
+    old_log_det = None if any_step else np.log(chol.diagonal().real).sum()
     t = 1.0
     while t >= 1e-12:
         trial = m + t * step
-        trial_chol = _frame_cholesky(trial) if (trial > 0).all() else None
+        trial_chol = _frame_cholesky(trial) if trial.min() > 0.0 else None
         if trial_chol is not None:
+            if any_step:
+                return trial, trial_chol
             moved = trial - m
             change = float((moved - counts * np.log1p(moved / m)).sum())
             change -= 2.0 * mu * (np.log(trial_chol.diagonal().real).sum() - old_log_det)
-            if change <= -0.25 * t * decrement or decrement <= _SELF_CONCORDANT * min(mu, 1.0):
+            if change <= -0.25 * t * decrement:
                 return trial, trial_chol
         t *= 0.5
     return None
@@ -284,11 +291,12 @@ def mle_reconstruct(data: TomoDataset, target: PureState | None = None) -> Tomog
     the 16 expected mode counts m, where sigma(m) = sum_i m_i F_i and F is
     the dual frame of the mode projectors, from the projected linear
     inversion mixed with 1% white noise. The barrier weight mu starts at
-    1e-4 of the total count N (at least 1). Once the squared Newton
+    1, whatever the total count N. Once the squared Newton
     decrement is at most 1e-3 mu, mu shrinks 100-fold, down to
-    4 mu = max(1e-10, 16 eps N). At a central point 4 mu bounds how far
-    the likelihood can still rise; 16 eps N is the objective's own
-    round-off.
+    4 mu = max(1e-10, 16 eps N); above N = 2**48 that floor exceeds 1,
+    and the run stops at its first centred point. At a central point
+    4 mu bounds how far the likelihood can still rise; 16 eps N is the
+    objective's own round-off.
 
     After each shrink to mu' a tangent predictor follows the central
     path: with d = grad log det sigma(m), the step (mu' - mu) H^-1 d uses
@@ -320,7 +328,7 @@ def mle_reconstruct(data: TomoDataset, target: PureState | None = None) -> Tomog
     p = mode_probabilities(0.99 * _project_physical(linear) + 0.0025 * np.eye(4))
     m = total / p.sum() * p
     chol = _frame_cholesky(m)
-    mu = max(_BARRIER_START * total, 1.0)
+    mu = 1.0
     last = max(_GAP, _ROUND_OFF * total) / 4.0
     steps = 0
     converged = False

@@ -12,12 +12,14 @@ from numpy.testing import assert_allclose
 
 from infobell import (
     REFERENCE_THETAS,
+    NoiseConfig,
     ViolationCurve,
     WernerFit,
     bell_state,
     fit_werner,
     model_curve,
     modified_werner,
+    simulate_sweep,
     sweep,
 )
 from infobell import fitting
@@ -41,6 +43,7 @@ from infobell.fitting import (
 THETAS = np.array(REFERENCE_THETAS)
 KEY = tuple(float(t) for t in THETAS)
 PINS = json.loads((Path(__file__).parent / "data" / "solver_pins.json").read_text())
+FIT_BITS = json.loads((Path(__file__).parent / "data" / "fit_bits.json").read_text())
 
 
 def grid_curves(thetas):
@@ -147,6 +150,30 @@ def test_fit_never_worse_than_derivative_free_pins(pin):
     assert float(np.sum(weighted**2)) <= pin["weighted_objective"] * (1.0 + 1e-7)
 
 
+def _bits(fit) -> dict:
+    return {"lam": fit.lam.hex(), "phase": fit.phase.hex(), "residual_sum": fit.residual_sum.hex()}
+
+
+@pytest.mark.parametrize("k", range(len(PINS["fit"])), ids=lambda k: f"seed{PINS['fit'][k]['seed']}")
+def test_fits_on_the_pins_are_the_recorded_bits(k):
+    """fit_werner on each pin curve, unweighted and weighted, equals the recorded fit bit for bit."""
+    pin = PINS["fit"][k]
+    curve = ViolationCurve(THETAS, pin["v"], pin["dv"])
+    assert _bits(fit_werner(curve)) == FIT_BITS["fit"][k]["unweighted"]
+    assert _bits(fit_werner(curve, weighted=True)) == FIT_BITS["fit"][k]["weighted"]
+
+
+def test_reproduce_fit_is_the_recorded_bits():
+    """The seed-7 curve of infobell reproduce; its fit sits on the lam = 1 bound, so the step that
+    holds a parameter is pinned as well as the one that moves both."""
+    rows = simulate_sweep(modified_werner(0.998, 0.225), REFERENCE_THETAS, 350, NoiseConfig(seed=7))
+    curve = ViolationCurve(THETAS, [quad.violation for _, quad in rows],
+                           [quad.violation_uncertainty for _, quad in rows])
+    fit = fit_werner(curve)
+    assert fit.lam == 1.0
+    assert _bits(fit) == FIT_BITS["reproduce_seed7"]
+
+
 @pytest.mark.parametrize("lam, c", [(0.6, 0.3), (0.95, -0.7), (0.2, 0.99),
                                     (0.8, 1.0), (0.7, -1.0), (1.0, 0.4), (1.0, 1.0)])
 def test_fit_derivatives_match_central_differences(lam, c):
@@ -249,6 +276,26 @@ def test_werner_fit_validation_and_json():
         WernerFit(lam=0.5, phase=7.0, residual_sum=0.0, per_point_residuals=np.zeros(2))
     with pytest.raises(ValueError):
         WernerFit(lam=0.5, phase=0.0, residual_sum=0.5, per_point_residuals=residuals)
+    assert not fit.per_point_residuals.flags.writeable
+    for residual_sum, bad, name in ((np.nan, [np.nan] * 8, "per_point_residuals"),
+                                    (0.0, [0.0, np.inf], "per_point_residuals"),
+                                    (np.nan, [0.0, 0.0], "residual_sum"),
+                                    (np.inf, [1.0], "residual_sum")):
+        with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
+            WernerFit(0.5, 0.1, residual_sum, bad)
+    with pytest.raises(TypeError, match="^per_point_residuals = '0.1' is not a real number$"):
+        WernerFit(0.5, 0.1, 0.01, [0.0, "0.1"])
+    with pytest.raises(ValueError, match="^residual_sum = -0.0001 must be at least 0$"):
+        WernerFit(0.5, 0.1, -1e-4, [0.0])
+
+
+def test_fit_ignores_an_edit_of_the_caller_array_after_the_curve_is_built():
+    """A NaN written into the caller's array after ViolationCurve checked it used to reach the fit."""
+    v = model_curve(0.9, 0.4, THETAS)
+    curve = ViolationCurve(THETAS, v)
+    expected = _bits(fit_werner(curve))
+    v[0] = np.nan
+    assert _bits(fit_werner(curve)) == expected
 
 
 def test_fit_at_zero_lambda_reports_phase_zero():

@@ -275,6 +275,18 @@ def test_violation_curve_validation():
         ViolationCurve(np.array([0.1, 0.2]), np.zeros(2), np.array([0.1, np.inf]))
 
 
+def test_violation_curve_holds_read_only_copies():
+    """An edit of the caller's arrays after construction cannot reach the checked curve."""
+    thetas, v, dv = np.array([0.1, 0.2]), np.array([0.3, 0.4]), np.array([0.01, 0.02])
+    curve = ViolationCurve(thetas, v, dv)
+    thetas[0], v[0], dv[0] = 0.5, np.nan, -1.0
+    assert list(curve) == [(0.1, 0.3, 0.01), (0.2, 0.4, 0.02)]
+    for held in (curve.thetas, curve.v, curve.dv):
+        assert not held.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = np.nan
+
+
 def test_quadrilateral_geometry_rejects_non_finite_uncertainties():
     fields = ("dd_a1b1", "dd_a2b1", "dd_a2b2", "dd_a1b2")
     for name in fields:
@@ -531,6 +543,17 @@ def test_max_violation_refines_a_peak_just_inside_a_bound(monkeypatch, lo, hi):
     theta_star, _ = max_violation(bell_state("phi+").density_matrix(), lo, hi, step=2.5e-3)
     assert len(calls) == 6
     assert abs(theta_star - PHI_PLUS_PEAK) <= 1e-6
+
+
+@pytest.mark.parametrize("lo, hi, step", [(0.1, 0.3047, 10.0), (0.1, 0.3047, 0.1), (0.3046, 0.6, 10.0)])
+def test_max_violation_refines_a_bound_peak_on_a_coarse_scan(lo, hi, step):
+    """At step 10 over [0.1, 0.3047] the grid is the two bounds and the first round's spacing is
+    0.012. The parabola's slope at the bound is then off by more than V's slope 3.6e-4 there, and
+    settling returned the bound, 1.6e-5 from the peak and 2.9e-9 below its V."""
+    rho = bell_state("phi+").density_matrix()
+    theta_star, v_star = max_violation(rho, lo, hi, step=step)
+    assert abs(theta_star - PHI_PLUS_PEAK) <= 1e-6
+    assert v_star > violation(rho, lo) and v_star > violation(rho, hi)
 
 
 @pytest.mark.parametrize("step", [0.07, 0.1, 0.004, 10.0])

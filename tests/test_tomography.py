@@ -195,6 +195,19 @@ def test_dataset_rejects_a_count_beyond_int64_by_mode(tmp_path):
         TomoDataset(np.array([0, 0, -1] + [0] * 13))
 
 
+def test_dataset_holds_a_read_only_copy_of_the_counts():
+    """A -5 written into the caller's array after the checks used to reach the MLE,
+    which then returned converged=False without raising."""
+    counts = np.full(16, 100)
+    data = TomoDataset(counts)
+    counts[0] = -5
+    assert data.counts[0] == 100
+    assert not data.counts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        data.counts[0] = -5
+    assert mle_reconstruct(data).converged
+
+
 def test_dataset_from_mapping():
     mapping = {lab: 7 for lab in MODE_LABELS}
     data = TomoDataset.from_mapping(mapping)
@@ -360,9 +373,26 @@ def test_predictor_steps_stay_off_the_self_concordance_shortcut(monkeypatch):
 
 
 def test_mle_on_near_pure_states_takes_few_steps():
-    """Median 20 steps on this bank; Newton steps alone after each barrier shrink took 33.5."""
+    """Median 17 steps on this bank with the barrier starting at 1; 20 from a start of 1e-4 of
+    the total count, and 33.5 with Newton steps alone after each barrier shrink."""
     steps = [mle_reconstruct(data).n_iterations for data in _near_pure_werner_bank()]
-    assert np.median(steps) <= 24
+    assert np.median(steps) <= 18
+
+
+def test_barrier_starts_at_one_whatever_the_count_total(monkeypatch):
+    """At 10,000 per basis the total count is about 45,000, so a start of 1e-4 of it would be 4.5."""
+    barrier_derivatives, weights = tomography._barrier_derivatives, []
+
+    def derivatives(m, counts, mu, chol):
+        weights.append(mu)
+        return barrier_derivatives(m, counts, mu, chol)
+
+    monkeypatch.setattr(tomography, "_barrier_derivatives", derivatives)
+    data = noisy_dataset(WERNER, 10_000, seed=3)
+    assert data.counts.sum() > 4e4
+    assert mle_reconstruct(data).converged
+    assert weights[0] == 1.0
+    assert weights[-1] == max(1e-10, 16 * np.finfo(float).eps * data.counts.sum()) / 4.0
 
 
 def test_mle_that_hits_the_step_cap_reports_it(monkeypatch):
