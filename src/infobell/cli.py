@@ -260,7 +260,10 @@ def _chsh_settings(args):
 
 def cmd_chsh(args) -> int:
     if args.counts is not None:
-        rho = mle_reconstruct(TomoDataset.from_csv(args.counts)).rho_mle
+        result = mle_reconstruct(TomoDataset.from_csv(args.counts))
+        if not result.converged:
+            raise TomographyError("likelihood maximization did not converge")
+        rho = result.rho_mle
     else:
         rho = parse_state_spec(args.state)
     value = chsh(rho, *_chsh_settings(args))

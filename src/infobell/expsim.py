@@ -24,8 +24,8 @@ import numpy as np
 
 from .infogeo import (QuadrilateralGeometry, _edge_angles, _info_distances, _key_entries, _key_entry, _streams,
                       stream_rng)
-from .states import (_INT64_MAX, DensityMatrix, JointDistribution, _born_tables, _density, _integer, _real, _reals,
-                     modified_werner)
+from .states import (_INT64_MAX, DensityMatrix, JointDistribution, _born_tables, _density, _held, _integer, _real,
+                     _reals, modified_werner)
 
 __all__ = [
     "DEFAULT_ACCIDENTAL_MEAN",
@@ -89,7 +89,8 @@ class CoincidenceRecord:
     counts[i, j] is the number of coincidences with party A in outcome i
     and party B in outcome j (0 = pass, 1 = block); accidental_estimate
     holds the expected spurious coincidences per bin, finite and
-    nonnegative. total_trials, a Python int, equals the count sum.
+    nonnegative. total_trials, a Python int, equals the count sum. The
+    tables are held read-only (see states._held).
     """
 
     settings: tuple | None
@@ -98,8 +99,7 @@ class CoincidenceRecord:
     total_trials: int
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        acc = np.asarray(self.accidental_estimate, dtype=float)
+        counts, acc = _held(self.counts, None), _held(self.accidental_estimate)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "accidental_estimate", acc)
         if counts.shape != (2, 2) or acc.shape != (2, 2):
@@ -224,17 +224,14 @@ def propagate_error(rho_model: DensityMatrix, theta: float, counts_per_mode: int
     return QuadrilateralGeometry(*map(float, d), *map(float, dd))
 
 
-def _simulate(rho: DensityMatrix, thetas: np.ndarray, counts_per_mode: int,
-              noise: NoiseConfig, stream: tuple):
-    """Simulated edge distances and their model uncertainties, (d, dd) of shape (..., 4).
+def _simulated_counts(tables: np.ndarray, counts_per_mode: int, noise: NoiseConfig, stream: tuple) -> np.ndarray:
+    """Raw int64 coincidence counts (..., 4, 2, 2) drawn from model edge tables of that shape.
 
-    ``thetas`` is a 0-d angle (one run) or a 1-d array (a sweep). Edge k of
-    the angle at index i draws its counts on (_STREAM_SAMPLE, *stream, *i, k)
-    and its accidentals on (_STREAM_ACCIDENTAL, *stream, *i, k). All tables
-    are normalised in one pass, each row as _draw_counts normalises it, and
-    each draw writes one row of a single count array.
+    Edge k of the angle at index i draws its counts on (_STREAM_SAMPLE,
+    *stream, *i, k) and its accidentals on (_STREAM_ACCIDENTAL, *stream,
+    *i, k). All tables are normalised in one pass, each row as _draw_counts
+    normalises it, and each draw writes one row of a single count array.
     """
-    tables, _, dd = _model_edges(rho, thetas, counts_per_mode, noise)
     shape = tables.shape[:-2]
     pvals = tables.reshape(-1, 4)
     pvals = pvals / pvals.sum(axis=-1, keepdims=True)
@@ -244,7 +241,19 @@ def _simulate(rho: DensityMatrix, thetas: np.ndarray, counts_per_mode: int,
     if noise.accidental_mean != 0.0:
         for row, rng in zip(counts, _streams(noise.seed, (_STREAM_ACCIDENTAL, *stream), shape)):
             row += rng.poisson(noise.accidental_mean, size=4)
-    return _info_distances(_estimated_tables(counts.reshape(tables.shape), noise.accidental_mean)), dd
+    return counts.reshape(tables.shape)
+
+
+def _simulate(rho: DensityMatrix, thetas: np.ndarray, counts_per_mode: int,
+              noise: NoiseConfig, stream: tuple):
+    """Simulated edge distances and their model uncertainties, (d, dd) of shape (..., 4).
+
+    ``thetas`` is a 0-d angle (one run) or a 1-d array (a sweep); the
+    counts come from _simulated_counts on the model edge tables.
+    """
+    tables, _, dd = _model_edges(rho, thetas, counts_per_mode, noise)
+    counts = _simulated_counts(tables, counts_per_mode, noise, stream)
+    return _info_distances(_estimated_tables(counts, noise.accidental_mean)), dd
 
 
 def simulate_schumacher_run(rho: DensityMatrix, theta: float, counts_per_mode: int,
@@ -299,7 +308,7 @@ def _whole(value, field: str) -> int:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Parsed run configuration for the simulate pipeline."""
+    """Parsed run configuration for the simulate pipeline; __post_init__ is its one gate."""
 
     lam: float
     phase: float
@@ -311,14 +320,13 @@ class SimulationConfig:
 
     def __post_init__(self):
         try:
-            for name in ("lam", "phase", "accidental_mean", "angle_sigma"):
-                object.__setattr__(self, name, _real(getattr(self, name), name))
+            for name, lo, hi in (("lam", 0, 1), ("phase", None, None),
+                                 ("accidental_mean", 0, None), ("angle_sigma", 0, None)):
+                object.__setattr__(self, name, _real(getattr(self, name), name, lo, hi))
             object.__setattr__(self, "thetas", _reals(self.thetas, "thetas"))
             object.__setattr__(self, "counts_per_mode",
                                _integer(self.counts_per_mode, "counts_per_mode", 1, _INT64_MAX))
             object.__setattr__(self, "seed", _key_entry(self.seed, "seed"))
-            self.state()
-            self.noise()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from None
         if not self.thetas:
@@ -332,28 +340,20 @@ class SimulationConfig:
 
         Required: state.lambda, state.phase, thetas (strictly
         increasing), counts_per_mode, seed. Optional: accidental_mean
-        (default 6), angle_sigma (default 0.003).
+        (default 6), angle_sigma (default 0.003). state.lambda and
+        state.phase are typed here, so their errors carry the config's names.
         """
         try:
             state = payload["state"]
             lam = _real(state["lambda"], "state.lambda")
             phase = _real(state["phase"], "state.phase")
-            thetas = _reals(payload["thetas"], "thetas")
+            thetas = payload["thetas"]
             counts = _whole(payload["counts_per_mode"], "counts_per_mode")
             seed = _whole(payload["seed"], "seed")
-            accidental = _real(payload.get("accidental_mean", DEFAULT_ACCIDENTAL_MEAN), "accidental_mean")
-            sigma = _real(payload.get("angle_sigma", DEFAULT_ANGLE_SIGMA), "angle_sigma")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"missing or malformed config field: {exc}") from exc
-        return cls(
-            lam=lam,
-            phase=phase,
-            thetas=thetas,
-            counts_per_mode=counts,
-            accidental_mean=accidental,
-            angle_sigma=sigma,
-            seed=seed,
-        )
+        return cls(lam, phase, thetas, counts, payload.get("accidental_mean", DEFAULT_ACCIDENTAL_MEAN),
+                   payload.get("angle_sigma", DEFAULT_ANGLE_SIGMA), seed)
 
     @classmethod
     def load(cls, path) -> "SimulationConfig":

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .infogeo import _EDGE_MULTIPLES, ViolationCurve
-from .states import _real, _reals
+from .states import _held, _real, _reals
 
 __all__ = [
     "LAMBDA_STEP",
@@ -71,8 +71,9 @@ _PRUNE_SLACK = 1e-9
 class WernerFit:
     """Fitted (lam, phase) with the residuals of the final model curve.
 
-    ``residual_sum`` and each residual pass the real-number gate, so a
-    NaN or an infinity is refused; the residuals are held read-only.
+    Every number passes the real-number gate, so a bool, a NaN or an
+    infinity is refused; the numbers are held as Python floats and the
+    residuals as a read-only array.
     """
 
     lam: float
@@ -81,12 +82,11 @@ class WernerFit:
     per_point_residuals: np.ndarray
 
     def __post_init__(self):
-        residuals = np.array(_reals(self.per_point_residuals, "per_point_residuals"))
-        residuals.flags.writeable = False
+        residuals = _held(_reals(self.per_point_residuals, "per_point_residuals"))
         object.__setattr__(self, "per_point_residuals", residuals)
         object.__setattr__(self, "residual_sum", _real(self.residual_sum, "residual_sum", 0))
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam = {self.lam!r} outside [0, 1]")
+        object.__setattr__(self, "lam", _real(self.lam, "lam", 0, 1))
+        object.__setattr__(self, "phase", _real(self.phase, "phase"))
         if not 0.0 <= self.phase < 2.0 * np.pi:
             raise ValueError(f"phase = {self.phase!r} outside [0, 2 pi)")
         if abs(self.residual_sum - float((residuals**2).sum())) > 1e-12:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DensityMatrix, JointDistribution, MeasurementSetting, _born, _born_tables,
-                     _checked_probabilities, _density, _integer, _polarizer_rows, _qubit_rows, _real,
-                     _reals, _row_tables)
+                     _checked_probabilities, _density, _held, _integer, _polarizer_rows, _qubit_rows,
+                     _real, _reals, _row_tables)
 
 __all__ = [
     "REFERENCE_THETAS",
@@ -214,6 +214,7 @@ class QuadrilateralGeometry:
     d_a1b1, d_a2b1, d_a2b2 are the side edges; d_a1b2 is the direct base
     edge. The dd_* fields carry per-edge uncertainties when known
     (simulated or propagated runs) and stay None for exact model values.
+    Each one given is held as a Python float.
     """
 
     d_a1b1: float
@@ -230,8 +231,9 @@ class QuadrilateralGeometry:
             d, dd = _real(getattr(self, f"d_{edge}"), f"d_{edge}"), getattr(self, f"dd_{edge}")
             if not -1e-9 <= d <= 2.0 + 1e-9:
                 raise ValueError(f"d_{edge} = {d!r} outside [0, 2]")
+            object.__setattr__(self, f"d_{edge}", d)
             if dd is not None:
-                _real(dd, f"dd_{edge}", 0)
+                object.__setattr__(self, f"dd_{edge}", _real(dd, f"dd_{edge}", 0))
 
     @property
     def edges(self) -> tuple:
@@ -280,20 +282,9 @@ def violation(rho: DensityMatrix, theta: float, offset: float = 0.0) -> float:
     return quadrilateral(rho, theta, offset).violation
 
 
-def _held(values) -> np.ndarray:
-    """A read-only float copy of ``values``."""
-    held = np.array(values, dtype=float)
-    held.flags.writeable = False
-    return held
-
-
 @dataclass(frozen=True, eq=False)
 class ViolationCurve:
-    """Sequence of (theta, V, dV) points with strictly increasing theta.
-
-    The curve holds its own read-only float copies of the arrays, so a
-    later edit of the caller's arrays cannot skip these checks.
-    """
+    """Sequence of (theta, V, dV) points with strictly increasing theta, held read-only (see states._held)."""
 
     thetas: np.ndarray
     v: np.ndarray

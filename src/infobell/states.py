@@ -123,6 +123,14 @@ def _reals(values, name: str) -> tuple:
     return tuple(_real(v, name) for v in values)
 
 
+def _held(values, dtype=float) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``values`` (``dtype`` None keeps theirs): the one way a value
+    type keeps caller data, so a later edit of the caller's array cannot skip its checks."""
+    held = np.array(values, dtype=dtype)
+    held.flags.writeable = False
+    return held
+
+
 def _parties(selection, n: int) -> tuple:
     """One party index or an iterable of them as a tuple of Python ints, in the order given.
 
@@ -168,12 +176,12 @@ class MeasurementSetting:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector on one or more qubits."""
+    """Normalized state vector on one or more qubits, held as a read-only complex copy."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = _held(self.amplitudes, complex)
         object.__setattr__(self, "amplitudes", amps)
         dim = amps.shape[0] if amps.ndim == 1 else 0
         if dim < 2 or dim & (dim - 1):
@@ -201,10 +209,8 @@ class DensityMatrix:
     int; the matrix must be finite, Hermitian and of trace one to 1e-10,
     with smallest eigenvalue at least -1e-12. Every instance in
     circulation is then a valid state, and its exact outcome tables are
-    valid probability tables up to round-off. The instance holds its own
-    read-only copy of the matrix, so neither that check nor the cached
-    ``pauli_coefficients`` can go stale; build a new instance for a new
-    matrix.
+    valid probability tables up to round-off. The matrix is held read-only
+    (see _held), so the cached ``pauli_coefficients`` cannot go stale.
     """
 
     n_qubits: int
@@ -212,8 +218,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = _integer(self.n_qubits, "n_qubits", 1)
-        mat = np.array(self.matrix, dtype=complex)
-        mat.flags.writeable = False
+        mat = _held(self.matrix, complex)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", mat)
         dim = 2**n
@@ -289,7 +294,7 @@ class JointDistribution:
     Index 0 on an axis means that party's photon passed its analyzer,
     index 1 that it was blocked. Entries are clamped at zero (tiny
     negative floating-point noise is tolerated up to -1e-12) and the
-    table must sum to 1 within 1e-10.
+    table must sum to 1 within 1e-10. The table is held read-only.
     """
 
     probs: np.ndarray
@@ -298,7 +303,7 @@ class JointDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim < 1 or p.shape != (2,) * p.ndim:
             raise ValueError("probability table must have one binary axis per party")
-        object.__setattr__(self, "probs", _checked_probabilities(p))
+        object.__setattr__(self, "probs", _held(_checked_probabilities(p)))
 
     @property
     def n_parties(self) -> int:
@@ -316,7 +321,7 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Standard two-qubit state-quality numbers, all in [0, 1]."""
+    """Standard two-qubit state-quality numbers, each a Python float in [0, 1]."""
 
     fidelity: float
     tangle: float
@@ -326,9 +331,10 @@ class EntanglementReport:
 
     def __post_init__(self):
         for name in ("fidelity", "tangle", "concurrence", "linear_entropy", "purity"):
-            value = getattr(self, name)
+            value = _real(getattr(self, name), name)
             if not -1e-9 <= value <= 1.0 + 1e-9:
                 raise ValueError(f"{name} = {value!r} outside [0, 1]")
+            object.__setattr__(self, name, value)
         if abs(self.tangle - self.concurrence**2) > 1e-9:
             raise ValueError("tangle must equal concurrence squared")
 

@@ -29,6 +29,7 @@ from .states import (
     PureState,
     _born_tables,
     _density,
+    _held,
     _integer,
     _stokes,
     bell_state,
@@ -105,20 +106,16 @@ class TomoDataset:
 
     Each count fits int64 and their total is at most 2**53, so the float
     arithmetic of the reconstructions holds every count exactly. The
-    dataset holds its own read-only int64 copy of the counts, so a later
-    edit of the caller's array cannot skip these checks.
+    counts are held as a read-only int64 array (see states._held).
     """
 
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.array(self.counts)
+        counts = np.asarray(self.counts)
         if counts.shape != (16,) or not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be 16 integers aligned with MODE_LABELS")
-        _check_counts(counts.tolist())
-        counts = counts.astype(np.int64, copy=False)
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _held(_check_counts(counts.tolist()), np.int64))
 
     @classmethod
     def from_mapping(cls, mapping) -> "TomoDataset":

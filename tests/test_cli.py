@@ -23,7 +23,7 @@ from infobell import (
     simulate_sweep,
     sweep,
 )
-from infobell import cli
+from infobell import cli, tomography
 from infobell.cli import (
     NonFiniteOutputError,
     _atomic_write,
@@ -167,6 +167,22 @@ def test_chsh_from_counts_file(tmp_path, capsys):
     assert main(["chsh", "--counts", str(counts_path), "--angles", angles]) == 0
     value = float(capsys.readouterr().out.split("=")[1])
     assert value == pytest.approx(2.3609, abs=0.01)
+
+
+def test_unconverged_mle_exits_3_and_only_tomo_writes(tmp_path, monkeypatch, capsys):
+    """chsh --counts used to print the S of a state whose likelihood maximization hit the step cap."""
+    monkeypatch.setattr(tomography, "_MAX_NEWTON_STEPS", 3)
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text(expected_counts(modified_werner(0.998, 0.225), 10000).to_csv())
+    tomo_path, chsh_path = tmp_path / "tomo.json", tmp_path / "s.txt"
+    assert main(["tomo", "--counts", str(counts_path), "-o", str(tomo_path)]) == 3
+    assert json.loads(tomo_path.read_text())["converged"] is False
+    assert "did not converge" in capsys.readouterr().err
+    assert main(["chsh", "--counts", str(counts_path), "--optimal", "-o", str(chsh_path)]) == 3
+    assert main(["chsh", "--counts", str(counts_path), "--optimal"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "numerical failure: likelihood maximization did not converge" in captured.err
+    assert not chsh_path.exists()
 
 
 def test_reactivity_csv_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -323,6 +324,23 @@ def test_simulation_config_rejects_non_finite_values_and_negative_seeds(field, v
         SimulationConfig(**fields)
 
 
+def test_simulation_config_checks_each_field_once_without_building_a_state(monkeypatch):
+    """The config used to build and drop a state (a 4x4 eigendecomposition) and a NoiseConfig to
+    check itself, and from_dict gated every field a second time under another message."""
+    monkeypatch.setattr(expsim, "modified_werner", lambda *args: pytest.fail("a state was built"))
+    monkeypatch.setattr(expsim, "NoiseConfig", lambda *args: pytest.fail("a noise model was built"))
+    assert SimulationConfig.from_dict(GOOD_CONFIG).lam == 0.998
+    for field, value, message in (("accidental_mean", float("nan"), "accidental_mean = nan is not finite"),
+                                  ("angle_sigma", -1e-3, "angle_sigma = -0.001 must be at least 0"),
+                                  ("thetas", [0.2, "0.3"], "thetas = '0.3' is not a real number")):
+        with pytest.raises(ConfigError, match=f"^bad config: {re.escape(message)}$"):
+            SimulationConfig.from_dict({**GOOD_CONFIG, field: value})
+    with pytest.raises(ConfigError, match="^bad config: lam = 1.5 must be from 0 to 1$"):
+        SimulationConfig.from_dict({**GOOD_CONFIG, "state": {"lambda": 1.5, "phase": 0.0}})
+    with pytest.raises(ConfigError, match="^missing or malformed config field: state.lambda = True is not"):
+        SimulationConfig.from_dict({**GOOD_CONFIG, "state": {"lambda": True, "phase": 0.0}})
+
+
 def test_simulation_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -459,6 +477,19 @@ def test_simulated_sweep_matches_per_edge_reference(monkeypatch, state, accident
     monkeypatch.undo()
     for i, (theta, quad) in enumerate(rows):
         assert simulate_schumacher_run(rho, theta, counts_per_mode, noise, stream=(i,)) == quad
+
+
+@pytest.mark.parametrize("accidental_mean", [0.0, 6.0])
+def test_simulated_counts_estimate_to_the_sweep_distances(accidental_mean):
+    """The raw counts, estimated and turned into distances, are the sweep's distances bit for bit."""
+    noise = NoiseConfig(accidental_mean, 0.003, 4)
+    tables = expsim._model_edges(WERNER, np.array(REFERENCE_THETAS), 350, noise)[0]
+    counts = expsim._simulated_counts(tables, 350, noise, ())
+    assert counts.dtype == np.int64 and counts.shape == (len(REFERENCE_THETAS), 4, 2, 2)
+    assert counts.sum(axis=(-2, -1)).min() >= 350
+    d = infogeo._info_distances(expsim._estimated_tables(counts, accidental_mean))
+    rows = simulate_sweep(WERNER, REFERENCE_THETAS, 350, noise)
+    assert np.array_equal(d, [quad.edges for _, quad in rows])
 
 
 @pytest.mark.parametrize("accidental_mean, draws_per_edge", [(6.0, 2), (0.0, 1)])

@@ -289,6 +289,26 @@ def test_werner_fit_validation_and_json():
         WernerFit(0.5, 0.1, -1e-4, [0.0])
 
 
+@pytest.mark.parametrize("field", ["lam", "phase"])
+@pytest.mark.parametrize("bad", [True, False, "0.5"])
+def test_werner_fit_refuses_bool_and_string_parameters(field, bad):
+    """WernerFit(True, ...) used to construct and write "lambda": true."""
+    fields = {"lam": 0.9, "phase": 0.3, "residual_sum": 0.0, "per_point_residuals": [0.0] * 8}
+    with pytest.raises(TypeError, match=f"^{field} = {bad!r} is not a real number$"):
+        WernerFit(**{**fields, field: bad})
+
+
+def test_werner_fit_holds_python_floats():
+    fit = WernerFit(np.float32(0.5), np.int64(1), np.float64(0.0), [0.0] * 8)
+    assert [type(x) for x in (fit.lam, fit.phase, fit.residual_sum)] == [float] * 3
+    assert json.dumps(fit.to_json_dict()) == json.dumps(
+        {"lambda": 0.5, "phase": 1.0, "residual_sum": 0.0, "residuals": [0.0] * 8})
+    with pytest.raises(ValueError, match="^lam = 1.2 must be from 0 to 1$"):
+        WernerFit(1.2, 0.0, 0.0, [0.0])
+    with pytest.raises(ValueError, match=r"^phase = -0.1 outside \[0, 2 pi\)$"):
+        WernerFit(0.5, -0.1, 0.0, [0.0])
+
+
 def test_fit_ignores_an_edit_of_the_caller_array_after_the_curve_is_built():
     """A NaN written into the caller's array after ViolationCurve checked it used to reach the fit."""
     v = model_curve(0.9, 0.4, THETAS)

@@ -298,6 +298,14 @@ def test_quadrilateral_geometry_rejects_non_finite_uncertainties():
     assert QuadrilateralGeometry(0.1, 0.1, 0.1, 0.5, 0.0, 0.0, 0.0, 0.0).violation_uncertainty == 0.0
 
 
+def test_quadrilateral_geometry_holds_python_floats():
+    """A float32 distance used to be kept, so the violation came out a float32."""
+    quad = QuadrilateralGeometry(np.float32(0.5), 0, np.int64(0), 2, dd_a1b1=np.float32(0.25), dd_a1b2=1)
+    assert [type(d) for d in quad.edges] == [float] * 4
+    assert type(quad.violation) is float and quad.violation == 1.5
+    assert (type(quad.dd_a1b1), type(quad.dd_a1b2), quad.dd_a2b1) == (float, float, None)
+
+
 # The edge fields of one valid QuadrilateralGeometry.
 QUAD_FIELDS = {"d_a1b1": 0.1, "d_a2b1": 0.1, "d_a2b2": 0.1, "d_a1b2": 0.5,
                "dd_a1b1": 0.01, "dd_a2b1": 0.01, "dd_a2b2": 0.01, "dd_a1b2": 0.01}

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from infobell import (
     DensityMatrix,
+    EntanglementReport,
     JointDistribution,
     MeasurementSetting,
     PureState,
@@ -538,6 +539,27 @@ def test_entanglement_report_tangle_is_squared_concurrence(rng):
     assert report.tangle == pytest.approx(report.concurrence**2, abs=1e-9)
     as_dict = report.to_json_dict()
     assert set(as_dict) == {"fidelity", "tangle", "concurrence", "linear_entropy", "purity"}
+
+
+REPORT_FIELDS = {"fidelity": 1.0, "tangle": 1.0, "concurrence": 1.0, "linear_entropy": 0.0, "purity": 1.0}
+
+
+@pytest.mark.parametrize("field", REPORT_FIELDS)
+@pytest.mark.parametrize("bad", [True, False, "1.0", "0"])
+def test_entanglement_report_refuses_bool_and_string_fields(field, bad):
+    """A bool used to pass the range check and reach the JSON as true or false."""
+    with pytest.raises(TypeError, match=f"^{field} = {re.escape(repr(bad))} is not a real number$"):
+        EntanglementReport(**{**REPORT_FIELDS, field: bad})
+
+
+def test_entanglement_report_holds_python_floats_in_range():
+    report = EntanglementReport(np.float32(1.0), np.int64(1), 1, np.float64(0.0), 1)
+    assert [type(value) for value in report.to_json_dict().values()] == [float] * 5
+    assert json.dumps(report.to_json_dict()) == json.dumps(REPORT_FIELDS)
+    with pytest.raises(ValueError, match=r"^purity = 1.5 outside \[0, 1\]$"):
+        EntanglementReport(**{**REPORT_FIELDS, "purity": np.float64(1.5)})
+    with pytest.raises(ValueError, match=r"^fidelity = nan is not finite$"):
+        EntanglementReport(**{**REPORT_FIELDS, "fidelity": float("nan")})
 
 
 def test_visibility_werner_windows():
