@@ -32,6 +32,7 @@ from .infogeo import (
     EDGE_NAMES,
     REFERENCE_THETAS,
     ViolationCurve,
+    _uniform_grid,
     max_violation,
     quadrilateral,
     reactivity,
@@ -131,8 +132,17 @@ def parse_state_spec(spec: str) -> DensityMatrix:
     raise ValueError(f"cannot parse state spec {spec!r}")
 
 
+def _number(text: str, name: str) -> float:
+    """A text cell as a finite float through _real under ``name``; text that is no number names it too."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{name} = {text!r} is not a number") from None
+    return _real(value, name)
+
+
 def _parse_floats(text: str, expected: int | None = None) -> list:
-    values = [_real(float(part), f"number in {text!r}") for part in text.split(",") if part.strip()]
+    values = [_number(part, f"number in {text!r}") for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError(f"no numbers in {text!r}")
     if expected is not None and len(values) != expected:
@@ -141,14 +151,13 @@ def _parse_floats(text: str, expected: int | None = None) -> list:
 
 
 def _parse_range(text: str) -> np.ndarray:
-    try:
-        lo, hi, step = (float(p) for p in text.split(":"))
-    except ValueError:
-        raise ValueError(f"range must be 'lo:hi:step', got {text!r}") from None
-    lo, hi, step = (_real(value, f"range {text!r}") for value in (lo, hi, step))
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"range must be 'lo:hi:step', got {text!r}")
+    lo, hi, step = (_number(part, f"range {text!r}") for part in parts)
     if step <= 0 or hi <= lo:
         raise ValueError(f"range must be increasing with positive step, got {text!r}")
-    return np.arange(lo, hi + step / 2.0, step)
+    return _uniform_grid(lo, hi, step)
 
 
 def curve_to_csv(curve: ViolationCurve) -> str:
@@ -161,7 +170,8 @@ def curve_from_csv(path: str) -> ViolationCurve:
     Columns are located by the header row, so both layouts (theta,v,dv
     and theta,<edges...>,v,dv) parse; a missing or empty dv column
     yields a curve without uncertainties. A data row whose cell count
-    differs from the header's is an error that names its line.
+    differs from the header's, or a theta, v or dv cell that is not a
+    finite number, is an error that names its line.
     """
     header = None
     rows = []
@@ -179,17 +189,16 @@ def curve_from_csv(path: str) -> ViolationCurve:
             if len(cells) != len(header):
                 raise ValueError(f"curve file {path!r} line {lineno} has {len(cells)} cells "
                                  f"but its header has {len(header)}")
-            rows.append(cells)
+            rows.append((lineno, cells))
     if header is None or not rows:
         raise ValueError(f"curve file {path!r} has no data rows")
-    i_theta, i_v = header.index("theta"), header.index("v")
-    i_dv = header.index("dv") if "dv" in header else None
-    thetas = np.array([float(r[i_theta]) for r in rows])
-    v = np.array([float(r[i_v]) for r in rows])
-    dv = None
-    if i_dv is not None and all(r[i_dv] != "" for r in rows):
-        dv = np.array([float(r[i_dv]) for r in rows])
-    return ViolationCurve(thetas, v, dv)
+
+    def column(name):
+        i = header.index(name)
+        return [_number(cells[i], f"curve file {path!r} line {lineno}: {name}") for lineno, cells in rows]
+
+    has_dv = "dv" in header and all(cells[header.index("dv")] != "" for _, cells in rows)
+    return ViolationCurve(column("theta"), column("v"), column("dv") if has_dv else None)
 
 
 def cmd_violation(args) -> int:
@@ -241,8 +250,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    data = TomoDataset.from_csv(args.counts)
-    result = mle_reconstruct(data)
+    result = mle_reconstruct(TomoDataset.from_csv(args.counts))
     _output(args, result.to_json_dict())
     if not result.converged:
         print("warning: likelihood maximization did not converge", file=sys.stderr)
@@ -253,8 +261,6 @@ def cmd_tomo(args) -> int:
 def _chsh_settings(args):
     if args.optimal:
         return OPTIMAL_BELL_SETTINGS
-    if args.angles is None:
-        raise ValueError("chsh needs --angles a1,a2,b1,b2 or --optimal")
     return tuple(MeasurementSetting(a) for a in _parse_floats(args.angles, expected=4))
 
 
@@ -283,11 +289,12 @@ def reactivity_rows_to_csv(rows) -> str:
                      ((lam, r.mean_area, r.mean_volume, r.reactivity) for lam, r in rows))
 
 
+def _reactivity_rows(lambdas, phase, samples, seed) -> list:
+    return [(lam, reactivity(modified_werner(lam, phase, n_qubits=4), samples, seed)) for lam in lambdas]
+
+
 def cmd_reactivity(args) -> int:
-    rows = [
-        (lam, reactivity(modified_werner(lam, args.phase, n_qubits=4), args.samples, args.seed))
-        for lam in _parse_floats(args.lambdas)
-    ]
+    rows = _reactivity_rows(_parse_floats(args.lambdas), args.phase, args.samples, args.seed)
     payload = [{"lambda": lam, **result.to_json_dict()} for lam, result in rows]
     _output(args, {"rows": payload}, lambda: reactivity_rows_to_csv(rows))
     return 0
@@ -315,12 +322,8 @@ def cmd_reproduce(args) -> int:
 
     rows = simulate_sweep(werner, REFERENCE_THETAS, args.counts, NoiseConfig(seed=args.seed))
     files["simulated_run.csv"] = run_rows_to_csv(rows)
-    observed = ViolationCurve(
-        np.array([theta for theta, _ in rows]),
-        np.array([quad.violation for _, quad in rows]),
-        np.array([quad.violation_uncertainty for _, quad in rows]),
-    )
-    fit = fit_werner(observed)
+    observed = np.array([(theta, quad.violation, quad.violation_uncertainty) for theta, quad in rows])
+    fit = fit_werner(ViolationCurve(*observed.T))
     files["fit.json"] = _json_text(fit.to_json_dict())
     summary.append(
         f"Simulated run ({args.counts} counts/mode, seed {args.seed}) refit: "
@@ -336,11 +339,7 @@ def cmd_reproduce(args) -> int:
         f"DA = {_fmt(visibility(werner, 'DA'))}"
     )
 
-    lambdas = [0.0, 0.2, 0.4, 0.6, 0.8]
-    react_rows = [
-        (lam, reactivity(modified_werner(lam, 0.0, n_qubits=4), args.samples, args.seed))
-        for lam in lambdas
-    ]
+    react_rows = _reactivity_rows([0.0, 0.2, 0.4, 0.6, 0.8], 0.0, args.samples, args.seed)
     files["reactivity.csv"] = reactivity_rows_to_csv(react_rows)
     values = [result.reactivity for _, result in react_rows]
     trend = "increasing" if all(b > a for a, b in zip(values, values[1:])) else "NOT increasing"

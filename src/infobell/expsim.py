@@ -46,6 +46,9 @@ __all__ = [
 DEFAULT_ACCIDENTAL_MEAN = 6.0
 DEFAULT_ANGLE_SIGMA = 0.0030
 
+_CONFIG_FIELDS = frozenset({"state", "state.lambda", "state.phase", "thetas", "counts_per_mode", "seed",
+                            "accidental_mean", "angle_sigma"})
+
 _ANGLE_STEP = 1e-5
 _COUNT_STEP_FRACTION = 1e-3
 
@@ -90,7 +93,7 @@ class CoincidenceRecord:
     and party B in outcome j (0 = pass, 1 = block); accidental_estimate
     holds the expected spurious coincidences per bin, finite and
     nonnegative. total_trials, a Python int, equals the count sum. The
-    tables are held read-only (see states._held).
+    tables are held read-only (see states._held). settings is None or a tuple.
     """
 
     settings: tuple | None
@@ -99,6 +102,8 @@ class CoincidenceRecord:
     total_trials: int
 
     def __post_init__(self):
+        if not (self.settings is None or isinstance(self.settings, tuple)):
+            raise TypeError(f"settings = {self.settings!r} is neither None nor a tuple")
         counts, acc = _held(self.counts, None), _held(self.accidental_estimate)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "accidental_estimate", acc)
@@ -340,8 +345,8 @@ class SimulationConfig:
 
         Required: state.lambda, state.phase, thetas (strictly
         increasing), counts_per_mode, seed. Optional: accidental_mean
-        (default 6), angle_sigma (default 0.003). state.lambda and
-        state.phase are typed here, so their errors carry the config's names.
+        (default 6), angle_sigma (default 0.003); any other field is a ConfigError. state.lambda
+        and state.phase are typed here, so their errors carry the config's names.
         """
         try:
             state = payload["state"]
@@ -352,6 +357,9 @@ class SimulationConfig:
             seed = _whole(payload["seed"], "seed")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"missing or malformed config field: {exc}") from exc
+        for key in [*payload, *(f"state.{k}" for k in state)]:
+            if key not in _CONFIG_FIELDS:
+                raise ConfigError(f"unknown config field {key!r}")
         return cls(lam, phase, thetas, counts, payload.get("accidental_mean", DEFAULT_ACCIDENTAL_MEAN),
                    payload.get("angle_sigma", DEFAULT_ANGLE_SIGMA), seed)
 

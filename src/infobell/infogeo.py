@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -376,16 +376,21 @@ _REFINE_POINTS = 16
 _MIN_SPACING = 2.0**-25
 
 
-@functools.lru_cache(maxsize=4)
-def _scan_grid(lo: float, hi: float, step: float) -> tuple:
-    """max_violation's read-only grid lo, lo + step, ..., ending at hi, and the polarizer rows of its
-    edge angles. hi follows a last point more than step / 1e6 short of it; a nearer last point, one
-    short by arange's round-off or past hi, becomes hi, so no interval is a sliver that V's
-    round-off would have to resolve."""
+def _uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The grid lo, lo + step, ..., ending at hi. hi follows a last point more than step / 1e6 short
+    of it; a nearer last point, one short by arange's round-off or past hi, becomes hi, so no
+    interval is a sliver that V's round-off would have to resolve."""
     grid = np.arange(lo, hi + step / 2.0, step)
     if hi - grid[-1] > 1e-6 * step:
         grid = np.append(grid, hi)
     grid[-1] = hi
+    return grid
+
+
+@functools.lru_cache(maxsize=4)
+def _scan_grid(lo: float, hi: float, step: float) -> tuple:
+    """max_violation's read-only _uniform_grid and the polarizer rows of its edge angles."""
+    grid = _uniform_grid(lo, hi, step)
     rows = _polarizer_rows(_edge_angles(grid))
     grid.flags.writeable = rows.flags.writeable = False
     return grid, rows
@@ -721,14 +726,7 @@ class ReactivityResult:
         return not np.isfinite(self.reactivity)
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean_area": self.mean_area,
-            "mean_volume": self.mean_volume,
-            "reactivity": self.reactivity,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "volume_degenerate": self.volume_degenerate,
-        }
+        return {**asdict(self), "volume_degenerate": self.volume_degenerate}
 
 
 def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResult:

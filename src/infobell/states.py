@@ -24,7 +24,7 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -339,13 +339,7 @@ class EntanglementReport:
             raise ValueError("tangle must equal concurrence squared")
 
     def to_json_dict(self) -> dict:
-        return {
-            "fidelity": self.fidelity,
-            "tangle": self.tangle,
-            "concurrence": self.concurrence,
-            "linear_entropy": self.linear_entropy,
-            "purity": self.purity,
-        }
+        return asdict(self)
 
 
 _BELL_TABLE = {

@@ -104,16 +104,16 @@ def _check_counts(counts) -> list:
 class TomoDataset:
     """Coincidence counts for the 16 modes, aligned with MODE_LABELS.
 
-    Each count fits int64 and their total is at most 2**53, so the float
-    arithmetic of the reconstructions holds every count exactly. The
-    counts are held as a read-only int64 array (see states._held).
+    Each count fits int64 and their total is at most 2**53, so the float arithmetic of the
+    reconstructions holds every count exactly. The counts are held as a read-only int64 array (see
+    states._held); an object array's entries reach the count gate as they are, so a bool is refused.
     """
 
     counts: np.ndarray
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
-        if counts.shape != (16,) or not np.issubdtype(counts.dtype, np.integer):
+        if counts.shape != (16,) or not (np.issubdtype(counts.dtype, np.integer) or counts.dtype == object):
             raise ValueError("counts must be 16 integers aligned with MODE_LABELS")
         object.__setattr__(self, "counts", _held(_check_counts(counts.tolist()), np.int64))
 
@@ -124,7 +124,7 @@ class TomoDataset:
         extra = sorted(set(mapping) - set(MODE_LABELS))
         if missing or extra:
             raise ValueError(f"bad mode labels; missing {missing}, unexpected {extra}")
-        return cls(np.array(_check_counts([mapping[lbl] for lbl in MODE_LABELS]), dtype=np.int64))
+        return cls(np.fromiter((mapping[lbl] for lbl in MODE_LABELS), object, len(MODE_LABELS)))
 
     @classmethod
     def from_csv(cls, path) -> "TomoDataset":

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -43,6 +44,8 @@ CONFIG = {
     "angle_sigma": 0.003,
     "seed": 42,
 }
+
+REPRODUCE_SEED7 = json.loads((Path(__file__).parent / "data" / "reproduce_seed7.json").read_text())
 
 
 def write_config(tmp_path, payload=CONFIG):
@@ -90,6 +93,13 @@ def test_sweep_range_grid(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2 + 3  # header comment, column row, three points
     assert lines[2].startswith("0.2,")
+
+
+@pytest.mark.parametrize("text, thetas", [("0.1:0.6:0.3", [0.1, 0.4, 0.6]), ("0.1:0.3:0.1", [0.1, 0.2, 0.3])])
+def test_sweep_range_ends_at_hi(capsys, text, thetas):
+    """The range's own arange used to evaluate 0.7, past hi = 0.6, and to write 0.30000000000000004 for 0.3."""
+    assert main(["sweep", "--state", "bell", "--range", text, "--json"]) == 0
+    assert [p["theta"] for p in json.loads(capsys.readouterr().out)["points"]] == thetas
 
 
 def test_sweep_explicit_thetas_json(capsys):
@@ -150,6 +160,7 @@ def test_tomo_round_trip(tmp_path, capsys):
     counts_path.write_text(expected_counts(modified_werner(0.998, 0.225), 10000).to_csv())
     assert main(["tomo", "--counts", str(counts_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload["report"]) == ["fidelity", "tangle", "concurrence", "linear_entropy", "purity"]
     re = np.array(payload["rho_mle"]["re"])
     assert re[0, 0] == pytest.approx(0.4995, abs=1e-3)
     assert payload["converged"] is True
@@ -202,6 +213,8 @@ def test_reactivity_json(capsys):
     assert main(["reactivity", "--lambdas", "0.3", "--samples", "50",
                  "--seed", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload["rows"][0]) == ["lambda", "mean_area", "mean_volume", "reactivity", "n_samples", "seed",
+                                        "volume_degenerate"]
     assert payload["rows"][0]["lambda"] == 0.3
     assert payload["rows"][0]["volume_degenerate"] is False
 
@@ -219,6 +232,13 @@ def test_reproduce_writes_expected_files(tmp_path, capsys):
     assert "v = 0.383277" in summary
     assert "theta* = 0.304684" in summary
     assert "s = 2.82843" in summary
+
+
+def test_reproduce_seed7_writes_the_recorded_bytes(tmp_path, capsys):
+    outdir = tmp_path / "demo"
+    assert main(["reproduce", "--output", str(outdir), "--seed", "7"]) == 0
+    written = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in os.listdir(outdir)}
+    assert written == REPRODUCE_SEED7["sha256"]
 
 
 def test_exit_code_2_on_bad_inputs(tmp_path, capsys):
@@ -382,6 +402,29 @@ def test_fit_curve_row_shorter_than_header_exits_2(tmp_path, capsys):
     curve_path.write_text("# a comment\ntheta,v,dv\n0.2\n")
     assert main(["fit", "--curve", str(curve_path)]) == 2
     assert "line 3 has 1 cells but its header has 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [("0.3,abc,0.01", "v = 'abc' is not a number"),
+                                          ("0.3,1e999,0.01", "v = inf is not finite")])
+def test_fit_curve_bad_number_names_file_and_line(tmp_path, capsys, row, message):
+    curve_path = tmp_path / "bad.csv"
+    curve_path.write_text(f"theta,v,dv\n0.2,0.4,0.01\n{row}\n")
+    assert main(["fit", "--curve", str(curve_path)]) == 2
+    assert capsys.readouterr().err == f"error: curve file {str(curve_path)!r} line 3: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--state", "bell", "--thetas", "0.1,abc"], "number in '0.1,abc' = 'abc' is not a number"),
+    (["sweep", "--state", "bell", "--range", "0:abc:0.1"], "range '0:abc:0.1' = 'abc' is not a number"),
+])
+def test_flag_text_that_is_no_number_is_named(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_simulate_config_with_an_unknown_field_exits_2(tmp_path, capsys):
+    assert main(["simulate", "--config", write_config(tmp_path, {**CONFIG, "acidental_mean": 0.0})]) == 2
+    assert capsys.readouterr().err == "error: unknown config field 'acidental_mean'\n"
 
 
 @pytest.mark.parametrize("field, value", [

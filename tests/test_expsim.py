@@ -141,6 +141,8 @@ def test_coincidence_record_validation():
                 accidental_estimate=np.array([[0.0, 0.0], [0.0, bad]]),
                 total_trials=4,
             )
+    with pytest.raises(TypeError, match="^settings = 'not settings' is neither None nor a tuple$"):
+        CoincidenceRecord("not settings", np.ones((2, 2), int), np.zeros((2, 2)), 4)
 
 
 def test_propagate_error_edges_equal_model():
@@ -283,6 +285,18 @@ def test_simulation_config_rejects_malformed(mutate):
     bad = json.loads(json.dumps(GOOD_CONFIG))
     mutate(bad)
     with pytest.raises(ConfigError):
+        SimulationConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda c: c.__setitem__("acidental_mean", 0.0), "acidental_mean"),
+    (lambda c: c["state"].__setitem__("lamda", 0.5), "state.lamda"),
+])
+def test_simulation_config_refuses_an_unknown_field(mutate, key):
+    """A misspelt optional field used to load with its default in place of the value it meant."""
+    bad = json.loads(json.dumps(GOOD_CONFIG))
+    mutate(bad)
+    with pytest.raises(ConfigError, match=f"^unknown config field '{key}'$"):
         SimulationConfig.from_dict(bad)
 
 

@@ -216,6 +216,16 @@ def test_dataset_from_mapping():
         TomoDataset.from_mapping({lab: 7 for lab in MODE_LABELS[:-1]})
 
 
+def test_dataset_checks_its_counts_once(tmp_path, monkeypatch):
+    calls = []
+    check = tomography._check_counts
+    monkeypatch.setattr(tomography, "_check_counts", lambda counts: calls.append(1) or check(counts))
+    TomoDataset.from_csv(_write_counts(tmp_path / "counts.csv", 7))
+    TomoDataset.from_mapping({lab: 7 for lab in MODE_LABELS})
+    TomoDataset(np.full(16, 7))
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("value", [12.7, 12.0, "12", True, np.float64(12.0)])
 def test_dataset_from_mapping_refuses_non_integer_counts(value):
     """Each count passes operator.index and is not a bool, so nothing is truncated; the error names the mode."""
