@@ -32,10 +32,10 @@ from .infogeo import (
     EDGE_NAMES,
     REFERENCE_THETAS,
     ViolationCurve,
+    _reactivities,
     _uniform_grid,
     max_violation,
     quadrilateral,
-    reactivity,
     schumacher_settings,
     sweep,
 )
@@ -128,7 +128,7 @@ def parse_state_spec(spec: str) -> DensityMatrix:
         parts = s[len("werner:"):].split(",")
         if len(parts) != 2:
             raise ValueError(f"werner spec needs 'werner:<lambda>,<phase>', got {spec!r}")
-        return modified_werner(float(parts[0]), float(parts[1]))
+        return modified_werner(_number(parts[0], "--state lambda"), _number(parts[1], "--state phase"))
     raise ValueError(f"cannot parse state spec {spec!r}")
 
 
@@ -290,7 +290,9 @@ def reactivity_rows_to_csv(rows) -> str:
 
 
 def _reactivity_rows(lambdas, phase, samples, seed) -> list:
-    return [(lam, reactivity(modified_werner(lam, phase, n_qubits=4), samples, seed)) for lam in lambdas]
+    """(lambda, reactivity) rows of a scan, every state measured on the one set of bases it shares."""
+    states = [modified_werner(lam, phase, n_qubits=4) for lam in lambdas]
+    return list(zip(lambdas, _reactivities(states, samples, seed)))
 
 
 def cmd_reactivity(args) -> int:

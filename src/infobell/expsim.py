@@ -4,10 +4,13 @@ One "edge" measurement draws ``n_trials`` coincidences multinomially
 over the four pass/block outcome pairs of an analyzer-pair setting,
 adds Poisson accidental coincidences per bin, and estimates the outcome
 table by subtracting the known accidental mean, clamping at zero and
-renormalizing. Edge uncertainties come from the usual quadrature
+renormalizing. The run and sweep functions call that total
+``counts_per_mode``: despite the name, it counts the coincidences of one
+edge, shared by its four outcome pairs, not those of one tomography mode.
+Edge uncertainties come from the usual quadrature
 propagation: finite-difference sensitivities of the information
 distance to the two analyzer angles (times the calibration sigma) and
-to the four mode counts (times the Poisson sqrt(N) count errors).
+to the four outcome-pair counts (times the Poisson sqrt(N) count errors).
 
 The plug-in entropy estimate biases each distance by about -2/(n ln 2)
 (-0.008 at n = 350), so V (direct edge minus three sides) is biased
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infogeo import (QuadrilateralGeometry, _edge_angles, _info_distances, _key_entries, _key_entry, _streams,
-                      stream_rng)
+from .infogeo import (QuadrilateralGeometry, _edge_angles, _info_distances, _key_entries, _key_entry,
+                      _stream_keys, _streams, stream_rng)
 from .states import (_INT64_MAX, DensityMatrix, JointDistribution, _born_tables, _density, _held, _integer, _real,
                      _reals, modified_werner)
 
@@ -219,8 +222,8 @@ def propagate_error(rho_model: DensityMatrix, theta: float, counts_per_mode: int
     """Exact model edge distances dressed with propagated uncertainties.
 
     The distances are the noise-free model values; the uncertainties are
-    what a counts_per_mode-trial measurement with the configured noise
-    would assign to each edge. In the limit angle_sigma -> 0 and
+    what a measurement of counts_per_mode coincidences per edge with the
+    configured noise would assign to each edge. In the limit angle_sigma -> 0 and
     counts -> infinity every uncertainty goes to zero.
     """
     theta = _real(theta, "theta")
@@ -234,17 +237,20 @@ def _simulated_counts(tables: np.ndarray, counts_per_mode: int, noise: NoiseConf
 
     Edge k of the angle at index i draws its counts on (_STREAM_SAMPLE,
     *stream, *i, k) and its accidentals on (_STREAM_ACCIDENTAL, *stream,
-    *i, k). All tables are normalised in one pass, each row as _draw_counts
-    normalises it, and each draw writes one row of a single count array.
+    *i, k); one key pass serves both. All tables are normalised in one
+    pass, each row as _draw_counts normalises it, and each draw writes one
+    row of a single count array.
     """
     shape = tables.shape[:-2]
     pvals = tables.reshape(-1, 4)
     pvals = pvals / pvals.sum(axis=-1, keepdims=True)
     counts = np.empty(pvals.shape, dtype=np.int64)
-    for row, p, rng in zip(counts, pvals, _streams(noise.seed, (_STREAM_SAMPLE, *stream), shape)):
+    purposes = (_STREAM_SAMPLE, _STREAM_ACCIDENTAL) if noise.accidental_mean != 0.0 else (_STREAM_SAMPLE,)
+    keys = _stream_keys(noise.seed, [(purpose, *stream) for purpose in purposes], shape)
+    for row, p, rng in zip(counts, pvals, _streams(keys[0])):
         row[:] = rng.multinomial(counts_per_mode, p)
     if noise.accidental_mean != 0.0:
-        for row, rng in zip(counts, _streams(noise.seed, (_STREAM_ACCIDENTAL, *stream), shape)):
+        for row, rng in zip(counts, _streams(keys[1])):
             row += rng.poisson(noise.accidental_mean, size=4)
     return counts.reshape(tables.shape)
 
@@ -265,7 +271,8 @@ def simulate_schumacher_run(rho: DensityMatrix, theta: float, counts_per_mode: i
                             noise: NoiseConfig, stream: tuple = ()) -> QuadrilateralGeometry:
     """Simulate one full four-edge measurement at angle theta.
 
-    Per edge: multinomial coincidence draw, Poisson accidentals,
+    Per edge: multinomial draw of ``counts_per_mode`` coincidences over
+    the edge's four outcome pairs, Poisson accidentals,
     accidental subtraction, then the information distance of the
     estimated table. Edge k of the run uses substream (*stream, k), so
     edges are independent and the whole run repeats bit-identically for
@@ -290,7 +297,8 @@ def simulate_sweep(rho: DensityMatrix, thetas, counts_per_mode: int,
     keys are positional, so appending angles keeps the earlier rows,
     while dropping or reordering angles changes the draws of every angle
     whose position moves. All angles share one Born-rule pass and one
-    key computation per draw purpose.
+    key computation for both draw purposes. ``counts_per_mode`` counts
+    the coincidences of one edge, as in simulate_schumacher_run.
     """
     _density(rho)
     thetas = _reals(thetas, "thetas")
@@ -313,7 +321,10 @@ def _whole(value, field: str) -> int:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Parsed run configuration for the simulate pipeline; __post_init__ is its one gate."""
+    """Parsed run configuration for the simulate pipeline; __post_init__ is its one gate.
+
+    ``counts_per_mode`` is the coincidence total of one edge, drawn over its four outcome pairs.
+    """
 
     lam: float
     phase: float

@@ -635,29 +635,33 @@ def _seed_sequence_keys(words: np.ndarray) -> np.ndarray:
     return np.stack([state[0] | (state[1] << np.uint64(32)), state[2] | (state[3] << np.uint64(32))], axis=-1)
 
 
-def _stream_keys(seed: int, prefix: tuple, shape: tuple) -> np.ndarray:
-    """Philox keys, shape (*shape, 2) uint64, of the streams (seed, *prefix, *index) for every index of ``shape``.
+def _stream_keys(seed: int, prefixes, shape: tuple) -> np.ndarray:
+    """Philox keys, shape (len(prefixes), *shape, 2) uint64, of the streams (seed, *prefix, *index)
+    for every prefix of ``prefixes`` and every index of ``shape``.
 
-    The entry points have checked the seed and the prefix entries. Each
-    index gives exactly the key that stream_rng(seed, *prefix, *index)
-    seeds its Philox with, computed for all indices in one vectorised pass
-    of SeedSequence's hash: the seed and the prefix entries are constant
-    32-bit word rows, and each index axis is one row (no array has 2**32
-    rows).
+    The entry points have checked the seed and the prefix entries, and
+    every prefix splits into the same number of 32-bit words. Each
+    (prefix, index) gives exactly the key that stream_rng(seed, *prefix,
+    *index) seeds its Philox with, computed for all of them in one
+    vectorised pass of SeedSequence's hash: the seed and the prefix words
+    are word rows constant along each prefix's block of columns, and each
+    index axis is one row (no array has 2**32 rows).
     """
     n = math.prod(shape)
-    head = [word for entry in (seed, *prefix) for word in _words(entry)]
-    words = np.zeros((max(_POOL_SIZE, len(head) + len(shape)), n), dtype=np.uint32)
-    words[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    words[len(head):len(head) + len(shape)] = np.indices(shape).reshape(len(shape), n)
-    return _seed_sequence_keys(words).reshape(*shape, 2)
+    heads = np.array([[word for entry in (seed, *prefix) for word in _words(entry)] for prefix in prefixes],
+                     dtype=np.uint32).reshape(len(prefixes), -1)
+    n_head = heads.shape[1]
+    words = np.zeros((max(_POOL_SIZE, n_head + len(shape)), len(prefixes), n), dtype=np.uint32)
+    words[:n_head] = heads.T[:, :, None]
+    words[n_head:n_head + len(shape)] = np.indices(shape).reshape(len(shape), 1, n)
+    return _seed_sequence_keys(words.reshape(words.shape[0], -1)).reshape(len(prefixes), *shape, 2)
 
 
-def _streams(seed: int, prefix: tuple, shape: tuple):
-    """Yield, for each index of ``shape`` in C order, a Generator that draws what
-    stream_rng(seed, *prefix, *index) draws.
+def _streams(keys: np.ndarray):
+    """Yield, for each Philox key of ``keys`` (..., 2) in C order, a Generator that draws
+    what a Philox seeded with that key draws; _stream_keys gives the keys of stream_rng.
 
-    One Philox bit generator is re-keyed in place for every index, by
+    One Philox bit generator is re-keyed in place for every key, by
     setting it to one state dict of plain Python ints in which only the
     key changes: a zero counter, an empty buffer (position 4, so the next
     draw computes a fresh block) and no buffered 32-bit half, exactly the
@@ -672,7 +676,7 @@ def _streams(seed: int, prefix: tuple, shape: tuple):
     philox = {"counter": [0, 0, 0, 0], "key": [0, 0]}
     state = {"bit_generator": "Philox", "state": philox, "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for key in _stream_keys(seed, prefix, shape).reshape(-1, 2).tolist():
+    for key in keys.reshape(-1, 2).tolist():
         philox["key"] = key
         bitgen.state = state
         yield rng
@@ -745,17 +749,28 @@ def reactivity(rho: DensityMatrix, n_samples: int, seed: int) -> ReactivityResul
     checked as ReactivityResult checks them, before any work; the result
     holds them as Python ints.
     """
+    return _reactivities([rho], n_samples, seed)[0]
+
+
+def _reactivities(rhos, n_samples: int, seed: int) -> list:
+    """reactivity of each four-qubit state of ``rhos`` on one set of bases: the same (n_samples,
+    seed) draws the same bases for every state, so a scan draws them once."""
     n_samples, seed = _integer(n_samples, "n_samples", 1), _key_entry(seed, "seed")
-    if _density(rho).n_qubits != 4:
+    rhos = [_density(rho) for rho in rhos]
+    if any(rho.n_qubits != 4 for rho in rhos):
         raise ValueError("reactivity is implemented for 4-qubit states")
     z = np.empty((n_samples, 4, 4))
-    for zi, rng in zip(z, _streams(seed, (), (n_samples,))):
+    for zi, rng in zip(z, _streams(_stream_keys(seed, [()], (n_samples,)))):
         rng.standard_normal(out=zi)
-    p = _born(_qubit_rows(_random_blochs(z.transpose(1, 0, 2))), rho.pauli_coefficients).reshape(-1, 16)
-    np.maximum(p, 0.0, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    faces, h_faces = _drop_one(p, 4)
-    mean_area = float(_content(h_faces, _drop_one(faces, 3)[1]).mean(axis=-1).mean())
-    mean_volume = float(_content(_entropies(p, 1), h_faces).mean())
-    ratio = mean_area / mean_volume if mean_volume > 0.0 else float("inf")
-    return ReactivityResult(mean_area, mean_volume, ratio, n_samples, seed)
+    rows = _qubit_rows(_random_blochs(z.transpose(1, 0, 2)))
+    results = []
+    for rho in rhos:
+        p = _born(rows, rho.pauli_coefficients).reshape(-1, 16)
+        np.maximum(p, 0.0, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        faces, h_faces = _drop_one(p, 4)
+        mean_area = float(_content(h_faces, _drop_one(faces, 3)[1]).mean(axis=-1).mean())
+        mean_volume = float(_content(_entropies(p, 1), h_faces).mean())
+        ratio = mean_area / mean_volume if mean_volume > 0.0 else float("inf")
+        results.append(ReactivityResult(mean_area, mean_volume, ratio, n_samples, seed))
+    return results

@@ -2,7 +2,9 @@
 
 Reconstruction runs on the standard informationally complete set of 16
 coincidence modes. Linear inversion gives a fast estimate that can leave
-the physical set (negative eigenvalues at finite counts). The maximum
+the physical set (negative eigenvalues at finite counts). When every
+count is positive and the linear inversion is positive definite, it is
+already the maximum-likelihood state, exactly. Otherwise the maximum
 likelihood step is a log-barrier Newton loop over the 16 expected mode
 counts, in which the Poisson negative log-likelihood is convex; after
 each shrink of the barrier weight a tangent (predictor) step follows the
@@ -106,13 +108,14 @@ class TomoDataset:
 
     Each count fits int64 and their total is at most 2**53, so the float arithmetic of the
     reconstructions holds every count exactly. The counts are held as a read-only int64 array (see
-    states._held); an object array's entries reach the count gate as they are, so a bool is refused.
+    states._held). Anything but an ndarray (a list, say) becomes an object array, and an object
+    array's entries reach the count gate as they are, so a bool or a float is refused by mode.
     """
 
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
+        counts = self.counts if isinstance(self.counts, np.ndarray) else np.asarray(self.counts, dtype=object)
         if counts.shape != (16,) or not (np.issubdtype(counts.dtype, np.integer) or counts.dtype == object):
             raise ValueError("counts must be 16 integers aligned with MODE_LABELS")
         object.__setattr__(self, "counts", _held(_check_counts(counts.tolist()), np.int64))
@@ -271,9 +274,9 @@ class TomographyResult:
         }
 
 
-def _project_physical(rho: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues to zero and renormalize the trace."""
-    w, vecs = np.linalg.eigh(rho)
+def _project_physical(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The state of eigenvalues ``w`` and eigenvectors ``vecs`` (np.linalg.eigh of a
+    Hermitian matrix) with its negative eigenvalues clipped to zero and its trace renormalized."""
     w = np.clip(w, 0.0, None)
     total = w.sum()
     if total <= 0.0:
@@ -281,15 +284,61 @@ def _project_physical(rho: np.ndarray) -> np.ndarray:
     return (vecs * (w / total)) @ vecs.conj().T
 
 
+def _barrier_mle(counts: np.ndarray, w: np.ndarray, vecs: np.ndarray):
+    """The barrier loop of mle_reconstruct from the eigendecomposition (w, vecs) of the
+    linear inversion: the expected mode counts m, the steps taken and whether it converged."""
+    total = counts.sum()
+    p = mode_probabilities(0.99 * _project_physical(w, vecs) + 0.0025 * np.eye(4))
+    m = total / p.sum() * p
+    chol = _frame_cholesky(m)
+    mu = 1.0
+    last = max(_GAP, _ROUND_OFF * total) / 4.0
+    steps = 0
+    while steps < _MAX_NEWTON_STEPS:
+        gradient, hessian = _barrier_derivatives(m, counts, mu, chol)
+        try:
+            step = -np.linalg.solve(hessian, gradient)
+        except np.linalg.LinAlgError:
+            break
+        decrement = float(-gradient @ step)
+        if decrement <= _CENTRED * mu:
+            if mu <= last:
+                return m, steps, True
+            shrunk = max(mu * _BARRIER_SHRINK, last)
+            # Tangent predictor along the central path; the gradient becomes the new weight's.
+            log_det_gradient = (1.0 - counts / m - gradient) / mu
+            step = (shrunk - mu) * np.linalg.solve(hessian, log_det_gradient)
+            gradient += (mu - shrunk) * log_det_gradient
+            mu = shrunk
+            decrement = float(-gradient @ step)
+            if decrement <= _SELF_CONCORDANT * min(mu, 1.0):
+                continue
+        accepted = _newton_step(m, step, decrement, counts, mu, chol)
+        if accepted is None:
+            break
+        m, chol = accepted
+        steps += 1
+    return m, steps, False
+
+
 def mle_reconstruct(data: TomoDataset, target: PureState | None = None) -> TomographyResult:
     """Poisson maximum-likelihood reconstruction from 16-mode counts.
 
+    The expected mode counts m determine the unnormalised state
+    sigma(m) = sum_i m_i F_i one to one, F being the dual frame of the
+    16 linearly independent mode projectors, and the profiled Poisson
+    objective sum(m - n log m) has its unconstrained minimum at m = n.
+    So when every count n_i is positive and the linear inversion
+    sigma(n) is positive definite, m = n is the MLE exactly: it is
+    returned with ``n_iterations`` 0, ``converged`` set and no Newton
+    step. Conversely, a full-rank MLE is an interior stationary point
+    and has m = n, so the barrier loop below runs exactly for the
+    rank-deficient MLEs (and for data with an empty mode).
+
     Newton's method minimizes sum(m - n log m) - mu log det sigma(m) over
-    the 16 expected mode counts m, where sigma(m) = sum_i m_i F_i and F is
-    the dual frame of the mode projectors, from the projected linear
-    inversion mixed with 1% white noise. The barrier weight mu starts at
-    1, whatever the total count N. Once the squared Newton
-    decrement is at most 1e-3 mu, mu shrinks 100-fold, down to
+    m from the projected linear inversion mixed with 1% white noise. The
+    barrier weight mu starts at 1, whatever the total count N. Once the
+    squared Newton decrement is at most 1e-3 mu, mu shrinks 100-fold, down to
     4 mu = max(1e-10, 16 eps N); above N = 2**48 that floor exceeds 1,
     and the run stops at its first centred point. At a central point
     4 mu bounds how far the likelihood can still rise; 16 eps N is the
@@ -306,13 +355,14 @@ def mle_reconstruct(data: TomoDataset, target: PureState | None = None) -> Tomog
     g at mu. It is skipped when minus that slope is at most 0.1
     min(mu', 1): the search takes any positive-definite step below that
     bound, which is safe for Newton steps alone, and so small a
-    predictor (full-rank states) would gain little.
+    predictor would gain little.
 
-    ``converged`` means that the certified stop was reached within 200
-    steps, predictor steps included (``n_iterations``); a run that misses
-    it is returned, not raised, so the diagnostics stay inspectable. The
-    state is sigma / tr(sigma), and ``log_likelihood`` is its Poisson
-    log-likelihood with the count scale profiled out.
+    ``converged`` means that the exact optimum was taken or the certified
+    stop was reached within 200 steps, predictor steps included
+    (``n_iterations``); a run that misses it is returned, not raised, so
+    the diagnostics stay inspectable. The state is sigma / tr(sigma), and
+    ``log_likelihood`` is its Poisson log-likelihood with the count scale
+    profiled out: -sum(n - n log n) on the exact path.
 
     ``target`` sets the state used for the fidelity entry of the quality
     report; default is the phi+ Bell state.
@@ -322,38 +372,11 @@ def mle_reconstruct(data: TomoDataset, target: PureState | None = None) -> Tomog
     if total <= 0:
         raise TomographyError("dataset has no counts")
     linear = linear_inversion(data)
-    p = mode_probabilities(0.99 * _project_physical(linear) + 0.0025 * np.eye(4))
-    m = total / p.sum() * p
-    chol = _frame_cholesky(m)
-    mu = 1.0
-    last = max(_GAP, _ROUND_OFF * total) / 4.0
-    steps = 0
-    converged = False
-    while steps < _MAX_NEWTON_STEPS:
-        gradient, hessian = _barrier_derivatives(m, counts, mu, chol)
-        try:
-            step = -np.linalg.solve(hessian, gradient)
-        except np.linalg.LinAlgError:
-            break
-        decrement = float(-gradient @ step)
-        if decrement <= _CENTRED * mu:
-            if mu <= last:
-                converged = True
-                break
-            shrunk = max(mu * _BARRIER_SHRINK, last)
-            # Tangent predictor along the central path; the gradient becomes the new weight's.
-            log_det_gradient = (1.0 - counts / m - gradient) / mu
-            step = (shrunk - mu) * np.linalg.solve(hessian, log_det_gradient)
-            gradient += (mu - shrunk) * log_det_gradient
-            mu = shrunk
-            decrement = float(-gradient @ step)
-            if decrement <= _SELF_CONCORDANT * min(mu, 1.0):
-                continue
-        accepted = _newton_step(m, step, decrement, counts, mu, chol)
-        if accepted is None:
-            break
-        m, chol = accepted
-        steps += 1
+    w, vecs = np.linalg.eigh(linear)
+    if counts.min() > 0.0 and w[0] > 0.0:
+        m, steps, converged = counts, 0, True
+    else:
+        m, steps, converged = _barrier_mle(counts, w, vecs)
     sigma = (m @ _FRAME).reshape(4, 4)
     rho = DensityMatrix(2, sigma / np.trace(sigma).real)
     expected = total / m.sum() * m

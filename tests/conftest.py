@@ -13,6 +13,11 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+# Drawn from modified_werner(0.971596590988624, 1.924760804691114) at 10,000 per basis. The linear
+# inversion has a negative eigenvalue and the maximum-likelihood state has rank 3.
+RANK_DEFICIENT_COUNTS = np.array([4918, 84, 4947, 78, 2453, 2460, 2429, 2548,
+                                  4783, 1646, 4919, 2595, 2454, 2461, 2554, 1629])
+
 
 def random_density(rng: np.random.Generator, n_qubits: int = 2) -> DensityMatrix:
     """Ginibre-ensemble mixed state: rho = G G^dag / Tr(G G^dag)."""

@@ -19,12 +19,14 @@ from infobell import (
     REFERENCE_THETAS,
     ReactivityResult,
     SimulationConfig,
+    TomoDataset,
     expected_counts,
     modified_werner,
+    reactivity,
     simulate_sweep,
     sweep,
 )
-from infobell import cli, tomography
+from infobell import cli, infogeo, tomography
 from infobell.cli import (
     NonFiniteOutputError,
     _atomic_write,
@@ -35,6 +37,7 @@ from infobell.cli import (
     parse_state_spec,
     run_rows_to_csv,
 )
+from conftest import RANK_DEFICIENT_COUNTS
 
 CONFIG = {
     "state": {"lambda": 0.998, "phase": 0.225},
@@ -181,10 +184,11 @@ def test_chsh_from_counts_file(tmp_path, capsys):
 
 
 def test_unconverged_mle_exits_3_and_only_tomo_writes(tmp_path, monkeypatch, capsys):
-    """chsh --counts used to print the S of a state whose likelihood maximization hit the step cap."""
+    """chsh --counts used to print the S of a state whose likelihood maximization hit the step cap.
+    Rank-deficient counts: full-rank ones take the exact maximum in no step."""
     monkeypatch.setattr(tomography, "_MAX_NEWTON_STEPS", 3)
     counts_path = tmp_path / "counts.csv"
-    counts_path.write_text(expected_counts(modified_werner(0.998, 0.225), 10000).to_csv())
+    counts_path.write_text(TomoDataset(RANK_DEFICIENT_COUNTS).to_csv())
     tomo_path, chsh_path = tmp_path / "tomo.json", tmp_path / "s.txt"
     assert main(["tomo", "--counts", str(counts_path), "-o", str(tomo_path)]) == 3
     assert json.loads(tomo_path.read_text())["converged"] is False
@@ -207,6 +211,20 @@ def test_reactivity_csv_deterministic(tmp_path):
     assert lines[1] == "lambda,area,volume,reactivity"
     first = lines[2].split(",")
     assert float(first[3]) == pytest.approx(0.75, abs=1e-9)
+
+
+def test_reactivity_scan_draws_its_bases_once(monkeypatch):
+    """Every row of a scan has the same (samples, seed), so one stream pass draws the bases
+    of all rows; each row is still what reactivity gives for its state alone."""
+    passes = []
+    streams = infogeo._streams
+    monkeypatch.setattr(infogeo, "_streams", lambda keys: passes.append(keys.size) or streams(keys))
+    lambdas = [0.0, 0.2, 0.4, 0.6, 0.8]
+    rows = cli._reactivity_rows(lambdas, 0.3, 40, 7)
+    assert passes == [2 * 40]
+    assert [lam for lam, _ in rows] == lambdas
+    for lam, result in rows:
+        assert result == reactivity(modified_werner(lam, 0.3, n_qubits=4), 40, 7)
 
 
 def test_reactivity_json(capsys):
@@ -285,6 +303,16 @@ def test_exit_code_2_on_non_finite_config_and_state(tmp_path, capsys):
     assert "accidental_mean" in capsys.readouterr().err
     assert main(["violation", "--state", "werner:0.9,nan", "--theta", "0.3"]) == 2
     assert "phase" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("werner:abc,0", "--state lambda = 'abc' is not a number"),
+    ("werner:0.5,", "--state phase = '' is not a number"),
+    ("werner:0.5,1e999", "--state phase = inf is not finite"),
+])
+def test_werner_spec_numbers_name_their_field_and_flag(capsys, spec, message):
+    assert main(["violation", "--state", spec, "--theta", "0.3"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Each template puts one value into one float-valued flag (or the numbers
@@ -511,10 +539,10 @@ def test_non_finite_text_output_is_a_numerical_failure(tmp_path, monkeypatch, ca
             cli._fmt(bad)
     assert cli._fmt(0.1234567) == "0.123457"
 
-    def degenerate(rho, n_samples, seed):
-        return ReactivityResult(1.0, 0.0, float("inf"), n_samples, seed)
+    def degenerate(rhos, n_samples, seed):
+        return [ReactivityResult(1.0, 0.0, float("inf"), n_samples, seed) for _ in rhos]
 
-    monkeypatch.setattr(cli, "reactivity", degenerate)
+    monkeypatch.setattr(cli, "_reactivities", degenerate)
     out_path = tmp_path / "f.csv"
     assert main(["reactivity", "--lambdas", "0.2", "--seed", "1", "-o", str(out_path)]) == 3
     assert "non-finite" in capsys.readouterr().err

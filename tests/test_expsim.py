@@ -506,10 +506,10 @@ def test_simulated_counts_estimate_to_the_sweep_distances(accidental_mean):
     assert np.array_equal(d, [quad.edges for _, quad in rows])
 
 
-@pytest.mark.parametrize("accidental_mean, draws_per_edge", [(6.0, 2), (0.0, 1)])
-def test_simulated_sweep_is_one_born_pass(monkeypatch, accidental_mean, draws_per_edge):
-    """One Born pass, and one batched key computation per draw purpose: no per-draw stream_rng."""
-    calls = {"_born_tables": 0, "_stream_keys": 0, "stream_rng": 0}
+@pytest.mark.parametrize("accidental_mean", [6.0, 0.0])
+def test_simulated_sweep_is_one_born_pass(monkeypatch, accidental_mean):
+    """One Born pass, and one batched key computation for both draw purposes: no per-draw stream_rng."""
+    calls = {"_born_tables": 0, "_stream_keys": 0, "_seed_sequence_keys": 0, "stream_rng": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -521,12 +521,13 @@ def test_simulated_sweep_is_one_born_pass(monkeypatch, accidental_mean, draws_pe
         monkeypatch.setattr(module, name, wrapper)
 
     counted(expsim, "_born_tables")
-    counted(infogeo, "_stream_keys")
+    counted(expsim, "_stream_keys")
+    counted(infogeo, "_seed_sequence_keys")
     counted(expsim, "stream_rng")
     counted(infogeo, "stream_rng")
     rows = simulate_sweep(WERNER, REFERENCE_THETAS, 350, NoiseConfig(accidental_mean, 0.003, 4))
     assert len(rows) == len(REFERENCE_THETAS)
-    assert calls == {"_born_tables": 1, "_stream_keys": draws_per_edge, "stream_rng": 0}
+    assert calls == {"_born_tables": 1, "_stream_keys": 1, "_seed_sequence_keys": 1, "stream_rng": 0}
 
 
 # One count per mode under six accidentals per bin: at this seed every bin of

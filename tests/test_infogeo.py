@@ -714,7 +714,7 @@ def test_stream_keys_match_seed_sequence(seed, n_entries):
     """
     prefix = tuple(np.random.default_rng([n_entries, 5]).integers(0, 1000, size=n_entries).tolist())
     for shape in KEY_SHAPES:
-        keys = infogeo._stream_keys(seed, prefix, shape)
+        keys = infogeo._stream_keys(seed, [prefix], shape)[0]
         assert keys.dtype == np.uint64
         assert np.array_equal(keys, _seed_sequence_reference(seed, prefix, shape))
 
@@ -725,9 +725,24 @@ def test_stream_keys_of_entries_of_several_words():
     for seed in (9, 2**32, 10**23):
         for prefix in prefixes:
             for shape in ((), (4,), (2, 3)):
-                assert np.array_equal(infogeo._stream_keys(seed, prefix, shape),
+                assert np.array_equal(infogeo._stream_keys(seed, [prefix], shape)[0],
                                       _seed_sequence_reference(seed, prefix, shape))
-    assert infogeo._stream_keys(9, (2**70,), (2, 0)).shape == (2, 0, 2)
+    assert infogeo._stream_keys(9, [(2**70,)], (2, 0)).shape == (1, 2, 0, 2)
+
+
+def test_stream_keys_of_several_prefixes_in_one_pass(monkeypatch):
+    """Prefixes of equal word counts share one hash pass; block j holds the keys of prefix j."""
+    passes = []
+    seed_sequence_keys = infogeo._seed_sequence_keys
+    monkeypatch.setattr(infogeo, "_seed_sequence_keys", lambda words: passes.append(1) or seed_sequence_keys(words))
+    for seed in (0, 2**40):
+        for prefixes, shape in (([(0,), (1,)], (3, 4)), ([(0, 2**33), (1, 2**40), (7, 2**35)], (2,)),
+                                ([(0, 1, 2, 3, 4), (1, 1, 2, 3, 4)], ()), ([(4,), (9,)], (2, 0))):
+            keys = infogeo._stream_keys(seed, prefixes, shape)
+            assert keys.shape == (len(prefixes), *shape, 2)
+            for block, prefix in zip(keys, prefixes):
+                assert np.array_equal(block, _seed_sequence_reference(seed, prefix, shape))
+    assert len(passes) == 8
 
 
 @pytest.mark.filterwarnings("error")
@@ -748,7 +763,7 @@ def test_seed_sequence_keys_of_all_ones_words_and_of_no_rows():
     for n_entries in (0, 1, 3, 4, 8, 9):
         prefix = (2**32 - 1,) * n_entries
         for shape in ((0,), (3,), (2, 2)):
-            assert np.array_equal(infogeo._stream_keys(2**64 - 1, prefix, shape),
+            assert np.array_equal(infogeo._stream_keys(2**64 - 1, [prefix], shape)[0],
                                   _seed_sequence_reference(2**64 - 1, prefix, shape))
 
 
@@ -766,7 +781,7 @@ PARTIAL_DRAWS = [
 def test_streams_reset_every_field_of_the_state_between_keys(partial):
     """A stream left mid-block or with a buffered half does not leak into the next one."""
     shape = (3,)
-    for index, rng in zip(np.ndindex(shape), infogeo._streams(11, (2,), shape)):
+    for index, rng in zip(np.ndindex(shape), infogeo._streams(infogeo._stream_keys(11, [(2,)], shape))):
         reference = stream_rng(11, 2, *index)
         assert rng.integers(2**32, dtype=np.uint32) == reference.integers(2**32, dtype=np.uint32)
         assert np.array_equal(rng.random(5), reference.random(5))
@@ -779,8 +794,9 @@ def test_streams_draw_what_stream_rng_draws():
         for prefix, shape in (((0,), (3, 4)), ((1, 2**33), (2,)), ((), (5,)), ((1, 7), ()), ((1,), (2, 0))):
             indices = list(np.ndindex(shape))
             tables = np.random.default_rng(3).dirichlet(np.ones(4), size=len(indices))
-            assert sum(1 for _ in infogeo._streams(seed, prefix, shape)) == len(indices)
-            for index, table, rng in zip(indices, tables, infogeo._streams(seed, prefix, shape)):
+            keys = infogeo._stream_keys(seed, [prefix], shape)
+            assert sum(1 for _ in infogeo._streams(keys)) == len(indices)
+            for index, table, rng in zip(indices, tables, infogeo._streams(keys)):
                 reference = stream_rng(seed, *prefix, *index)
                 assert np.array_equal(rng.standard_normal((4, 4)), reference.standard_normal((4, 4)))
                 assert np.array_equal(rng.multinomial(350, table), reference.multinomial(350, table))

@@ -34,14 +34,11 @@ from infobell.tomography import (
     _project_physical,
     mode_probabilities,
 )
-from conftest import random_density
+from conftest import RANK_DEFICIENT_COUNTS, random_density
 
 BELL = bell_state("phi+").density_matrix()
 WERNER = modified_werner(0.998, 0.225)
 PINS = json.loads((Path(__file__).parent / "data" / "solver_pins.json").read_text())
-# Drawn from modified_werner(0.971596590988624, 1.924760804691114) at 10,000 per basis.
-RANK_DEFICIENT_COUNTS = np.array([4918, 84, 4947, 78, 2453, 2460, 2429, 2548,
-                                  4783, 1646, 4919, 2595, 2454, 2461, 2554, 1629])
 
 
 def trace_distance(a, b) -> float:
@@ -55,6 +52,17 @@ def noisy_dataset(rho, per_basis, seed):
     rng = np.random.default_rng(seed)
     p = mode_probabilities(rho.matrix)
     return TomoDataset(rng.poisson(per_basis * p).astype(np.int64))
+
+
+def takes_the_exact_path(data) -> bool:
+    """Every count positive and the linear inversion positive definite: m = n is the MLE."""
+    return data.counts.min() > 0 and np.linalg.eigh(linear_inversion(data))[0][0] > 0.0
+
+
+def exact_mle(data) -> np.ndarray:
+    """sigma(n) / tr sigma(n), built as mle_reconstruct builds its state from m = n."""
+    sigma = (data.counts.astype(float) @ _FRAME).reshape(4, 4)
+    return sigma / np.trace(sigma).real
 
 
 def profiled_nll(rho_matrix, counts) -> float:
@@ -237,6 +245,18 @@ def test_dataset_from_mapping_refuses_non_integer_counts(value):
     assert TomoDataset.from_mapping(mapping).counts[MODE_LABELS.index("HV")] == 12
 
 
+@pytest.mark.parametrize("last", [True, 2.0, np.float64(2.0), "2"])
+def test_dataset_from_a_list_gates_each_entry(last):
+    """A list used to go through np.asarray first, which read True as the count 1 and 2.0 as a
+    float array refused as a whole; each entry now reaches the per-mode count gate."""
+    with pytest.raises(TypeError, match=re.escape(f"mode RL: count = {last!r} is not an integer")):
+        TomoDataset([7] * 15 + [last])
+    assert TomoDataset([7] * 15 + [np.int64(2)]).counts[-1] == 2
+    counts = np.arange(16, dtype=np.int64)
+    assert np.array_equal(TomoDataset(counts).counts, counts)
+    assert TomoDataset(counts).counts.dtype == np.int64
+
+
 def test_mle_output_is_always_physical(rng):
     for seed in range(5):
         data = noisy_dataset(random_density(rng), 300, seed)
@@ -249,7 +269,7 @@ def test_mle_output_is_always_physical(rng):
 def test_mle_beats_projected_linear_inversion():
     data = noisy_dataset(WERNER, 800, seed=21)
     result = mle_reconstruct(data)
-    projected = _project_physical(linear_inversion(data))
+    projected = _project_physical(*np.linalg.eigh(linear_inversion(data)))
     counts = data.counts.astype(float)
     nll_li = profiled_nll(projected, counts)
     assert np.isfinite(nll_li)
@@ -348,12 +368,19 @@ def test_every_newton_step_lowers_the_barrier_objective(monkeypatch):
     monkeypatch.setattr(tomography, "_newton_step", checked)
     bank = [TomoDataset(RANK_DEFICIENT_COUNTS)] + _near_pure_werner_bank()
     bank += [TomoDataset(np.array(pin["counts"])) for pin in PINS["mle"]]
+    barrier_runs = 0
     for data in bank:
         falls.clear()
         result = mle_reconstruct(data)
         assert result.converged
         assert len(falls) == result.n_iterations
-        assert min(falls) >= -1e-9
+        if takes_the_exact_path(data):
+            assert result.n_iterations == 0
+            assert np.array_equal(result.rho_mle.matrix, exact_mle(data))
+        else:
+            barrier_runs += 1
+            assert min(falls) >= -1e-9
+    assert barrier_runs == 20
 
 
 def test_predictor_steps_stay_off_the_self_concordance_shortcut(monkeypatch):
@@ -376,9 +403,16 @@ def test_predictor_steps_stay_off_the_self_concordance_shortcut(monkeypatch):
     monkeypatch.setattr(tomography, "_barrier_derivatives", derivatives)
     monkeypatch.setattr(tomography, "_newton_step", searched)
     bank = _near_pure_werner_bank() + [TomoDataset(np.array(pin["counts"])) for pin in PINS["mle"]]
+    barrier_runs = 0
     for data in bank:
-        assert mle_reconstruct(data).converged
-    assert len(predictor_slopes) >= 4 * len(bank)
+        result = mle_reconstruct(data)
+        assert result.converged
+        if takes_the_exact_path(data):
+            assert result.n_iterations == 0
+        else:
+            barrier_runs += 1
+    assert barrier_runs == 19
+    assert len(predictor_slopes) >= 4 * barrier_runs
     assert min(predictor_slopes) > 0.1
 
 
@@ -403,6 +437,61 @@ def test_barrier_starts_at_one_whatever_the_count_total(monkeypatch):
     assert mle_reconstruct(data).converged
     assert weights[0] == 1.0
     assert weights[-1] == max(1e-10, 16 * np.finfo(float).eps * data.counts.sum()) / 4.0
+
+
+FULL_RANK_PINS = [pin for pin in PINS["mle"] if takes_the_exact_path(TomoDataset(np.array(pin["counts"])))]
+
+
+def test_full_rank_data_returns_the_linear_inversion_exactly(monkeypatch):
+    """No derivative is evaluated; the state, the step count, the flag and the
+    closed-form likelihood -sum(n - n log n) are those of m = n, bit for bit."""
+    monkeypatch.setattr(tomography, "_barrier_derivatives", None)
+    assert len(FULL_RANK_PINS) == 8
+    for pin in FULL_RANK_PINS:
+        data = TomoDataset(np.array(pin["counts"]))
+        result = mle_reconstruct(data)
+        counts = data.counts.astype(float)
+        assert result.n_iterations == 0 and result.converged
+        assert np.array_equal(result.rho_mle.matrix, exact_mle(data))
+        assert result.log_likelihood == -float((counts - counts * np.log(counts)).sum())
+        assert result.log_likelihood >= pin["log_likelihood"]
+        assert np.array_equal(result.rho_linear, linear_inversion(data))
+
+
+@pytest.mark.parametrize("pin", FULL_RANK_PINS, ids=lambda pin: f"seed{pin['seed']}")
+def test_exact_path_likelihood_is_not_below_the_barriers(pin):
+    """The barrier, run on the same full-rank counts, stops within its certified gap
+    of m = n. The two likelihoods are equal up to the objective's round-off, 16 eps N
+    (here 1.6e-10 on a log-likelihood near 3e5: 2.7 ulps), which lets a barrier result
+    read as much as two ulps above the exact maximum."""
+    data = TomoDataset(np.array(pin["counts"]))
+    counts = data.counts.astype(float)
+    m, steps, converged = tomography._barrier_mle(counts, *np.linalg.eigh(linear_inversion(data)))
+    assert converged and steps > 0
+    barrier = -profiled_nll((m @ _FRAME).reshape(4, 4), counts)
+    assert mle_reconstruct(data).log_likelihood >= barrier - 16 * np.finfo(float).eps * counts.sum()
+
+
+# Counts with one empty mode, about rank-3 states whose kernel holds that mode's projection state.
+ONE_EMPTY_MODE = np.array([
+    [25, 110, 50, 25, 25, 58, 118, 0, 59, 59, 51, 95, 13, 29, 43, 51],
+    [22, 98, 132, 22, 0, 138, 114, 22, 49, 73, 69, 51, 91, 82, 70, 69],
+    [102, 66, 33, 33, 101, 15, 70, 67, 24, 69, 69, 138, 0, 33, 105, 79],
+    [15, 69, 80, 82, 49, 68, 60, 60, 0, 60, 75, 48, 80, 128, 50, 83],
+])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_count_never_takes_the_exact_path():
+    """n_i = <s_i|sigma(n)|s_i>, so a zero count leaves sigma(n) singular, but round-off
+    reads its smallest eigenvalue as positive (3e-18 to 5e-17 here). log 0 would make the
+    closed-form likelihood NaN; the barrier keeps m > 0 instead."""
+    smallest = [np.linalg.eigh(linear_inversion(TomoDataset(counts)))[0][0] for counts in ONE_EMPTY_MODE]
+    assert max(smallest) > 0.0
+    for counts in ONE_EMPTY_MODE:
+        result = mle_reconstruct(TomoDataset(counts))
+        assert result.converged and result.n_iterations > 0
+        assert np.isfinite(result.log_likelihood)
 
 
 def test_mle_that_hits_the_step_cap_reports_it(monkeypatch):
