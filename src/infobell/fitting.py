@@ -149,10 +149,16 @@ def model_curve(lam, phase, thetas):
     ``lam`` and ``phase`` may be broadcastable arrays; the returned shape
     is broadcast(lam, phase).shape + thetas.shape. A broadcast grid is
     evaluated in blocks of (lam, phase) points, so its temporaries stay
-    the size of one block whatever the size of the grid.
+    the size of one block whatever the size of the grid. A NaN or an
+    infinity in any argument is a ValueError naming it, raised before
+    any work; a finite lam outside [0, 1] is evaluated as given.
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    lam, cph = np.broadcast_arrays(np.asarray(lam, dtype=float), np.cos(np.asarray(phase, dtype=float)))
+    lam, phase = np.asarray(lam, dtype=float), np.asarray(phase, dtype=float)
+    for name, values in (("lam", lam), ("phase", phase), ("thetas", th)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} = {values} is not finite")
+    lam, cph = np.broadcast_arrays(lam, np.cos(phase))
     shape = lam.shape + th.shape
     lam, cph = lam.reshape(-1), cph.reshape(-1)
     edges = _edge_table(th)

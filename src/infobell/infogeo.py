@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .states import (DensityMatrix, JointDistribution, MeasurementSetting, _born, _born_tables,
-                     _checked_probabilities, _density, _held, _integer, _polarizer_rows, _qubit_rows,
-                     _real, _reals, _row_tables)
+                     _checked_probabilities, _density, _held, _integer, _polarizer_row_orders,
+                     _polarizer_rows, _qubit_rows, _real, _reals, _row_tables)
 
 __all__ = [
     "REFERENCE_THETAS",
@@ -53,6 +53,7 @@ __all__ = [
 REFERENCE_THETAS = (0.175, 0.227, 0.279, 0.328, 0.393, 0.436, 0.471, 0.503)
 
 _ZERO_CUTOFF = 1e-15
+_LN2 = math.log(2.0)
 
 
 # The four measured edges, in schumacher_settings' layout: the sides (a1,b1), (a2,b1),
@@ -71,20 +72,23 @@ def _entropies(p: np.ndarray, n_axes: int) -> np.ndarray:
 def _info_distances(p: np.ndarray) -> np.ndarray:
     """D = 2 H(A,B) - H(A) - H(B), clamped at zero, for tables of shape (..., 2, 2).
 
-    One cell-wise pass: rows 0-3 of ``x`` hold each table's cells, rows
-    4-7 its marginal cells x0+x1, x2+x3, x0+x2, x1+x3, and one x log2 x
-    pass covers all eight. The rows are summed in the order in which
-    ``_entropies``' ``.sum(axis=-1)`` adds fewer than eight cells, left to
-    right, so D is bit for bit 2 H(p) - H(p.sum(-1)) - H(p.sum(-2)).
+    One x log2 x pass covers the eight rows of _cell_rows, summed in the
+    order in which ``_entropies``' ``.sum(axis=-1)`` adds fewer than eight
+    cells, left to right, so D is bit for bit 2 H(p) - H(p.sum(-1)) - H(p.sum(-2)).
     """
-    batch = p.shape[:-2]
-    x = np.empty((8, math.prod(batch)))
+    x = _cell_rows(p)
+    t = x * np.log2(np.where(x > _ZERO_CUTOFF, x, 1.0))
+    h_ab, h_a, h_b = -(t[0] + t[1] + t[2] + t[3]), -(t[4] + t[5]), -(t[6] + t[7])
+    return np.maximum(0.0, (2.0 * h_ab - h_a - h_b).reshape(p.shape[:-2]))
+
+
+def _cell_rows(p: np.ndarray) -> np.ndarray:
+    """Rows (8, m) of m tables (..., 2, 2): their cells x0-x3, then x0+x1, x2+x3, x0+x2 and x1+x3."""
+    x = np.empty((8, p.size // 4))
     x[:4] = p.reshape(-1, 4).T
     np.add(x[0:4:2], x[1:4:2], out=x[4:6])
     np.add(x[0:2], x[2:4], out=x[6:8])
-    t = x * np.log2(np.where(x > _ZERO_CUTOFF, x, 1.0))
-    h_ab, h_a, h_b = -(t[0] + t[1] + t[2] + t[3]), -(t[4] + t[5]), -(t[6] + t[7])
-    return np.maximum(0.0, (2.0 * h_ab - h_a - h_b).reshape(batch))
+    return x
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,6 +209,34 @@ def _violations(rho: DensityMatrix, theta, rows=None) -> np.ndarray:
     """V = D(a1,b2) - sum of the three sides, for an array of angles; rows as in _scan_grid."""
     d = _edge_distances(rho, theta, rows=rows)
     return d[..., 3] - (d[..., 0] + d[..., 1] + d[..., 2])
+
+
+# The derivative orders (a rows, b rows) of _violation_derivatives' six tables per edge, the weights
+# (edge, table, k) that chain them into the k-th derivative in theta, and the weights (row, edge) of
+# V = sum of w x log2 x over _cell_rows' rows: -2 per joint cell, 1 per marginal one, times the edge's sign.
+_ORDERS, _PARTIES = np.array([[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]]), np.array([[0], [1]])
+_CHAIN = np.array([[[1, 0, 0], [0, a, 0], [0, b, 0], [0, 0, a * a], [0, 0, 2 * a * b], [0, 0, b * b]]
+                   for a, b in _EDGE_MULTIPLES])
+_V_WEIGHTS = np.outer([-2.0] * 4 + [1.0] * 4, [-1.0, -1.0, -1.0, 1.0])
+
+
+def _violation_derivatives(rho: DensityMatrix, theta: float) -> tuple:
+    """(V, V', V'') at one angle in closed form, from one _born call over 6 x 4 tables T: for edge
+    multiples (alpha, beta), p' = alpha T10 + beta T01 and p'' = alpha^2 T20 + 2 alpha beta T11 + beta^2 T02.
+    The cells' x' and x'' sum to zero, so V' = sum w x' log2 x and V'' = sum w (x'' log2 x + x'^2 / (x ln 2)).
+    V is _violations' value bit for bit; V' and V'' are NaN where a cell of p is at or below _ZERO_CUTOFF,
+    where V has no derivative."""
+    orders = _polarizer_row_orders(_edge_angles(theta))
+    tables = _born(orders[_ORDERS, _PARTIES].reshape(2, 24, 2, 4), rho.pauli_coefficients)
+    p = np.clip(tables[:4], 0.0, None)
+    d = _info_distances(p)
+    v = float(d[3] - (d[0] + d[1] + d[2]))
+    if p.min() <= _ZERO_CUTOFF:
+        return v, math.nan, math.nan
+    x, dx, d2x = (_cell_rows(tables).reshape(8, 6, 4).transpose(2, 0, 1) @ _CHAIN).transpose(2, 1, 0)
+    log_x = np.log2(x)
+    curvature = d2x * log_x + dx * dx / x / _LN2
+    return v, float((_V_WEIGHTS * dx * log_x).sum()), float((_V_WEIGHTS * curvature).sum())
 
 
 @dataclass(frozen=True)
@@ -358,24 +390,6 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-# Interior angles per refinement round of max_violation. A round is one
-# _violations call, which costs about the same for 1 to 33 angles, and
-# narrows the bracket (K + 1) / 2-fold, so a few wide rounds beat many
-# narrow ones. K is even so that no round re-evaluates the bracket's
-# centre, the best point so far: an odd K evaluates it again up to an ulp
-# off, a neighbour too close for the vertex step. Median max_violation
-# time on two-qubit Bell, Werner and Ginibre states (step 2.5e-3, tol
-# 1e-6, one BLAS thread on a 2-core x86 host): 1.92 ms at K = 8, 1.63 at
-# 16, 1.69 at 17, 1.96 at 32.
-_REFINE_POINTS = 16
-# Smallest spacing a refinement round uses, 2 sqrt(eps). V's round-off is
-# about 4e-16; at this spacing V at the best point of a peak of curvature
-# ~20 (phi+: 21.5) stands ~1e-14 above its neighbours, and rounds any
-# finer let round-off pick the best point. The vertex step through the
-# last resolved triple locates the peak better than such rounds do.
-_MIN_SPACING = 2.0**-25
-
-
 def _uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """The grid lo, lo + step, ..., ending at hi. hi follows a last point more than step / 1e6 short
     of it; a nearer last point, one short by arange's round-off or past hi, becomes hi, so no
@@ -396,44 +410,31 @@ def _scan_grid(lo: float, hi: float, step: float) -> tuple:
     return grid, rows
 
 
-def _parabola_vertex(t: np.ndarray, v: np.ndarray) -> float | None:
-    """Abscissa of the parabola through three points, or None when they are collinear."""
+def _parabola_vertex(t: np.ndarray, v: np.ndarray) -> float:
+    """Abscissa of the parabola through three points, or the middle one when they are collinear."""
     left, right = t[0] - t[1], t[2] - t[1]
     rise_left, rise_right = v[0] - v[1], v[2] - v[1]
     denominator = left * rise_right - right * rise_left
     if denominator == 0.0:
-        return None
+        return float(t[1])
     return float(t[1] + 0.5 * (left * left * rise_right - right * right * rise_left) / denominator)
 
 
 def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
                   step: float = 1e-4, tol: float = 1e-6):
-    """Locate the angle maximizing V by a dense scan plus batched bracket refinement.
+    """Locate the angle maximizing V by a dense scan plus Newton steps on V'.
 
     V is taken over the paper's polarizer family, x-z settings a = 0, 2
     theta and b = theta, 3 theta, so v_star answers for that apparatus and
-    can lie below the state's best violation over all settings.
-    The scan evaluates V on a grid of spacing ``step`` from lo, which
-    always ends at hi, even where hi - lo is no multiple of ``step``;
-    the best grid point and its neighbours bracket the peak. Each round
-    then evaluates V at equally spaced interior points of the bracket in
-    one batched call and shrinks the bracket to the best point seen so
-    far, plus or minus one spacing. The rounds stop once the bracket is
-    no wider than ``tol``, or once the next round's spacing would fall
-    below 2**-25 (about 3e-8), where V's round-off rather than its shape
-    would pick the best point; so for ``tol`` below 17 * 2**-25 (about
-    5e-7) the final bracket can be wider than ``tol``. A last
-    parabolic-vertex step through the best point and its two nearest
-    evaluated neighbours, clipped to the bracket, is kept only if it
-    does not lower V. When the best grid point is lo or hi, the search
-    stops at that bound after the first round if V falls strictly away
-    from the bound across the round's points, and the parabola through
-    the bound and its two nearest points falls away from it too: a bound
-    peak costs the scan and one round. That parabola's slope is trusted
-    only where the round's spacing h has h**2 <= tol; h is at most
-    step / 17, so every scan with step <= 17 sqrt(tol) (0.017 at the
-    default ``tol``) may settle, and a coarser one refines a bound peak
-    like any other.
+    can lie below the state's best violation over all settings. The scan
+    evaluates V on a grid of spacing ``step`` from lo that always ends at
+    hi. Newton steps on V', with V' and V'' in closed form, start at the
+    parabolic vertex of the best grid point and its neighbours (at the
+    point itself on lo or hi, where V' pointing out of the scan ends the
+    search) and stay within one grid step of that point. They stop once
+    the next step is at most ``tol`` / 1000, once steps stop shrinking,
+    or where V'' >= 0 or a zero table cell leaves V no derivative. So any
+    positive ``tol`` ends the search, and it bounds a step, not a bracket.
 
     Returns (theta_star, v_star), the best evaluated point: v_star is
     never below any grid value, and a peak on a scan bound is returned
@@ -449,41 +450,22 @@ def max_violation(rho: DensityMatrix, lo: float = 0.1, hi: float = 0.6,
         if value <= 0.0:
             raise ValueError(f"{name} = {value} must be positive")
     grid, rows = _scan_grid(lo, hi, step)
-    thetas, values = [grid], [_violations(rho, grid, rows)]
-    i = int(np.argmax(values[0]))
-    best_t, best_v = grid[i], values[0][i]
+    values = _violations(rho, grid, rows)
+    i = int(np.argmax(values))
+    best_t, best_v = grid[i], values[i]
     a, b = grid[max(0, i - 1)], grid[min(grid.size - 1, i + 1)]
-    while b - a > tol:
-        spacing = (b - a) / (_REFINE_POINTS + 1)
-        if spacing < _MIN_SPACING:
+    t = (min(max(_parabola_vertex(grid[i - 1:i + 2], values[i - 1:i + 2]), a), b)
+         if 0 < i < grid.size - 1 else best_t)
+    last_move = math.inf
+    while True:
+        v, dv, d2v = _violation_derivatives(rho, t)
+        if v >= best_v:
+            best_t, best_v = t, v
+        target = min(max(t - dv / d2v, a), b) if d2v < 0.0 else t
+        move = abs(target - t)
+        if move <= tol / 1000.0 or move >= last_move:
             break
-        points = a + spacing * np.arange(1, _REFINE_POINTS + 1)
-        thetas.append(points)
-        values.append(_violations(rho, points))
-        if len(values) == 2 and i in (0, grid.size - 1) and spacing * spacing <= tol:
-            # V0, V1, V2 are the bound and its two nearest points; (4 V1 - V2 - 3 V0) / (2 spacing)
-            # is V's slope at the bound. V falling alone also passes a peak up to half a spacing
-            # inside the bound: on phi+ at step 2.5e-3, a peak 1e-6 to 5e-5 inside it. The slope
-            # is off by spacing^2 V'''/3, so a peak the test misses lies within about
-            # spacing^2 |V'''/V''| / 3 of the bound, 1.1 spacing^2 at phi+'s peak: hence the
-            # cap spacing^2 <= tol.
-            away = np.append(best_v, values[1] if i == 0 else values[1][::-1])
-            if np.all(np.diff(away) < 0.0) and 4.0 * away[1] - away[2] < 3.0 * away[0]:
-                return float(best_t), float(best_v)
-        j = int(np.argmax(values[-1]))
-        if values[-1][j] > best_v:
-            best_t, best_v = points[j], values[-1][j]
-        a, b = max(a, best_t - spacing), min(b, best_t + spacing)
-    t, first = np.unique(np.concatenate(thetas), return_index=True)
-    v = np.concatenate(values)[first]
-    k = int(np.searchsorted(t, best_t))
-    if 0 < k < t.size - 1:
-        vertex = _parabola_vertex(t[k - 1:k + 2], np.array([v[k - 1], best_v, v[k + 1]]))
-        if vertex is not None:
-            vertex = min(max(vertex, a), b)
-            vertex_v = _violations(rho, vertex)
-            if vertex_v >= best_v:
-                best_t, best_v = vertex, vertex_v
+        t, last_move = target, move
     return float(best_t), float(best_v)
 
 

@@ -441,6 +441,17 @@ def _polarizer_rows(stokes) -> np.ndarray:
     return _qubit_rows(blochs).reshape(angles.shape[-1:] + angles.shape[:-1] + (2, 4))
 
 
+# Right-multiplied, these take polarizer rows (1, sin a, 0, cos a) to their derivatives of order 0, 1
+# and 2 in a, (0, cos a, 0, -sin a) and (0, -sin a, 0, -cos a), and complement rows to their negations.
+_ROW_DERIVATIVES = np.array([np.eye(4), np.eye(4)[[0, 3, 2, 1]] * [0, 1, 0, -1], np.diag([0.0, -1, -1, -1])])
+
+
+def _polarizer_row_orders(stokes) -> np.ndarray:
+    """_polarizer_rows(stokes) for Stokes angles of shape (m, n), and its first and second derivatives
+    in a, stacked (3, n, m, 2, 4)."""
+    return _polarizer_rows(stokes) @ _ROW_DERIVATIVES[:, None, None]
+
+
 def _born(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """Born-rule outcome tables (m, n_outcomes, ..., n_outcomes) of one local measurement per party.
 

@@ -95,6 +95,31 @@ def test_model_curve_shape_is_broadcast_shape_plus_thetas_shape():
     assert model_curve(np.linspace(0.0, 1.0, 5)[:, None], np.zeros((1, 7)), 0.3).shape == (5, 7, 1)
 
 
+# model_curve arguments that are not finite, with the argument the error must name. NaN used to come out
+# as NaN, lam = inf as a plausible 0, and an infinite phase or theta as NaN after a RuntimeWarning.
+NON_FINITE_CURVE_ARGUMENTS = [
+    pytest.param("lam", (np.nan, 0.0, [0.1]), id="lam-nan"),
+    pytest.param("lam", (np.inf, 0.0, [0.1]), id="lam-inf"),
+    pytest.param("lam", ([0.5, -np.inf], 0.0, [0.1]), id="lam-array"),
+    pytest.param("phase", (0.9, np.inf, [0.1]), id="phase-inf"),
+    pytest.param("phase", (0.9, [0.2, np.nan], [0.1]), id="phase-array"),
+    pytest.param("thetas", (0.9, 0.2, np.inf), id="theta-inf"),
+    pytest.param("thetas", (0.9, 0.2, [0.1, np.nan]), id="thetas-nan"),
+]
+
+
+@pytest.mark.parametrize("name, args", NON_FINITE_CURVE_ARGUMENTS)
+def test_model_curve_refuses_an_argument_that_is_not_finite(monkeypatch, name, args):
+    monkeypatch.setattr(fitting, "_edge_table", lambda thetas: pytest.fail("the arguments were not checked first"))
+    with pytest.raises(ValueError, match=f"^{name} = .* is not finite$"):
+        model_curve(*args)
+
+
+def test_model_curve_evaluates_a_finite_lam_outside_the_unit_interval():
+    """The derivative checks step past lam = 1, so only non-finite values are refused."""
+    assert np.all(np.isfinite(model_curve([-0.001, 1.001], 0.2, THETAS)))
+
+
 def test_fit_recovers_reference_parameters():
     fit = fit_werner(curve_for(0.998, 0.225))
     assert fit.lam == pytest.approx(0.998, abs=1e-3)

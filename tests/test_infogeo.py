@@ -518,9 +518,22 @@ def test_max_violation_refines_to_the_peak_on_a_seeded_bank():
             assert abs(theta_star - reference) <= tol
 
 
-def test_max_violation_settles_a_bound_peak_after_one_round(monkeypatch):
-    """A scan whose best grid point is lo or hi costs two _violations calls, the scan and one
-    round, and returns that bound, within tol of the argmax."""
+def _counted_derivatives(monkeypatch) -> list:
+    """Patch infogeo._violation_derivatives to record (theta, V) of each evaluation; returns the record."""
+    derivatives, evaluations = infogeo._violation_derivatives, []
+
+    def recorded(rho, theta):
+        result = derivatives(rho, theta)
+        evaluations.append((theta, result[0]))
+        return result
+
+    monkeypatch.setattr(infogeo, "_violation_derivatives", recorded)
+    return evaluations
+
+
+def test_max_violation_settles_a_bound_peak_after_one_derivative_evaluation(monkeypatch):
+    """A scan whose best grid point is lo or hi, with V' there pointing out of the scan, costs the
+    scan and one derivative evaluation, and returns that bound, within tol of the argmax."""
     violations, scans, tol, bound_peaks = infogeo._violations, [], 1e-6, 0
 
     def recorded(rho, theta, *rows):
@@ -533,10 +546,12 @@ def test_max_violation_settles_a_bound_peak_after_one_round(monkeypatch):
             scans.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(infogeo, "_violations", recorded)
+                evaluations = _counted_derivatives(patch)
                 theta_star, v_star = max_violation(rho, step=step, tol=tol)
             if int(np.argmax(scans[0])) in (0, scans[0].size - 1):
                 bound_peaks += 1
-                assert len(scans) == 2 and theta_star in (0.1, 0.6) and v_star == scans[0].max()
+                assert len(scans) == 1 and len(evaluations) == 1
+                assert theta_star in (0.1, 0.6) and v_star == scans[0].max()
                 assert abs(theta_star - reference) <= tol
     assert bound_peaks == 62
 
@@ -544,12 +559,11 @@ def test_max_violation_settles_a_bound_peak_after_one_round(monkeypatch):
 @pytest.mark.parametrize("lo, hi", [(0.1, 0.305), (0.3045, 0.6), (0.1, PHI_PLUS_PEAK + 2e-5),
                                     (PHI_PLUS_PEAK - 2e-5, 0.6)])
 def test_max_violation_refines_a_peak_just_inside_a_bound(monkeypatch, lo, hi):
-    """A peak inside the scan refines as any interior peak does, even where V falls away from the
-    bound across the first round: 2e-5 inside the bound is under half that round's spacing."""
-    violations, calls = infogeo._violations, []
-    monkeypatch.setattr(infogeo, "_violations", lambda *args: calls.append(1) or violations(*args))
+    """A peak inside the scan is refined, not settled at the bound, even 2e-5 inside it: V' at the
+    bound points into the scan, so Newton steps run inward from it."""
+    evaluations = _counted_derivatives(monkeypatch)
     theta_star, _ = max_violation(bell_state("phi+").density_matrix(), lo, hi, step=2.5e-3)
-    assert len(calls) == 6
+    assert evaluations[0][0] in (lo, hi) and 2 <= len(evaluations) <= 3
     assert abs(theta_star - PHI_PLUS_PEAK) <= 1e-6
 
 
@@ -584,18 +598,30 @@ def test_scan_grid_ends_at_hi_without_a_sliver(lo, hi, step, size):
     assert np.all(np.diff(grid) > 1e-6 * step)
 
 
-def test_max_violation_refines_in_a_few_batched_calls(monkeypatch):
-    violations, calls = infogeo._violations, []
-
-    def counted(rho, theta, *rows):
-        calls.append(np.size(theta))
-        return violations(rho, theta, *rows)
-
-    monkeypatch.setattr(infogeo, "_violations", counted)
+@pytest.mark.parametrize("step, most", [(2.5e-3, 3), (1e-4, 2)])
+def test_max_violation_refines_in_one_scan_and_a_few_derivative_evaluations(monkeypatch, step, most):
+    """One scan and at most ``most`` derivative evaluations per state; at the default step the vertex
+    start leaves one Newton step. (theta*, v*) is the best point of the scan and the evaluations."""
+    violations, scans = infogeo._violations, []
+    monkeypatch.setattr(infogeo, "_violations",
+                        lambda *args: scans.append((args[1], violations(*args))) or scans[-1][1])
+    evaluations = _counted_derivatives(monkeypatch)
     for rho in _refinement_bank():
-        calls.clear()
-        max_violation(rho, step=2.5e-3, tol=1e-6)
-        assert len(calls) <= 8
+        scans.clear()
+        evaluations.clear()
+        theta_star, v_star = max_violation(rho, step=step, tol=1e-6)
+        assert len(scans) == 1 and 1 <= len(evaluations) <= most
+        grid, values = scans[0]
+        assert v_star == max(values.max(), max(v for _, v in evaluations))
+        assert (theta_star, v_star) in [(t, v) for t, v in evaluations] + list(zip(grid, values))
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-7, 1e-8, 1e-10, 1e-300])
+def test_max_violation_lands_on_the_phi_plus_peak_from_a_coarse_scan(tol):
+    """At step 2.5e-3, theta* is within 1e-10 of the exact peak at every tol. The search by V values
+    left it 3.9e-10 off for tol <= 1e-7, where round-off in V dropped its last vertex step."""
+    theta_star, _ = max_violation(bell_state("phi+").density_matrix(), step=2.5e-3, tol=tol)
+    assert abs(theta_star - PHI_PLUS_PEAK) <= 1e-10
 
 
 def test_max_violation_scans_read_only_cached_grid_rows(monkeypatch):
@@ -635,12 +661,12 @@ def test_max_violation_bell_lands_on_the_peak():
     assert theta_star == pytest.approx(0.3046835, abs=1e-8)
 
 
-def test_max_violation_below_resolvable_spacing_leaves_the_peak_to_the_vertex():
+def test_max_violation_below_resolvable_tolerance_is_no_less_accurate():
     """A tol far below V's resolution is no less accurate than the default 1e-6.
 
-    Rounds finer than 2**-25 would let V's round-off pick the best point;
-    on phi+ they once moved theta* from 5e-10 to 3.5e-9 off the exact
-    peak 0.30468350878 at tol 1e-10.
+    When the search compared V values, rounds finer than V's round-off
+    once moved theta* on phi+ from 5e-10 to 3.5e-9 off the exact peak
+    0.30468350878 at tol 1e-10.
     """
     rho = bell_state("phi+").density_matrix()
     default_miss = abs(max_violation(rho, tol=1e-6)[0] - PHI_PLUS_PEAK)
@@ -648,16 +674,47 @@ def test_max_violation_below_resolvable_spacing_leaves_the_peak_to_the_vertex():
         assert abs(max_violation(rho, tol=tol)[0] - PHI_PLUS_PEAK) <= default_miss
 
 
-def test_max_violation_spacing_floor_leaves_coarser_tolerances_alone(monkeypatch):
-    """For tol >= 17 * 2**-25 every round is coarser than the floor, so
-    (theta*, v*) are bit for bit those of the rounds without it."""
-    bank = _refinement_bank()
-    for tol in (1e-6, 17 * 2.0**-25):
-        with_floor = [max_violation(rho, step=step, tol=tol) for rho in bank for step in (2.5e-3, 1e-4)]
-        monkeypatch.setattr(infogeo, "_MIN_SPACING", 0.0)
-        without = [max_violation(rho, step=step, tol=tol) for rho in bank for step in (2.5e-3, 1e-4)]
-        monkeypatch.undo()
-        assert with_floor == without
+@pytest.mark.parametrize("theta", [0.15, 0.3, 0.45])
+def test_violation_derivatives_match_central_differences(theta):
+    """V is _violations' value bit for bit; V' matches a central difference of V and V'' one of V'.
+
+    V'' is checked against the central difference of V' because the
+    second difference of V at h = 1e-5 carries V's round-off divided by
+    h**2, about 1e-5, which is more than rtol 1e-5 of the smallest V''
+    in the bank (0.025); that difference is checked to 1e-4.
+    """
+    h = 1e-5
+    for rho in _refinement_bank():
+        v, dv, d2v = infogeo._violation_derivatives(rho, theta)
+        ahead, here, behind = (infogeo._violations(rho, theta + s) for s in (h, 0.0, -h))
+        assert v == here
+        assert dv == pytest.approx((ahead - behind) / (2.0 * h), rel=1e-5)
+        dv_ahead, dv_behind = (infogeo._violation_derivatives(rho, theta + s)[1] for s in (h, -h))
+        assert d2v == pytest.approx((dv_ahead - dv_behind) / (2.0 * h), rel=1e-5)
+        assert d2v == pytest.approx((ahead - 2.0 * here + behind) / (h * h), abs=1e-4)
+
+
+def test_violation_derivative_vanishes_at_the_phi_plus_peak():
+    _, dv, d2v = infogeo._violation_derivatives(bell_state("phi+").density_matrix(), PHI_PLUS_PEAK)
+    assert abs(dv) < 1e-8 and d2v < 0.0
+
+
+def test_max_violation_falls_back_to_the_best_point_on_a_zero_cell(monkeypatch):
+    """|0> x (cos(b/2)|0> + sin(b/2)|1>) never passes a1's outcome 1, so V has no derivative: the
+    tables hold exact zeros there, V' and V'' are NaN with no warning, and the scan's bound peak at
+    0.1 is returned."""
+    born, tables = infogeo._born, []
+    monkeypatch.setattr(infogeo, "_born", lambda *args: tables.append(born(*args)) or tables[-1])
+    for b in np.random.default_rng(2131).uniform(0.0, 2.0 * np.pi, 8):
+        psi = np.kron([1.0, 0.0], [np.cos(b / 2.0), np.sin(b / 2.0)])
+        rho = DensityMatrix(2, np.outer(psi, psi))
+        _, dv, d2v = infogeo._violation_derivatives(rho, 0.1)
+        assert np.isnan(dv) and np.isnan(d2v)
+        # Orders (0,0), (1,0), (0,1), (1,1) and (0,2) of the a1 edges' outcome-1 rows; (2,0) is not 0.
+        assert np.all(tables[-1].reshape(6, 4, 2, 2)[[0, 1, 2, 4, 5]][:, [0, 3], 1] == 0.0)
+        for step in (2.5e-3, 1e-4):
+            theta_star, v_star = max_violation(rho, step=step)
+            assert theta_star == 0.1 and v_star == violation(rho, theta_star)
 
 
 def test_info_area_and_volume_permutation_invariance(rng):
